@@ -150,8 +150,10 @@ def _write_plot_script(csv_path: str, with_oracle: bool) -> str:
 
 
 def _oracle_value(config: RunConfig, t: float) -> float | None:
+    """Exact P(b1 = 1) where the oracle covers the run; empty elsewhere."""
     if (config.manifold == "circle" and config.complex_kind == "vr"
-            and config.invariant == "betti1" and 0 < Fraction(t) < Fraction(1, 3)):
+            and config.invariant == "betti1" and config.n <= circle_oracle.MAX_ORACLE_N
+            and 0 < Fraction(t) < Fraction(1, 3)):
         return circle_oracle.circle_homotopy_prob(config.n, t)
     return None
 

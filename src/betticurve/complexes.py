@@ -1,4 +1,10 @@
-"""Vietoris-Rips and Cech complex construction and filtration edge scales.
+"""Vietoris-Rips and Cech complexes at one scale, and filtrations for a grid.
+
+A filtration (:func:`vr_filtration`, :func:`cech_filtration_circle`) builds
+the complex once at the largest grid scale and tags every simplex with the
+grid step at which it enters; the per-scale functions (:func:`vr_complex`,
+:func:`cech_complex_circle`) are the independent reference it is tested
+against.
 
 VR uses the closed condition (pairwise distance <= t, matching "diameter of
 the simplex <= t"); Cech uses open balls (simplex present iff the open balls
@@ -8,6 +14,7 @@ what makes the interleaving inclusions exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +61,6 @@ class SimplicialComplex:
         for group in self.simplices_by_dim.values():
             out.update(group)
         return out
-
-
-@dataclass(frozen=True)
-class FiltrationScales:
-    """Sorted edge-creation scales: scales[k] is the smallest t at which the
-    VR complex has at least k edges.  scales[0] = 0; ties are repeated."""
-
-    scales: tuple[float, ...]
 
 
 def _normalize_max_dim(max_dim) -> int:
@@ -183,6 +182,219 @@ def cech_complex_circle(s: PointSample, t: float, max_dim=FULL, *,
     return _expand_cliques(len(s), edges, nbr, md, budget, accept=accept)
 
 
+@dataclass(frozen=True, eq=False)
+class Filtration:
+    """The complex at max(grid), each simplex tagged with the grid step at
+    which it enters.
+
+    A simplex enters at the first step s whose per-scale complex (the one
+    :func:`vr_complex` or :func:`cech_complex_circle` builds at ``grid[s]``)
+    contains it, so the simplices with step <= s form exactly that complex.
+    ``counts[d][s]`` is the number of d-simplices entering at step s, for
+    every dimension built (up to ``max_dim``; -1 means untruncated).
+
+    Simplices of dimension 1..``kept_dim`` are also kept, in filtration order
+    (nondecreasing step, so every prefix ending at a step boundary is a
+    per-scale complex): ``edges[p]`` is the p-th edge, ``keys[d][p]`` the
+    vertex bitmask of the p-th d-simplex and ``steps[d][p]`` its step.
+    ``neighbours[v]`` is the vertex bitmask of v's neighbours at max(grid).
+    ``apparent[d][p]`` is -1 or the position q of the (d+1)-simplex that the
+    p-th d-simplex is known to be paired with without any reduction: q is
+    its earliest cofacet, and it is q's latest facet (an apparent pair).
+    """
+
+    num_vertices: int
+    grid: tuple[float, ...]
+    max_dim: int
+    kept_dim: int
+    counts: list[list[int]]
+    edges: list[tuple[int, int]]
+    keys: list[list[int]]
+    steps: list[list[int]]
+    neighbours: list[int]
+    apparent: list[list[int]]
+
+
+def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
+    """The grid as a tuple of floats, if it is a nonempty, strictly
+    increasing list of nonnegative (or, with ``positive``, positive) scales."""
+    grid = tuple(float(t) for t in grid)
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    if grid[0] < 0 or (positive and grid[0] <= 0):
+        raise ValueError("grid scales must be positive" if positive
+                         else "grid scales must be nonnegative")
+    if any(not a < b for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
+def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
+                max_dim: int, kept_dim: int, budget: int,
+                simplex_step=None) -> Filtration:
+    """Incremental clique expansion in sorted edge order up to max(grid).
+
+    ``edge_step(d)`` maps pairwise distances to entry steps (len(grid) for an
+    edge absent at max(grid)).  Edges are added in order of distance, and the
+    simplices whose longest edge is the edge just added are the cliques of the
+    common neighbourhood of its endpoints in the graph built so far, so every
+    simplex is found exactly once, when its longest edge arrives.  Its step is
+    that edge's step, or later where ``simplex_step(vertex_bits)`` (applied
+    from dimension 2, downward closed like ``accept`` in
+    :func:`_expand_cliques`) says so.  Raises when the complex at max(grid)
+    has more than ``budget`` simplices, which is when some per-scale build
+    on the grid would.
+    """
+    num_steps = len(grid)
+    if kept_dim < 1:
+        raise ValueError(f"kept_dim must be >= 1, got {kept_dim}")
+    if max_dim != -1 and kept_dim > max_dim:
+        raise ValueError(f"cannot keep dimension {kept_dim} of a complex built to {max_dim}")
+    top = max(n - 1, kept_dim) if max_dim == -1 else max_dim
+    iu, ju = np.triu_indices(n, k=1)
+    pair_dist = dist[iu, ju]
+    step = edge_step(pair_dist)
+    keep = step < num_steps
+    order = np.argsort(pair_dist[keep], kind="stable")
+    edges = list(zip(iu[keep][order].tolist(), ju[keep][order].tolist()))
+    edge_steps = step[keep][order].tolist()
+
+    counts = [[0] * num_steps for _ in range(top + 1)]
+    counts[0][0] = n
+    total = n
+    if total > budget:
+        raise SimplexBudgetError(budget)
+    total += len(edges)
+    if total > budget:
+        raise SimplexBudgetError(budget)
+    for s in edge_steps:
+        counts[1][s] += 1
+
+    keys = [[1 << v for v in range(n)], [(1 << i) | (1 << j) for i, j in edges]]
+    steps = [[0] * n, edge_steps]
+    for _ in range(2, kept_dim + 1):
+        keys.append([])
+        steps.append([])
+    # Triangles come in blocks by longest edge, so an edge's first triangle
+    # is its earliest cofacet and has it as its latest facet.
+    first_triangle = [-1] * len(edges)
+    nbr = [0] * n
+    for p, ((i, j), edge_s) in enumerate(zip(edges, edge_steps)):
+        cand = nbr[i] & nbr[j]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        if not cand or top < 2:
+            continue
+        if kept_dim >= 2:
+            first_triangle[p] = len(keys[2])
+        # Depth-first over the cliques of cand: an entry (key, cand, dim, s)
+        # extends the simplex `key` (entered at step s) by each vertex v of
+        # cand to a dim-simplex, and the vertices of cand above v that are
+        # adjacent to v are the candidates one dimension up.
+        stack = [((1 << i) | (1 << j), cand, 2, edge_s)]
+        while stack:
+            key, cand, dim, s0 = stack.pop()
+            if dim > kept_dim and simplex_step is None:
+                # count the whole level at once: nothing is kept and every
+                # clique here enters with the edge
+                size = cand.bit_count()
+                total += size
+                if total > budget:
+                    raise SimplexBudgetError(budget)
+                counts[dim][s0] += size
+                if dim < top:
+                    while cand:
+                        low = cand & -cand
+                        cand ^= low
+                        sub = cand & nbr[low.bit_length() - 1]
+                        if sub:
+                            stack.append((0, sub, dim + 1, s0))
+                continue
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                new = key | low
+                s = s0
+                if simplex_step is not None:
+                    s = max(s, simplex_step(new))
+                    if s >= num_steps:
+                        continue
+                total += 1
+                if total > budget:
+                    raise SimplexBudgetError(budget)
+                counts[dim][s] += 1
+                if dim <= kept_dim:
+                    keys[dim].append(new)
+                    steps[dim].append(s)
+                if dim < top:
+                    sub = cand & nbr[low.bit_length() - 1]
+                    if sub:
+                        stack.append((new, sub, dim + 1, s))
+
+    while len(counts) > kept_dim + 1 and not any(counts[-1]):
+        counts.pop()  # dimensions the complex does not reach
+    apparent = [[-1] * len(k) for k in keys]
+    if simplex_step is None:
+        # every simplex enters with its longest edge: discovery order is
+        # filtration order, with the triangles in blocks by longest edge
+        if kept_dim >= 2:
+            apparent[1] = first_triangle
+    else:
+        # a later simplex_step reorders; the apparent pairs above are lost
+        for dim in range(2, kept_dim + 1):
+            order = sorted(range(len(steps[dim])), key=steps[dim].__getitem__)
+            keys[dim] = [keys[dim][p] for p in order]
+            steps[dim] = [steps[dim][p] for p in order]
+    return Filtration(n, grid, max_dim, kept_dim, counts, edges, keys, steps, nbr, apparent)
+
+
+def vr_filtration(s: PointSample, grid, max_dim=FULL, *, kept_dim: int = 1,
+                  dist: np.ndarray | None = None,
+                  budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
+    """One filtration for the Vietoris-Rips complexes at every grid scale.
+
+    Its step-s prefix is ``vr_complex(s, grid[s], max_dim)`` simplex for
+    simplex: an edge enters at the first scale t with distance <= t, and a
+    simplex with its longest edge.
+    """
+    grid = check_grid(grid)
+    md = _normalize_max_dim(max_dim)
+    if dist is None:
+        dist = pairwise_distances(s)
+    scales = np.asarray(grid)
+    return _filtration(len(s), dist, lambda d: np.searchsorted(scales, d, side="left"),
+                       grid, md, kept_dim, budget)
+
+
+def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *, kept_dim: int = 1,
+                           budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
+    """One filtration for the circle Cech complexes at every grid scale.
+
+    Its step-s prefix is ``cech_complex_circle(s, grid[s], max_dim)``: an edge
+    enters at the first scale t with distance < 2t, and a larger simplex at
+    the later of its longest edge's step and the first t above the minimax
+    distance (1 - largest gap) / 2, computed as :func:`_circle_arcs_intersect`
+    does.
+    """
+    if s.manifold.kind != CIRCLE:
+        raise UnsupportedDomainError("cech_filtration_circle requires a circle sample")
+    grid = check_grid(grid, positive=True)
+    md = _normalize_max_dim(max_dim)
+    positions = s.points.tolist()
+    doubled = 2.0 * np.asarray(grid)
+
+    def arc_step(key: int) -> int:
+        pts = sorted(positions[v] for v in _iter_bits(key))
+        gmax = 1.0 - pts[-1] + pts[0]
+        for a, b in zip(pts, pts[1:]):
+            gmax = max(gmax, b - a)
+        return bisect_right(grid, (1.0 - gmax) / 2.0)
+
+    return _filtration(len(s), pairwise_distances(s),
+                       lambda d: np.searchsorted(doubled, d, side="right"),
+                       grid, md, kept_dim, budget, simplex_step=arc_step)
+
+
 def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact minimum enclosing ball of a small Euclidean point set.
 
@@ -247,19 +459,6 @@ def cech_complex_euclidean(points, t: float, max_dim: int, *,
     edges, nbr = _edges_and_adjacency(dist, 2.0 * t, strict=True)
     accept = lambda simplex: min_enclosing_ball(pts[list(simplex)])[1] < t
     return _expand_cliques(n, edges, nbr, md, budget, accept=accept)
-
-
-def edge_scales(s: PointSample) -> FiltrationScales:
-    """All pairwise distances sorted ascending with a leading 0.
-
-    Ties are ordered by lexicographic pair index so the result is reproducible
-    bit for bit.
-    """
-    dist = pairwise_distances(s)
-    n = len(s)
-    pairs = sorted(
-        ((float(dist[i, j]), i, j) for i in range(n) for j in range(i + 1, n)))
-    return FiltrationScales(scales=(0.0,) + tuple(d for d, _, _ in pairs))
 
 
 def edge_count(s: PointSample, t: float) -> int:

@@ -12,6 +12,11 @@ class SimplexBudgetError(RuntimeError):
         self.budget = budget
         super().__init__(message or f"simplex budget of {budget} exceeded")
 
+    def __reduce__(self):
+        # rebuilt from (budget, message), not from args == (message,), so the
+        # error crosses a process boundary intact
+        return type(self), (self.budget, str(self))
+
 
 class PrecisionLimitError(ValueError):
     """Input is beyond the documented range where results are guaranteed exact."""

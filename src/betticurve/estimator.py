@@ -2,9 +2,16 @@
 
 Each trial draws one sample and evaluates the invariant at every grid point on
 that same sample (common random numbers across the grid, which makes curve
-differences low-variance).  A trial's randomness depends only on
-(master_seed, trial_index), and per-trial values are assembled in trial order
-before aggregation, so results are bit-identical for any worker count.
+differences low-variance).  It does so from one filtration per trial: the
+complex is built once, at max(grid), with every simplex tagged by the grid
+step at which it enters, and the whole curve is read off it (Euler
+characteristic by cumulative signed counts, Betti numbers by one persistent
+cohomology reduction).  The per-scale functions ``vr_complex`` and
+``cech_complex_circle`` with ``betti`` and ``euler_characteristic`` stay as
+the independent reference path the filtration is tested against, value for
+value.  A trial's randomness depends only on (master_seed, trial_index), and
+per-trial values are assembled in trial order before aggregation, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import DEFAULT_SIMPLEX_BUDGET, cech_complex_circle, vr_complex
+from .complexes import (DEFAULT_SIMPLEX_BUDGET, cech_filtration_circle, check_grid,
+                        vr_filtration)
 from .homology import InvariantSpec
-from .manifolds import CIRCLE, ManifoldModel, pairwise_distances, sample
+from .manifolds import CIRCLE, ManifoldModel, sample
 
 VR = "vr"
 CECH = "cech"
@@ -79,12 +87,9 @@ class LipschitzDiagnostic:
 def _trial_values(manifold, complex_kind, invariant, n, grid, master_seed,
                   trial_index, max_dim, budget) -> list[float]:
     s = sample(manifold, n, master_seed, trial_index)
-    if complex_kind == VR:
-        dist = pairwise_distances(s)
-        return [float(invariant.evaluate(vr_complex(s, t, max_dim, dist=dist, budget=budget)))
-                for t in grid]
-    return [float(invariant.evaluate(cech_complex_circle(s, t, max_dim, budget=budget)))
-            for t in grid]
+    build = vr_filtration if complex_kind == VR else cech_filtration_circle
+    filtration = build(s, grid, max_dim, kept_dim=invariant.kept_dim, budget=budget)
+    return [float(v) for v in invariant.curve(filtration)]
 
 
 def _trial_chunk(args) -> list[list[float]]:
@@ -124,13 +129,7 @@ def estimate_curve(manifold: ManifoldModel, complex_kind: str, invariant: Invari
     max_dim = _validate_common(manifold, complex_kind, invariant, trials, max_dim)
     if n < 1:
         raise ValueError("sample size n must be >= 1")
-    grid = tuple(float(t) for t in grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if any(t < 0 for t in grid):
-        raise ValueError("grid scales must be nonnegative")
-    if any(not a < b for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+    grid = check_grid(grid, positive=complex_kind == CECH)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 

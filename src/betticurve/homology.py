@@ -1,7 +1,10 @@
 """Betti numbers over GF(2), Euler characteristic, and a brute-force oracle.
 
 Coefficients are fixed to GF(2): boundary matrices become bit matrices and a
-Betti number is ``#i-simplices - rank d_i - rank d_{i+1}``.  Homology is
+Betti number is ``#i-simplices - rank d_i - rank d_{i+1}``.  The curves over
+a whole scale grid (:func:`betti_curve`, :func:`euler_curve`) are read off one
+:class:`~betticurve.complexes.Filtration`; :func:`betti` and
+:func:`euler_characteristic` evaluate a single complex.  Homology is
 unreduced (a point has b0 = 1).  GF(2) Betti numbers can differ from rational
 ones on spaces with 2-torsion; the model manifolds used here have none.
 """
@@ -9,9 +12,10 @@ ones on spaces with 2-torsion; the model manifolds used here have none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import SimplexBudgetError
-from .complexes import SimplicialComplex
+from .complexes import Filtration, SimplicialComplex
 
 BRUTEFORCE_SIMPLEX_LIMIT = 1 << 14
 
@@ -40,6 +44,17 @@ class InvariantSpec:
         if self.kind == "betti":
             return betti(complex_, self.dim)
         return euler_characteristic(complex_)
+
+    @property
+    def kept_dim(self) -> int:
+        """Highest simplex dimension :meth:`curve` needs kept in a filtration."""
+        return self.dim + 1 if self.kind == "betti" else 1
+
+    def curve(self, filtration: Filtration) -> list[int]:
+        """The invariant of the complex at every grid step of the filtration."""
+        if self.kind == "betti":
+            return betti_curve(filtration, self.dim)
+        return euler_curve(filtration)
 
     def describe(self) -> str:
         return f"betti{self.dim}" if self.kind == "betti" else "euler"
@@ -105,6 +120,121 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
             "Euler characteristic requires a full (untruncated) complex; "
             f"this one was truncated at dimension {complex_.max_dim_built}")
     return sum((-1) ** k * len(s) for k, s in complex_.simplices_by_dim.items())
+
+
+def _coboundary_column(filtration: Filtration, dim: int, p: int,
+                       position: dict[int, int]) -> int:
+    """Coboundary of the p-th dim-simplex as a bit-packed column over the
+    (dim+1)-simplices, which ``position`` maps from vertex bitmask to index."""
+    key = filtration.keys[dim][p]
+    cand = -1  # the vertices adjacent to every vertex of the simplex
+    rest = key
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cand &= filtration.neighbours[low.bit_length() - 1]
+    column = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        q = position.get(key | low)
+        if q is not None:
+            column |= 1 << q
+    return column
+
+
+def betti_curve(filtration: Filtration, i: int) -> list[int]:
+    """dim H_i over GF(2) of the complex at every grid step of the filtration.
+
+    b_i(s) = N_i(s) - R_i(s) - R_{i+1}(s), where N_i(s) counts the
+    i-simplices with step <= s and R_d(s), the rank of the boundary map on
+    the d-simplices with step <= s, counts the negative d-simplices (those
+    that kill a class) among them.  Filtration prefixes ending at a step
+    boundary are the per-scale complexes, so these are their ranks.  Negative
+    edges come from union-find in edge order; higher ones are the pivots of a
+    coboundary reduction (persistent cohomology, whose pairs are those of
+    homology) over dimensions 1..i, taking columns in reverse filtration order
+    and skipping, by clearing, the columns of simplices already known to be
+    negative, whose reduced coboundaries are zero.  A column in an apparent
+    pair needs no reduction, and is built only if another column is reduced
+    against it.
+    """
+    if i < 0:
+        raise ValueError("Betti dimension must be nonnegative")
+    if filtration.kept_dim < i + 1:
+        raise ValueError(
+            f"betti_curve({i}) needs simplices kept to dimension >= {i + 1}, "
+            f"got kept_dim={filtration.kept_dim}")
+    num_steps = len(filtration.grid)
+    negative = [[0] * num_steps for _ in range(i + 2)]
+
+    parent = list(range(filtration.num_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    cleared = set()  # the negative simplices of the dimension below
+    edge_steps = filtration.steps[1]
+    for p, (a, b) in enumerate(filtration.edges):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            cleared.add(p)
+            negative[1][edge_steps[p]] += 1
+
+    for dim in range(1, i + 1):
+        steps_up = filtration.steps[dim + 1]
+        apparent = filtration.apparent[dim]
+        owner: dict[int, int] = {}  # pivot -> the column reduced onto it
+        reduced: dict[int, int] = {}  # columns built so far, by position
+        position: dict[int, int] = {}  # filled when the first column is built
+
+        def column(p: int) -> int:
+            if not position:
+                position.update((key, q) for q, key in enumerate(filtration.keys[dim + 1]))
+            return _coboundary_column(filtration, dim, p, position)
+
+        for p in range(len(apparent) - 1, -1, -1):
+            if p in cleared:
+                continue
+            q = apparent[p]
+            if q >= 0:
+                # its unreduced coboundary has a pivot no later column shares
+                owner[q] = p
+                negative[dim + 1][steps_up[q]] += 1
+                continue
+            col = column(p)
+            while col:
+                low = (col & -col).bit_length() - 1
+                other = owner.get(low)
+                if other is None:
+                    owner[low] = p
+                    reduced[p] = col
+                    negative[dim + 1][steps_up[low]] += 1
+                    break
+                if other not in reduced:
+                    reduced[other] = column(other)
+                col ^= reduced[other]
+        cleared = owner
+
+    return [c - r - r_up for c, r, r_up in zip(accumulate(filtration.counts[i]),
+                                               accumulate(negative[i]),
+                                               accumulate(negative[i + 1]))]
+
+
+def euler_curve(filtration: Filtration) -> list[int]:
+    """Euler characteristic of the complex at every grid step: cumulative
+    alternating simplex counts, no linear algebra."""
+    if filtration.max_dim != -1:
+        raise ValueError(
+            "Euler characteristic requires a full (untruncated) complex; "
+            f"this filtration was built to dimension {filtration.max_dim}")
+    increments = [sum(-c[s] if d % 2 else c[s] for d, c in enumerate(filtration.counts))
+                  for s in range(len(filtration.grid))]
+    return list(accumulate(increments))
 
 
 def _dense_gf2_rank(rows: list[list[int]]) -> int:

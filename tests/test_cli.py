@@ -62,6 +62,18 @@ class TestCurveCommand:
         assert body[0][k] != ""
         assert body[1][k] == ""
 
+    def test_oracle_column_empty_above_oracle_cap(self, tmp_path):
+        # the oracle is capped at MAX_ORACLE_N points; a larger Monte Carlo
+        # run still succeeds, with no oracle value
+        from betticurve.circle_oracle import MAX_ORACLE_N
+        out = str(tmp_path / "c.csv")
+        code = run_cli(tmp_path, "curve", "--n", str(MAX_ORACLE_N + 1), "--trials", "2",
+                       "--grid", "0.0005,0.001", "--output", out)
+        assert code == EXIT_OK
+        _, header, body = read_csv(out)
+        k = header.index("oracle_p")
+        assert [row[k] for row in body] == ["", ""]
+
     def test_oracle_column_zero_for_two_points(self, tmp_path):
         out = str(tmp_path / "c.csv")
         run_cli(tmp_path, "curve", "--n", "2", "--trials", "10",

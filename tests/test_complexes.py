@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticurve.complexes import (cech_complex_circle, cech_complex_euclidean,
-                                  edge_count, edge_scales, export_simplices,
+                                  edge_count, export_simplices,
                                   min_enclosing_ball, vr_complex)
 from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
 from betticurve.manifolds import (circle, geodesic_distance, pairwise_distances,
@@ -170,32 +170,11 @@ class TestCechEuclidean:
 
 
 class TestFiltrationScales:
-    def test_sorted_with_leading_zero(self, circle_points):
-        fs = edge_scales(circle_points([0, 0.25, 0.5]))
-        assert fs.scales == (0.0, 0.25, 0.25, 0.5)
-
-    def test_single_point(self, circle_points):
-        assert edge_scales(circle_points([0.4])).scales == (0.0,)
-
-    def test_pair(self, circle_points):
-        assert edge_scales(circle_points([0, 0.1])).scales == (0.0, pytest.approx(0.1))
-
     def test_edge_count_examples(self, circle_points):
         s = circle_points([0, 0.25, 0.5])
         assert edge_count(s, 0.25) == 2
         assert edge_count(s, 0.6) == 3
         assert edge_count(circle_points([0, 0.2, 0.7]), 0.0) == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
-    def test_scales_consistent_with_edge_count(self, n, seed):
-        s = sample(circle(), n, seed, 0)
-        scales = edge_scales(s).scales
-        assert all(a <= b for a, b in zip(scales, scales[1:]))
-        for k, scale in enumerate(scales):
-            assert edge_count(s, scale) >= k
-            if k + 1 < len(scales) and scale < scales[k + 1]:
-                assert edge_count(s, scale) == k
 
 
 class TestExport:

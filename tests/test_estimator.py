@@ -182,6 +182,24 @@ class TestBudgetPropagation:
         with pytest.raises(SimplexBudgetError):
             estimate_curve(circle(), VR, EULER, 18, [0.45], 5, 3, budget=200)
 
+    def test_budget_error_pickle_round_trip(self):
+        import pickle
+
+        from betticurve.errors import SimplexBudgetError
+        exc = pickle.loads(pickle.dumps(SimplexBudgetError(100)))
+        assert isinstance(exc, SimplexBudgetError)
+        assert exc.budget == 100
+        assert str(exc) == "simplex budget of 100 exceeded"
+        custom = pickle.loads(pickle.dumps(SimplexBudgetError(7, "too big")))
+        assert (custom.budget, str(custom)) == (7, "too big")
+
+    def test_budget_error_crosses_workers_intact(self):
+        from betticurve.errors import SimplexBudgetError
+        with pytest.raises(SimplexBudgetError) as info:
+            estimate_curve(circle(), VR, EULER, 18, [0.45], 4, 3, workers=2, budget=100)
+        assert info.value.budget == 100
+        assert str(info.value) == "simplex budget of 100 exceeded"
+
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals
         n, t, seed = 9, 0.18, 41

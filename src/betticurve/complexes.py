@@ -198,9 +198,11 @@ class Filtration:
     per-scale complex): ``edges[p]`` is the p-th edge, ``keys[d][p]`` the
     vertex bitmask of the p-th d-simplex and ``steps[d][p]`` its step.
     ``neighbours[v]`` is the vertex bitmask of v's neighbours at max(grid).
-    ``apparent[d][p]`` is -1 or the position q of the (d+1)-simplex that the
-    p-th d-simplex is known to be paired with without any reduction: q is
-    its earliest cofacet, and it is q's latest facet (an apparent pair).
+    ``apparent`` maps an edge position p to the position q of a triangle
+    that the p-th edge is paired with without any reduction: q is its
+    earliest cofacet, and it is q's latest facet (an apparent pair).  It is
+    empty for circle Cech filtrations, whose triangles may enter after their
+    longest edge.
     """
 
     num_vertices: int
@@ -212,7 +214,7 @@ class Filtration:
     keys: list[list[int]]
     steps: list[list[int]]
     neighbours: list[int]
-    apparent: list[list[int]]
+    apparent: dict[int, int]
 
 
 def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
@@ -221,7 +223,7 @@ def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    if grid[0] < 0 or (positive and grid[0] <= 0):
+    if not (grid[0] > 0 if positive else grid[0] >= 0):  # false for NaN too
         raise ValueError("grid scales must be positive" if positive
                          else "grid scales must be nonnegative")
     if any(not a < b for a, b in zip(grid, grid[1:])):
@@ -275,9 +277,10 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     for _ in range(2, kept_dim + 1):
         keys.append([])
         steps.append([])
-    # Triangles come in blocks by longest edge, so an edge's first triangle
-    # is its earliest cofacet and has it as its latest facet.
-    first_triangle = [-1] * len(edges)
+    # Without a simplex_step, triangles come in blocks by longest edge, so an
+    # edge's first triangle is its earliest cofacet and has it as its latest
+    # facet.
+    apparent = {}
     nbr = [0] * n
     for p, ((i, j), edge_s) in enumerate(zip(edges, edge_steps)):
         cand = nbr[i] & nbr[j]
@@ -285,8 +288,8 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
         nbr[j] |= 1 << i
         if not cand or top < 2:
             continue
-        if kept_dim >= 2:
-            first_triangle[p] = len(keys[2])
+        if kept_dim >= 2 and simplex_step is None:
+            apparent[p] = len(keys[2])
         # Depth-first over the cliques of cand: an entry (key, cand, dim, s)
         # extends the simplex `key` (entered at step s) by each vertex v of
         # cand to a dim-simplex, and the vertices of cand above v that are
@@ -333,14 +336,8 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
 
     while len(counts) > kept_dim + 1 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
-    apparent = [[-1] * len(k) for k in keys]
-    if simplex_step is None:
-        # every simplex enters with its longest edge: discovery order is
-        # filtration order, with the triangles in blocks by longest edge
-        if kept_dim >= 2:
-            apparent[1] = first_triangle
-    else:
-        # a later simplex_step reorders; the apparent pairs above are lost
+    if simplex_step is not None:
+        # a simplex may enter after its longest edge: restore filtration order
         for dim in range(2, kept_dim + 1):
             order = sorted(range(len(steps[dim])), key=steps[dim].__getitem__)
             keys[dim] = [keys[dim][p] for p in order]
@@ -349,7 +346,6 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
 
 
 def vr_filtration(s: PointSample, grid, max_dim=FULL, *, kept_dim: int = 1,
-                  dist: np.ndarray | None = None,
                   budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
     """One filtration for the Vietoris-Rips complexes at every grid scale.
 
@@ -359,10 +355,9 @@ def vr_filtration(s: PointSample, grid, max_dim=FULL, *, kept_dim: int = 1,
     """
     grid = check_grid(grid)
     md = _normalize_max_dim(max_dim)
-    if dist is None:
-        dist = pairwise_distances(s)
     scales = np.asarray(grid)
-    return _filtration(len(s), dist, lambda d: np.searchsorted(scales, d, side="left"),
+    return _filtration(len(s), pairwise_distances(s),
+                       lambda d: np.searchsorted(scales, d, side="left"),
                        grid, md, kept_dim, budget)
 
 

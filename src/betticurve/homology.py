@@ -155,9 +155,9 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     coboundary reduction (persistent cohomology, whose pairs are those of
     homology) over dimensions 1..i, taking columns in reverse filtration order
     and skipping, by clearing, the columns of simplices already known to be
-    negative, whose reduced coboundaries are zero.  A column in an apparent
-    pair needs no reduction, and is built only if another column is reduced
-    against it.
+    negative, whose reduced coboundaries are zero.  An edge column in an
+    apparent pair needs no reduction, and is built only if another column is
+    reduced against it.
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
@@ -187,7 +187,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
 
     for dim in range(1, i + 1):
         steps_up = filtration.steps[dim + 1]
-        apparent = filtration.apparent[dim]
+        apparent = filtration.apparent if dim == 1 else {}
         owner: dict[int, int] = {}  # pivot -> the column reduced onto it
         reduced: dict[int, int] = {}  # columns built so far, by position
         position: dict[int, int] = {}  # filled when the first column is built
@@ -197,11 +197,11 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
                 position.update((key, q) for q, key in enumerate(filtration.keys[dim + 1]))
             return _coboundary_column(filtration, dim, p, position)
 
-        for p in range(len(apparent) - 1, -1, -1):
+        for p in range(len(filtration.keys[dim]) - 1, -1, -1):
             if p in cleared:
                 continue
-            q = apparent[p]
-            if q >= 0:
+            q = apparent.get(p)
+            if q is not None:
                 # its unreduced coboundary has a pivot no later column shares
                 owner[q] = p
                 negative[dim + 1][steps_up[q]] += 1

@@ -163,25 +163,27 @@ class TestConvergeCommand:
 
 class TestExitCodes:
     def test_invalid_grid_usage(self, tmp_path):
-        code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
-                       "--grid", "0.3,0.1", "--output", str(tmp_path / "x.csv"))
-        assert code == EXIT_USAGE
+        for grid in ("0.3,0.1", "nan"):
+            code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
+                           "--grid", grid, "--output", str(tmp_path / "x.csv"))
+            assert code == EXIT_USAGE
 
     def test_missing_grid_usage(self, tmp_path):
         code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
                        "--output", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
 
-    def test_budget_maps_to_resource(self, tmp_path, monkeypatch):
+    def test_budget_maps_to_resource(self, tmp_path, monkeypatch, capsys):
         from betticurve.errors import SimplexBudgetError
 
         def boom(*a, **k):
-            raise SimplexBudgetError("simplex budget 100 exceeded", 100)
+            raise SimplexBudgetError(100)
 
         monkeypatch.setattr(cli.estimator, "estimate_curve", boom)
         code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
                        "--grid", "0.1", "--output", str(tmp_path / "x.csv"))
         assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err == "error: simplex budget of 100 exceeded\n"
 
 
 class TestSelftest:

@@ -141,6 +141,8 @@ class TestVietorisRipsEquivalence:
         grid = [0.1, 0.25, 0.5]
         f = vr_filtration(s, grid, 3, kept_dim=3)
         assert [f.counts[1][k] for k in range(3)] == [0, 4, 2]
+        assert f.apparent == {4: 0, 5: 2}  # each diagonal and its first triangle
+        assert cech_filtration_circle(s, grid, 3, kept_dim=3).apparent == {}
         assert betti_curve(f, 0) == [4, 1, 1]
         assert betti_curve(f, 1) == [0, 1, 0]
         assert betti_curve(f, 2) == [0, 0, 0]
@@ -153,9 +155,7 @@ class TestVietorisRipsEquivalence:
         # latest facet
         s, grid = case
         f = vr_filtration(s, grid, 2, kept_dim=2)
-        for p, q in enumerate(f.apparent[1]):
-            if q < 0:
-                continue
+        for p, q in f.apparent.items():
             edge = f.keys[1][p]
             assert q == min(r for r, t in enumerate(f.keys[2]) if t & edge == edge)
             triangle = f.keys[2][q]
@@ -201,9 +201,12 @@ class TestCechEquivalence:
 class TestValidation:
     def test_grid_checks(self):
         s = sample(circle(), 4, 0, 0)
-        for grid in ([], [0.2, 0.1], [0.1, 0.1], [-0.1, 0.2]):
+        for grid in ([], [0.2, 0.1], [0.1, 0.1], [-0.1, 0.2], [float("nan")],
+                     [0.1, float("nan")]):
             with pytest.raises(ValueError):
                 vr_filtration(s, grid)
+            with pytest.raises(ValueError):
+                cech_filtration_circle(s, grid)
 
     def test_kept_dim_bounds(self):
         s = sample(circle(), 4, 0, 0)

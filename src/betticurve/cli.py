@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import circle_oracle, estimator, manifolds
-from .complexes import cech_complex_circle, edge_count, vr_complex
+from .complexes import cech_complex_circle, check_grid, edge_count, vr_complex
 from .errors import SimplexBudgetError
 from .homology import InvariantSpec, betti_invariant, euler_invariant
 from .manifolds import ManifoldModel, PointSample
@@ -36,7 +36,11 @@ EXIT_RESOURCE = 3
 
 @dataclass
 class RunConfig:
-    """Complete, serializable description of one CLI run."""
+    """Complete, serializable description of one CLI run.
+
+    The field defaults are the CLI's defaults: the parsers set only the
+    options given on the command line.
+    """
 
     subcommand: str
     manifold: str = "circle"
@@ -62,10 +66,6 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**data)
-
     def manifold_model(self) -> ManifoldModel:
         if self.manifold == "circle":
             return manifolds.circle()
@@ -82,20 +82,14 @@ class RunConfig:
             return betti_invariant(int(self.invariant[len("betti"):]))
         raise ValueError(f"unknown invariant {self.invariant!r}")
 
-    def resolved_grid(self) -> list[float]:
+    def resolved_grid(self) -> tuple[float, ...]:
         if self.grid:
-            g = [float(t) for t in self.grid]
+            grid = self.grid
+        elif self.t_min is None or self.t_max is None or self.steps is None:
+            raise ValueError("provide either --grid or --t-min/--t-max/--steps")
         else:
-            if self.t_min is None or self.t_max is None or self.steps is None:
-                raise ValueError("provide either --grid or --t-min/--t-max/--steps")
-            if self.steps < 1:
-                raise ValueError("steps must be >= 1")
-            if self.t_min < 0:
-                raise ValueError("t_min must be nonnegative")
-            g = [float(x) for x in np.linspace(self.t_min, self.t_max, self.steps)]
-        if any(not a < b for a, b in zip(g, g[1:])):
-            raise ValueError("grid must be strictly increasing")
-        return g
+            grid = np.linspace(self.t_min, self.t_max, self.steps)
+        return check_grid(grid)
 
     def resolved_max_dim(self):
         if self.max_dim is None:
@@ -291,70 +285,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "of random geometric complexes on model manifolds.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add_subparser(name, summary):
+        # options not given stay out of the namespace, so RunConfig's
+        # defaults apply
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
     def add_common(p, estimation=True):
-        p.add_argument("--seed", type=int, default=0, dest="master_seed")
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--fmt", choices=("csv", "json"), default="csv")
+        p.add_argument("--seed", type=int, dest="master_seed")
+        p.add_argument("--output", type=str)
+        p.add_argument("--fmt", choices=("csv", "json"))
         if estimation:
-            p.add_argument("--manifold", choices=("circle", "torus", "sphere"),
-                           default="circle")
-            p.add_argument("--torus-dim", type=int, default=2, dest="torus_dim")
-            p.add_argument("--complex", choices=("vr", "cech"), default="vr",
-                           dest="complex_kind")
-            p.add_argument("--invariant",
-                           choices=("betti0", "betti1", "betti2", "euler"),
-                           default="betti1")
-            p.add_argument("--trials", type=int, default=1000)
-            p.add_argument("--max-dim", type=_max_dim_arg, default=None, dest="max_dim")
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--manifold", choices=("circle", "torus", "sphere"))
+            p.add_argument("--torus-dim", type=int, dest="torus_dim")
+            p.add_argument("--complex", choices=("vr", "cech"), dest="complex_kind")
+            p.add_argument("--invariant", choices=("betti0", "betti1", "betti2", "euler"))
+            p.add_argument("--trials", type=int)
+            p.add_argument("--max-dim", type=_max_dim_arg, dest="max_dim")
+            p.add_argument("--workers", type=int)
 
     def add_grid(p):
-        p.add_argument("--t-min", type=float, default=None, dest="t_min")
-        p.add_argument("--t-max", type=float, default=None, dest="t_max")
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--grid", type=_float_list, default=[])
+        p.add_argument("--t-min", type=float, dest="t_min")
+        p.add_argument("--t-max", type=float, dest="t_max")
+        p.add_argument("--steps", type=int)
+        p.add_argument("--grid", type=_float_list)
 
-    p_curve = sub.add_parser("curve", help="Monte Carlo invariant curve over a scale grid")
+    p_curve = add_subparser("curve", "Monte Carlo invariant curve over a scale grid")
     add_common(p_curve)
     add_grid(p_curve)
-    p_curve.add_argument("--n", type=int, default=20)
+    p_curve.add_argument("--n", type=int)
 
-    p_oracle = sub.add_parser("oracle", help="exact circle first-Betti-number values")
+    p_oracle = add_subparser("oracle", "exact circle first-Betti-number values")
     add_common(p_oracle, estimation=False)
     add_grid(p_oracle)
-    p_oracle.add_argument("--n", type=int, default=20)
+    p_oracle.add_argument("--n", type=int)
 
-    p_conv = sub.add_parser("converge", help="fixed-scale convergence table in n")
+    p_conv = add_subparser("converge", "fixed-scale convergence table in n")
     add_common(p_conv)
-    p_conv.add_argument("--t", type=float, default=None)
-    p_conv.add_argument("--n-values", type=_int_list, default=[], dest="n_values")
-    p_conv.add_argument("--target", type=float, default=None)
-    p_conv.add_argument("--target-source", type=str, default="reference value",
-                        dest="target_source")
+    p_conv.add_argument("--t", type=float)
+    p_conv.add_argument("--n-values", type=_int_list, dest="n_values")
+    p_conv.add_argument("--target", type=float)
+    p_conv.add_argument("--target-source", type=str, dest="target_source")
 
-    p_self = sub.add_parser("selftest", help="fast statistical and structural self-checks")
-    p_self.add_argument("--seed", type=int, default=0, dest="master_seed")
+    p_self = add_subparser("selftest", "fast statistical and structural self-checks")
+    p_self.add_argument("--seed", type=int, dest="master_seed")
     p_self.add_argument("--trials", type=int, default=2000)
-    p_self.add_argument("--workers", type=int, default=None)
+    p_self.add_argument("--workers", type=int)
 
     return parser
 
 
-def _resolve_workers(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("BETTI_WORKERS")
-    return int(env) if env else 1
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    fields["workers"] = _resolve_workers(getattr(args, "workers", None))
-    fields.pop("grid", None)
-    config = RunConfig(**{k: v for k, v in fields.items() if k in RunConfig.__dataclass_fields__})
-    if getattr(args, "grid", None):
-        config.grid = list(args.grid)
-    return config
+    """RunConfig of the options given; BETTI_WORKERS stands in for --workers."""
+    fields = dict(vars(args))
+    env = os.environ.get("BETTI_WORKERS")
+    if "workers" not in fields and env:
+        try:
+            fields["workers"] = int(env)
+        except ValueError:
+            raise ValueError(f"BETTI_WORKERS must be an integer, got {env!r}") from None
+    return RunConfig(**fields)
 
 
 def run(config: RunConfig) -> int:
@@ -365,9 +354,8 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        return run(config)
+        return run(config_from_args(args))
     except SimplexBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -52,10 +52,6 @@ class SimplicialComplex:
     def simplex_count(self) -> int:
         return sum(len(s) for s in self.simplices_by_dim.values())
 
-    def contains(self, simplex) -> bool:
-        s = tuple(simplex)
-        return s in set(self.simplices_by_dim.get(len(s) - 1, []))
-
     def as_simplex_set(self) -> set[tuple[int, ...]]:
         out: set[tuple[int, ...]] = set()
         for group in self.simplices_by_dim.values():
@@ -390,72 +386,6 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *, kept_dim: int 
                        grid, md, kept_dim, budget, simplex_step=arc_step)
 
 
-def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimum enclosing ball of a small Euclidean point set.
-
-    Searches the <= d+1 support points that determine the optimal ball
-    directly (the inputs here are simplices, so brute force over boundary
-    subsets is exact and cheap).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("need a nonempty 2-d point array")
-    m, d = pts.shape
-    if m == 1:
-        return pts[0].copy(), 0.0
-    best: tuple[np.ndarray, float] | None = None
-    from itertools import combinations
-    for size in range(1, min(m, d + 1) + 1):
-        for subset in combinations(range(m), size):
-            ball = _circumball(pts[list(subset)])
-            if ball is None:
-                continue
-            c, r = ball
-            if np.all(np.linalg.norm(pts - c, axis=1) <= r * (1 + 1e-12) + 1e-12):
-                if best is None or r < best[1]:
-                    best = (c, r)
-    assert best is not None
-    return best
-
-
-def _circumball(pts: np.ndarray):
-    """Smallest ball whose boundary passes through all of pts (or None if the
-    points are affinely dependent)."""
-    p0 = pts[0]
-    if len(pts) == 1:
-        return p0.copy(), 0.0
-    v = pts[1:] - p0
-    gram = 2.0 * (v @ v.T)
-    rhs = np.sum(v * v, axis=1)
-    try:
-        lam = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    center = p0 + lam @ v
-    return center, float(np.linalg.norm(center - p0))
-
-
-def cech_complex_euclidean(points, t: float, max_dim: int, *,
-                           budget: int = DEFAULT_SIMPLEX_BUDGET) -> SimplicialComplex:
-    """Cech complex of Euclidean points (open balls of radius t), d <= 3."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (n, d) array")
-    if pts.shape[1] > 3:
-        raise UnsupportedDomainError("Euclidean Cech supports d <= 3 only")
-    if t <= 0:
-        raise ValueError("scale t must be positive")
-    md = _normalize_max_dim(max_dim)
-    if md == -1:
-        raise ValueError("Euclidean Cech requires an explicit max_dim")
-    n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    edges, nbr = _edges_and_adjacency(dist, 2.0 * t, strict=True)
-    accept = lambda simplex: min_enclosing_ball(pts[list(simplex)])[1] < t
-    return _expand_cliques(n, edges, nbr, md, budget, accept=accept)
-
-
 def edge_count(s: PointSample, t: float) -> int:
     """Number of point pairs at distance <= t."""
     if t < 0:
@@ -463,11 +393,3 @@ def edge_count(s: PointSample, t: float) -> int:
     dist = pairwise_distances(s)
     iu, ju = np.triu_indices(len(s), k=1)
     return int(np.count_nonzero(dist[iu, ju] <= t))
-
-
-def export_simplices(complex_: SimplicialComplex, path) -> None:
-    """Write one simplex per line as space-separated vertex indices."""
-    with open(path, "w") as fh:
-        for dim in sorted(complex_.simplices_by_dim):
-            for simplex in complex_.simplices_by_dim[dim]:
-                fh.write(" ".join(str(v) for v in simplex) + "\n")

@@ -16,7 +16,3 @@ class SimplexBudgetError(RuntimeError):
         # rebuilt from (budget, message), not from args == (message,), so the
         # error crosses a process boundary intact
         return type(self), (self.budget, str(self))
-
-
-class PrecisionLimitError(ValueError):
-    """Input is beyond the documented range where results are guaranteed exact."""

@@ -16,7 +16,6 @@ are bit-identical for any worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -67,21 +66,6 @@ class ConvergenceTable:
     @property
     def abs_error(self) -> np.ndarray:
         return np.abs(self.mean - self.target)
-
-
-@dataclass(frozen=True)
-class LipschitzDiagnostic:
-    """Discrete-slope summary of a curve.
-
-    ``theoretical_bound`` is the generic a-priori Lipschitz constant
-    2 * C(n,2) * 2^n * K; it is astronomically loose and reported for
-    reference only, never as a gate.
-    """
-
-    max_slope: float
-    argmax_interval: tuple[float, float]
-    slopes: tuple[float, ...]
-    theoretical_bound: float
 
 
 def _trial_values(manifold, complex_kind, invariant, n, grid, master_seed,
@@ -192,27 +176,3 @@ def max_discrete_slope(grid, values) -> tuple[float, tuple[float, float]]:
     slopes = np.abs(np.diff(values)) / np.diff(grid)
     k = int(np.argmax(slopes))
     return float(slopes[k]), (float(grid[k]), float(grid[k + 1]))
-
-
-def lipschitz_diagnostic(curve: CurveEstimate) -> LipschitzDiagnostic:
-    """Discrete slopes of an estimated curve.
-
-    The slopes estimate the local Lipschitz modulus of the expectation curve
-    up to Monte Carlo noise of order stderr / grid-step.
-    """
-    if len(curve.grid) < 2:
-        raise ValueError("lipschitz diagnostic needs a grid of length >= 2")
-    grid = np.asarray(curve.grid)
-    slopes = np.abs(np.diff(curve.mean)) / np.diff(grid)
-    k = int(np.argmax(slopes))
-    try:
-        bound = 2.0 * math.comb(curve.n, 2) * curve.invariant.growth_limit(2 ** curve.n) \
-            * curve.manifold.ball_measure_lipschitz
-        bound = float(bound)
-    except OverflowError:
-        bound = math.inf
-    return LipschitzDiagnostic(
-        max_slope=float(slopes[k]),
-        argmax_interval=(float(grid[k]), float(grid[k + 1])),
-        slopes=tuple(float(x) for x in slopes),
-        theoretical_bound=bound)

@@ -24,8 +24,7 @@ BRUTEFORCE_SIMPLEX_LIMIT = 1 << 14
 class InvariantSpec:
     """A topological invariant whose magnitude is bounded by the simplex count.
 
-    kind is "betti" (with ``dim``) or "euler".  ``growth_limit`` returns the
-    bound f(#simplices) on |value|; both shipped invariants have f = identity.
+    kind is "betti" (with ``dim``) or "euler".
     """
 
     kind: str
@@ -36,9 +35,6 @@ class InvariantSpec:
             raise ValueError(f"unknown invariant kind {self.kind!r}")
         if self.kind == "betti" and self.dim < 0:
             raise ValueError("Betti dimension must be nonnegative")
-
-    def growth_limit(self, num_simplices: int) -> int:
-        return num_simplices
 
     def evaluate(self, complex_: SimplicialComplex) -> int:
         if self.kind == "betti":

@@ -1,16 +1,15 @@
 """Model manifolds with analytic uniform measures.
 
 Three models are supported: the unit-circumference circle R/Z, the flat torus
-(R/Z)^d and the unit 2-sphere.  Each carries the uniform probability measure,
-an exact geodesic distance, a closed-form ball-measure function and a known
-convexity radius, so downstream statistical checks have no numerical knobs.
+(R/Z)^d and the unit 2-sphere.  Each carries the uniform probability measure
+and an exact geodesic distance, so downstream statistical checks have no
+numerical knobs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +36,6 @@ def mix_seed(master_seed: int, trial_index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-
-
 @dataclass(frozen=True)
 class ManifoldModel:
     """A model manifold with uniform probability measure.
@@ -57,35 +52,6 @@ class ManifoldModel:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.kind == FLAT_TORUS and self.torus_dim < 1:
             raise ValueError("flat torus dimension must be >= 1")
-
-    @property
-    def intrinsic_dim(self) -> int:
-        if self.kind == CIRCLE:
-            return 1
-        if self.kind == FLAT_TORUS:
-            return self.torus_dim
-        return 2
-
-    @property
-    def convexity_radius(self) -> float:
-        if self.kind in (CIRCLE, FLAT_TORUS):
-            return 0.25
-        return math.pi / 2
-
-    @property
-    def ball_measure_lipschitz(self) -> float:
-        """Constant K with |ball_measure(b) - ball_measure(a)| <= K |b - a|.
-
-        Valid on the domain of :meth:`ball_measure`.  Flat torus: the measure
-        of a geodesic ball of radius t <= 1/2 is V_d t^d with V_d the unit-ball
-        volume, so K = d * V_d * 2^(1-d).
-        """
-        if self.kind == CIRCLE:
-            return 2.0
-        if self.kind == SPHERE2:
-            return 0.5
-        d = self.torus_dim
-        return d * _unit_ball_volume(d) * 2.0 ** (1 - d)
 
     @property
     def diameter(self) -> float:
@@ -148,39 +114,6 @@ def sample(manifold: ManifoldModel, n: int, master_seed: int,
     return PointSample(manifold, pts, master_seed, trial_index)
 
 
-def _check_circle_coord(x) -> float:
-    x = float(x)
-    if not (0.0 <= x < 1.0):
-        raise ValueError(f"circle coordinate {x} outside [0, 1)")
-    return x
-
-
-def geodesic_distance(manifold: ManifoldModel, p, q) -> float:
-    """Exact geodesic distance between two points in the fundamental domain."""
-    if manifold.kind == CIRCLE:
-        p, q = _check_circle_coord(p), _check_circle_coord(q)
-        d = abs(p - q)
-        return min(d, 1.0 - d)
-    if manifold.kind == FLAT_TORUS:
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if p.shape != (manifold.torus_dim,) or q.shape != (manifold.torus_dim,):
-            raise ValueError("point dimension does not match torus dimension")
-        if np.any(p < 0) or np.any(p >= 1) or np.any(q < 0) or np.any(q >= 1):
-            raise ValueError("torus coordinates outside [0, 1)^d")
-        d = np.abs(p - q)
-        d = np.minimum(d, 1.0 - d)
-        return float(np.sqrt(np.sum(d * d)))
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (3,) or q.shape != (3,):
-        raise ValueError("sphere points must be 3-vectors")
-    for v in (p, q):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError("sphere point is not a unit vector")
-    return float(np.arccos(np.clip(np.dot(p, q), -1.0, 1.0)))
-
-
 def pairwise_distances(s: PointSample) -> np.ndarray:
     """Full n x n geodesic distance matrix (vectorized)."""
     pts = s.points
@@ -194,20 +127,6 @@ def pairwise_distances(s: PointSample) -> np.ndarray:
     g = np.clip(pts @ pts.T, -1.0, 1.0)
     np.fill_diagonal(g, 1.0)
     return np.arccos(g)
-
-
-def ball_measure(manifold: ManifoldModel, t: float) -> float:
-    """Measure of a geodesic ball of radius t (closed form)."""
-    if t < 0:
-        raise ValueError("ball radius must be nonnegative")
-    if manifold.kind == CIRCLE:
-        return min(2.0 * t, 1.0)
-    if manifold.kind == SPHERE2:
-        return (1.0 - math.cos(min(t, math.pi))) / 2.0
-    if t > 0.5:
-        raise UnsupportedDomainError(
-            f"flat torus ball measure has a closed form only for t <= 1/2, got t={t}")
-    return _unit_ball_volume(manifold.torus_dim) * t ** manifold.torus_dim
 
 
 def _circle_gaps(points: np.ndarray) -> np.ndarray:
@@ -289,38 +208,3 @@ def covering_tail_bound(manifold: ManifoldModel, epsilon: float, n: int) -> floa
     k = math.ceil(1.0 / epsilon)
     arc = min(epsilon, 1.0)
     return min(1.0, k * (1.0 - arc) ** n)
-
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """Exact-equality collisions and distance ties found in a sample."""
-
-    collisions: list = field(default_factory=list)
-    distance_ties: list = field(default_factory=list)
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.collisions and not self.distance_ties
-
-
-def detect_degeneracies(s: PointSample) -> DegeneracyReport:
-    """Report exact floating-point collisions and tied pairwise distances.
-
-    Ties have measure zero for continuous samplers, so any hit is a genuine
-    floating-point coincidence; it is reported, never perturbed away.
-    """
-    dist = pairwise_distances(s)
-    n = len(s)
-    collisions = []
-    by_value: dict[float, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dist[i, j]
-            if d == 0.0:
-                collisions.append((i, j))
-            by_value.setdefault(d, []).append((i, j))
-    ties = []
-    for pairs in by_value.values():
-        if len(pairs) > 1:
-            ties.extend(combinations(pairs, 2))
-    return DegeneracyReport(collisions=collisions, distance_ties=ties)

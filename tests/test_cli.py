@@ -97,12 +97,27 @@ class TestCurveCommand:
         run_cli(tmp_path, "curve", "--n", "7", "--trials", "40", "--seed", "9",
                 "--grid", "0.05,0.15,0.25", "--output", out1)
         comments, _, _ = read_csv(out1)
-        config = cli.RunConfig.from_dict(json.loads(comments[1].split("# config: ", 1)[1]))
+        config = cli.RunConfig(**json.loads(comments[1].split("# config: ", 1)[1]))
         config.output = str(tmp_path / "b.csv")
         assert cli.run(config) == EXIT_OK
         _, _, body1 = read_csv(out1)
         _, _, body2 = read_csv(config.output)
         assert body1 == body2
+
+    def test_config_line_is_pinned(self, tmp_path, monkeypatch):
+        # every RunConfig field appears, defaults included, in sorted key order
+        monkeypatch.delenv("BETTI_WORKERS", raising=False)
+        out = str(tmp_path / "a.csv")
+        run_cli(tmp_path, "curve", "--n", "7", "--trials", "40", "--seed", "9",
+                "--grid", "0.05,0.15,0.25", "--output", out)
+        comments, _, _ = read_csv(out)
+        assert comments[1] == (
+            '# config: {"complex_kind": "vr", "fmt": "csv", "grid": [0.05, 0.15, 0.25], '
+            '"invariant": "betti1", "manifold": "circle", "master_seed": 9, '
+            '"max_dim": null, "n": 7, "n_values": [], "output": ' + json.dumps(out) + ', '
+            '"steps": null, "subcommand": "curve", "t": null, "t_max": null, '
+            '"t_min": null, "target": null, "target_source": "reference value", '
+            '"torus_dim": 2, "trials": 40, "workers": 1}')
 
     def test_sphere_euler_smoke(self, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -126,6 +141,21 @@ class TestOracleCommand:
             p = float(row[2])
             assert 0.0 <= p <= 1.0
             assert float(row[3]) == p
+
+    def test_config_line_is_pinned(self, tmp_path, monkeypatch):
+        # the oracle parser sets no estimation option: RunConfig's defaults fill them
+        monkeypatch.delenv("BETTI_WORKERS", raising=False)
+        out = str(tmp_path / "o.csv")
+        run_cli(tmp_path, "oracle", "--n", "12", "--t-min", "0.05", "--t-max", "0.3",
+                "--steps", "6", "--output", out)
+        comments, _, _ = read_csv(out)
+        assert comments[1] == (
+            '# config: {"complex_kind": "vr", "fmt": "csv", "grid": [], '
+            '"invariant": "betti1", "manifold": "circle", "master_seed": 0, '
+            '"max_dim": null, "n": 12, "n_values": [], "output": ' + json.dumps(out) + ', '
+            '"steps": 6, "subcommand": "oracle", "t": null, "t_max": 0.3, '
+            '"t_min": 0.05, "target": null, "target_source": "reference value", '
+            '"torus_dim": 2, "trials": 1000, "workers": 1}')
 
     def test_two_points_all_zero(self, tmp_path):
         out = str(tmp_path / "o.csv")
@@ -162,11 +192,20 @@ class TestConvergeCommand:
 
 
 class TestExitCodes:
-    def test_invalid_grid_usage(self, tmp_path):
+    def test_invalid_grid_usage(self, tmp_path, capsys):
         for grid in ("0.3,0.1", "nan"):
             code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
                            "--grid", grid, "--output", str(tmp_path / "x.csv"))
             assert code == EXIT_USAGE
+        # a linspace grid goes through the same check as --grid
+        for linspace, message in ((["--t-min", "0.1", "--t-max", "0.2", "--steps", "0"],
+                                   "grid must be nonempty"),
+                                  (["--t-min", "-0.1", "--t-max", "0.2", "--steps", "3"],
+                                   "grid scales must be nonnegative")):
+            capsys.readouterr()
+            code = run_cli(tmp_path, "oracle", *linspace, "--output", str(tmp_path / "x.csv"))
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_grid_usage(self, tmp_path):
         code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
@@ -219,6 +258,13 @@ class TestWorkers:
         args = cli.build_parser().parse_args(
             ["curve", "--grid", "0.1", "--workers", "2"])
         assert cli.config_from_args(args).workers == 2
+
+    def test_non_integer_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BETTI_WORKERS", "abc")
+        code = run_cli(tmp_path, "oracle", "--n", "5", "--grid", "0.1",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: BETTI_WORKERS must be an integer, got 'abc'\n"
 
     def test_worker_count_preserves_output_bytes(self, tmp_path):
         outs = []

@@ -5,7 +5,7 @@ import pytest
 
 from betticurve.circle_oracle import circle_homotopy_prob
 from betticurve.estimator import (CECH, VR, convergence_study, estimate_curve,
-                                  lipschitz_diagnostic, max_discrete_slope)
+                                  max_discrete_slope)
 from betticurve.homology import betti, betti_invariant, euler_invariant
 from betticurve.manifolds import circle, flat_torus, sample, sphere2
 from betticurve.complexes import vr_complex
@@ -142,31 +142,17 @@ class TestConvergenceStudy:
             convergence_study(circle(), VR, B1, 0.1, [], 100, 0, target=0.5)
 
 
-class TestLipschitzDiagnostic:
+class TestMaxDiscreteSlope:
     def test_constant_curve_has_zero_slope(self):
         est = estimate_curve(circle(), VR, B1, 2, [0.05, 0.15, 0.25], 50, 1)
-        diag = lipschitz_diagnostic(est)
-        assert diag.max_slope == 0.0
-        assert len(diag.slopes) == 2
+        assert max_discrete_slope(est.grid, est.mean) == (0.0, (0.05, 0.15))
 
     def test_two_point_euler_slope_near_two(self):
         est = estimate_curve(circle(), VR, EULER, 2, np.linspace(0.05, 0.45, 9),
                              40_000, 23)
-        diag = lipschitz_diagnostic(est)
         # E[chi] = 2 - 2t on this range, so every discrete slope is near 2
-        assert abs(diag.max_slope - 2.0) < 0.5
-        assert diag.max_slope <= diag.theoretical_bound
-
-    def test_argmax_interval_is_grid_interval(self):
-        est = estimate_curve(circle(), VR, B1, 10, [0.05, 0.15, 0.25], 200, 29)
-        diag = lipschitz_diagnostic(est)
-        lo, hi = diag.argmax_interval
-        assert (lo, hi) in {(0.05, 0.15), (0.15, 0.25)}
-
-    def test_needs_two_grid_points(self):
-        est = estimate_curve(circle(), VR, B1, 5, [0.1], 10, 0)
-        with pytest.raises(ValueError):
-            lipschitz_diagnostic(est)
+        slope, _ = max_discrete_slope(est.grid, est.mean)
+        assert abs(slope - 2.0) < 0.5
 
     def test_max_discrete_slope_direct(self):
         slope, interval = max_discrete_slope([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])

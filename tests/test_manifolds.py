@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from betticurve.errors import UnsupportedDomainError
-from betticurve.manifolds import (ball_measure, circle, covering_radius,
-                                  covering_tail_bound, detect_degeneracies,
-                                  flat_torus, geodesic_distance, mix_seed,
+from betticurve.manifolds import (PointSample, circle, covering_radius,
+                                  covering_tail_bound, flat_torus, mix_seed,
                                   pairwise_distances, sample, sphere2)
 
 ALL_MANIFOLDS = [circle(), flat_torus(2), flat_torus(3), sphere2()]
@@ -51,31 +48,22 @@ class TestSampling:
         assert all(0 <= s < 2**64 for s in seeds)
 
 
-class TestGeodesicDistance:
+def two_point_distance(manifold, p, q) -> float:
+    pts = np.array([p, q], dtype=float)
+    return float(pairwise_distances(PointSample(manifold, pts, 0, 0))[0, 1])
+
+
+class TestPairwiseDistances:
     def test_circle_wraparound(self):
-        assert geodesic_distance(circle(), 0.1, 0.9) == pytest.approx(0.2)
+        assert two_point_distance(circle(), 0.1, 0.9) == pytest.approx(0.2)
 
     def test_sphere_antipodal(self):
-        d = geodesic_distance(sphere2(), (1, 0, 0), (-1, 0, 0))
+        d = two_point_distance(sphere2(), (1, 0, 0), (-1, 0, 0))
         assert d == pytest.approx(math.pi)
 
     def test_torus_wrap_then_norm(self):
-        d = geodesic_distance(flat_torus(2), (0.9, 0.9), (0.1, 0.1))
+        d = two_point_distance(flat_torus(2), (0.9, 0.9), (0.1, 0.1))
         assert d == pytest.approx(math.sqrt(0.08))
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            geodesic_distance(circle(), 1.2, 0.3)
-        with pytest.raises(ValueError):
-            geodesic_distance(flat_torus(2), (0.5, 1.5), (0.1, 0.1))
-        with pytest.raises(ValueError):
-            geodesic_distance(sphere2(), (2, 0, 0), (1, 0, 0))
-
-    @given(st.floats(0, 0.999), st.floats(0, 0.999))
-    def test_circle_symmetric_and_bounded(self, p, q):
-        d = geodesic_distance(circle(), p, q)
-        assert d == geodesic_distance(circle(), q, p)
-        assert 0 <= d <= 0.5
 
     @pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=lambda m: m.describe())
     def test_metric_properties_on_random_triples(self, manifold):
@@ -84,38 +72,11 @@ class TestGeodesicDistance:
         assert np.allclose(dist, dist.T)
         assert np.all(dist >= 0)
         assert np.all(np.diag(dist) == 0)
+        assert np.all(dist <= manifold.diameter + 1e-12)
         rng = np.random.default_rng(0)
         idx = rng.integers(0, 60, size=(10_000, 3))
         i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
         assert np.all(dist[i, k] <= dist[i, j] + dist[j, k] + 1e-12)
-
-
-class TestBallMeasure:
-    def test_closed_forms(self):
-        assert ball_measure(circle(), 0.25) == pytest.approx(0.5)
-        assert ball_measure(sphere2(), math.pi) == pytest.approx(1.0)
-        assert ball_measure(sphere2(), math.pi / 2) == pytest.approx(0.5)
-        assert ball_measure(flat_torus(2), 0.3) == pytest.approx(math.pi * 0.09)
-
-    def test_torus_domain_limit_is_hard(self):
-        with pytest.raises(UnsupportedDomainError):
-            ball_measure(flat_torus(2), 0.51)
-
-    def test_zero_and_diameter(self):
-        for m in ALL_MANIFOLDS:
-            assert ball_measure(m, 0.0) == 0.0
-        assert ball_measure(circle(), 0.5) == 1.0
-        assert ball_measure(sphere2(), math.pi) == 1.0
-
-    @pytest.mark.parametrize("manifold,t_hi", [
-        (circle(), 0.7), (sphere2(), math.pi), (flat_torus(2), 0.5), (flat_torus(3), 0.5),
-    ], ids=["circle", "sphere", "torus2", "torus3"])
-    def test_monotone_and_lipschitz(self, manifold, t_hi):
-        grid = np.linspace(0.0, t_hi, 500)
-        vals = np.array([ball_measure(manifold, float(t)) for t in grid])
-        assert np.all(np.diff(vals) >= -1e-15)
-        slopes = np.abs(np.diff(vals)) / np.diff(grid)
-        assert np.all(slopes <= manifold.ball_measure_lipschitz + 1e-9)
 
 
 class TestCoveringRadius:
@@ -178,25 +139,3 @@ class TestCoveringTailBound:
             assert frac <= covering_tail_bound(circle(), eps, n) + 3 * se
             assert frac <= prev
             prev = frac
-
-
-class TestDegeneracies:
-    def test_collision(self, circle_points):
-        report = detect_degeneracies(circle_points([0, 0, 0.5]))
-        assert report.collisions == [(0, 1)]
-
-    def test_equal_spacing_tie(self, circle_points):
-        report = detect_degeneracies(circle_points([0, 0.25, 0.5]))
-        assert ((0, 1), (1, 2)) in report.distance_ties
-        assert not report.collisions
-
-    def test_clean_sample(self, circle_points):
-        report = detect_degeneracies(circle_points([0, 0.1, 0.35]))
-        assert report.is_clean
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-    def test_random_samples_are_clean(self, n, seed):
-        # ties have measure zero; float coincidences at these sizes are
-        # essentially impossible
-        assert detect_degeneracies(sample(circle(), n, seed, 0)).is_clean

@@ -142,7 +142,9 @@ class TestConvergenceStudy:
             convergence_study(circle(), VR, B1, 0.1, [], 100, 0, target=0.5)
 
 
-class TestMaxDiscreteSlope:
+class TestLipschitzDiagnostic:
+    """`max_discrete_slope`, criterion 4's check that a curve is Lipschitz in t."""
+
     def test_constant_curve_has_zero_slope(self):
         est = estimate_curve(circle(), VR, B1, 2, [0.05, 0.15, 0.25], 50, 1)
         assert max_discrete_slope(est.grid, est.mean) == (0.0, (0.05, 0.15))
@@ -153,6 +155,16 @@ class TestMaxDiscreteSlope:
         # E[chi] = 2 - 2t on this range, so every discrete slope is near 2
         slope, _ = max_discrete_slope(est.grid, est.mean)
         assert abs(slope - 2.0) < 0.5
+
+    def test_argmax_interval_is_grid_interval(self):
+        est = estimate_curve(circle(), VR, B1, 10, [0.05, 0.15, 0.25], 200, 29)
+        _, (lo, hi) = max_discrete_slope(est.grid, est.mean)
+        assert (lo, hi) in {(0.05, 0.15), (0.15, 0.25)}
+
+    def test_needs_two_grid_points(self):
+        est = estimate_curve(circle(), VR, B1, 5, [0.1], 10, 0)
+        with pytest.raises(ValueError):
+            max_discrete_slope(est.grid, est.mean)
 
     def test_max_discrete_slope_direct(self):
         slope, interval = max_discrete_slope([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])

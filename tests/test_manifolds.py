@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from betticurve.errors import UnsupportedDomainError
 from betticurve.manifolds import (PointSample, circle, covering_radius,
@@ -53,7 +55,9 @@ def two_point_distance(manifold, p, q) -> float:
     return float(pairwise_distances(PointSample(manifold, pts, 0, 0))[0, 1])
 
 
-class TestPairwiseDistances:
+class TestGeodesicDistance:
+    """Geodesic distances as `pairwise_distances` computes them."""
+
     def test_circle_wraparound(self):
         assert two_point_distance(circle(), 0.1, 0.9) == pytest.approx(0.2)
 
@@ -64,6 +68,12 @@ class TestPairwiseDistances:
     def test_torus_wrap_then_norm(self):
         d = two_point_distance(flat_torus(2), (0.9, 0.9), (0.1, 0.1))
         assert d == pytest.approx(math.sqrt(0.08))
+
+    @given(st.floats(0, 0.999), st.floats(0, 0.999))
+    def test_circle_symmetric_and_bounded(self, p, q):
+        d = two_point_distance(circle(), p, q)
+        assert d == two_point_distance(circle(), q, p)
+        assert 0 <= d <= 0.5
 
     @pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=lambda m: m.describe())
     def test_metric_properties_on_random_triples(self, manifold):

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -147,7 +146,7 @@ def _oracle_value(config: RunConfig, t: float) -> float | None:
     """Exact P(b1 = 1) where the oracle covers the run; empty elsewhere."""
     if (config.manifold == "circle" and config.complex_kind == "vr"
             and config.invariant == "betti1" and config.n <= circle_oracle.MAX_ORACLE_N
-            and 0 < Fraction(t) < Fraction(1, 3)):
+            and circle_oracle.in_oracle_domain(t)):
         return circle_oracle.circle_homotopy_prob(config.n, t)
     return None
 

@@ -14,6 +14,7 @@ what makes the interleaving inclusions exact.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -215,7 +216,8 @@ class Filtration:
 
 def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
     """The grid as a tuple of floats, if it is a nonempty, strictly
-    increasing list of nonnegative (or, with ``positive``, positive) scales."""
+    increasing list of finite nonnegative (or, with ``positive``, positive)
+    scales."""
     grid = tuple(float(t) for t in grid)
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -224,6 +226,8 @@ def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
                          else "grid scales must be nonnegative")
     if any(not a < b for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
+    if not math.isfinite(grid[-1]):  # the largest scale, by the checks above
+        raise ValueError("grid scales must be finite")
     return grid
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,38 @@ from hypothesis import strategies as st
 
 from betticurve.circle_oracle import (MAX_ORACLE_N, circle_homotopy_prob,
                                       circle_oracle_curve, irwin_hall_g)
+
+
+# Independent slow path: the closed form of the module docstring evaluated
+# with Fraction sums, term for term, before any of the integer algebra.
+def reference_g(n, x):
+    if x <= 0:
+        return Fraction(0)
+    if x >= n:
+        return Fraction(math.factorial(n))
+    return sum(
+        (-1) ** k * math.comb(n, k) * (x - k) ** n
+        for k in range(int(x) + 1))
+
+
+def reference_antiderivative(n, x):
+    if x <= 0:
+        return Fraction(0)
+    total = sum(
+        (-1) ** k * math.comb(n, k) * (x - k) ** (n + 1)
+        for k in range(min(int(x), n) + 1))
+    return total / (n + 1)
+
+
+def reference_prob(n, r):
+    """n r^n [G(n-1, 1/r) - G(n-1, 1/r - 1) - g(n-1, 1/r - 1)] as a float."""
+    rf = Fraction(r)
+    m = n - 1
+    u1 = 1 / rf
+    u0 = u1 - 1
+    bracket = (reference_antiderivative(m, u1) - reference_antiderivative(m, u0)
+               - reference_g(m, u0))
+    return float(n * rf ** n * bracket)
 
 
 class TestIrwinHall:
@@ -41,6 +74,13 @@ class TestIrwinHall:
     @given(st.integers(1, 10), st.floats(-2.0, 12.0), st.floats(0.0, 0.5))
     def test_nondecreasing(self, n, x, h):
         assert irwin_hall_g(n, x + h) >= irwin_hall_g(n, x) - 1e-12
+
+    def test_equals_fraction_reference(self):
+        for n in range(1, 11):
+            # below 0, at 0, integers, at and beyond n, and non-dyadic points
+            for x in (-1.5, -0.0, 0.0, 1.0, 2.0, 3.0, float(n), n + 0.5, 12.0,
+                      0.1, 1 / 3, 2.7, n - 0.1, n / 3):
+                assert irwin_hall_g(n, x) == float(reference_g(n, Fraction(x))), (n, x)
 
 
 class TestHomotopyProbability:
@@ -80,6 +120,23 @@ class TestHomotopyProbability:
                 if 0 < r < 1 / 3:
                     p = circle_homotopy_prob(n, float(r))
                     assert 0.0 <= p <= 1.0
+
+    def test_equals_fraction_reference(self):
+        # the float 1/3 is the largest float below 1/3, so r <= 1/3 keeps
+        # the domain; the dyadic r have an integer 1/r (the last term of the
+        # sum is 0), and with n = 1/r, u0 = n - 1 exactly, where g saturates
+        special = [0.25, 0.125, 0.0625, 1 / 3, 0.02]
+        for n in (1, 2, 3, 4, 7, 8, 12, 16, 50):
+            grid = special + [1 / n, 1 / (n - 0.5), 0.5 / n]
+            grid += [float(r) for r in np.linspace(0.005, 0.33, 23)]
+            for r in grid:
+                if r <= 1 / 3:
+                    assert circle_homotopy_prob(n, r) == reference_prob(n, r), (n, r)
+
+    def test_equals_fraction_reference_at_cap(self):
+        for r in np.linspace(0.02, 0.32, 6):
+            r = float(r)
+            assert circle_homotopy_prob(MAX_ORACLE_N, r) == reference_prob(MAX_ORACLE_N, r)
 
     def test_closed_form_integral_against_quadrature(self):
         # independent route: numerically integrate the Irwin-Hall factor

@@ -164,6 +164,25 @@ class TestOracleCommand:
         _, _, body = read_csv(out)
         assert all(float(row[2]) == 0.0 for row in body)
 
+    def test_at_oracle_cap(self, tmp_path):
+        from betticurve.circle_oracle import MAX_ORACLE_N, circle_homotopy_prob
+        out = str(tmp_path / "o.csv")
+        code = run_cli(tmp_path, "oracle", "--n", str(MAX_ORACLE_N), "--t-min", "0.02",
+                       "--t-max", "0.32", "--steps", "6", "--output", out)
+        assert code == EXIT_OK
+        _, _, body = read_csv(out)
+        assert len(body) == 6
+        for row in body:
+            assert float(row[2]) == circle_homotopy_prob(MAX_ORACLE_N, float(row[0]))
+
+    def test_above_oracle_cap_is_usage_error(self, tmp_path, capsys):
+        from betticurve.circle_oracle import MAX_ORACLE_N
+        code = run_cli(tmp_path, "oracle", "--n", str(MAX_ORACLE_N + 1), "--t-min", "0.02",
+                       "--t-max", "0.32", "--steps", "6", "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: oracle evaluation is capped at n <= {MAX_ORACLE_N}\n")
+
     def test_out_of_domain_is_usage_error(self, tmp_path, capsys):
         code = run_cli(tmp_path, "oracle", "--n", "10", "--grid", "0.1,0.5",
                        "--output", str(tmp_path / "x.csv"))
@@ -192,11 +211,18 @@ class TestConvergeCommand:
 
 
 class TestExitCodes:
-    def test_invalid_grid_usage(self, tmp_path, capsys):
+    def test_invalid_grid_usage(self, tmp_path, monkeypatch, capsys):
         for grid in ("0.3,0.1", "nan"):
             code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
                            "--grid", grid, "--output", str(tmp_path / "x.csv"))
             assert code == EXIT_USAGE
+        # an infinite scale is refused before any trial runs
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        capsys.readouterr()
+        code = run_cli(tmp_path, "curve", "--n", "3", "--trials", "4",
+                       "--grid", "inf", "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: grid scales must be finite\n"
         # a linspace grid goes through the same check as --grid
         for linspace, message in ((["--t-min", "0.1", "--t-max", "0.2", "--steps", "0"],
                                    "grid must be nonempty"),

@@ -202,7 +202,7 @@ class TestValidation:
     def test_grid_checks(self):
         s = sample(circle(), 4, 0, 0)
         for grid in ([], [0.2, 0.1], [0.1, 0.1], [-0.1, 0.2], [float("nan")],
-                     [0.1, float("nan")]):
+                     [0.1, float("nan")], [float("inf")], [0.1, float("inf")]):
             with pytest.raises(ValueError):
                 vr_filtration(s, grid)
             with pytest.raises(ValueError):

@@ -80,6 +80,8 @@ def irwin_hall_g(n: int, x: float) -> float:
     """The unnormalized Irwin-Hall CDF g(n, x); g(n, x)/n! = P(U1+...+Un <= x)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if n == 0:
         return 0.0 if x <= 0 else 1.0
     c, d = float(x).as_integer_ratio()

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import circle_oracle, estimator, manifolds
-from .complexes import cech_complex_circle, check_grid, edge_count, vr_complex
+from .complexes import (cech_complex_circle, check_grid, edge_count, vr_complex,
+                        vr_filtration)
 from .errors import SimplexBudgetError
 from .homology import InvariantSpec, betti_invariant, euler_invariant
 from .manifolds import ManifoldModel, PointSample
@@ -53,7 +54,6 @@ class RunConfig:
     t_max: float | None = None
     steps: int | None = None
     grid: list[float] = field(default_factory=list)
-    max_dim: int | str | None = None
     workers: int = 1
     t: float | None = None
     n_values: list[int] = field(default_factory=list)
@@ -89,13 +89,6 @@ class RunConfig:
         else:
             grid = np.linspace(self.t_min, self.t_max, self.steps)
         return check_grid(grid)
-
-    def resolved_max_dim(self):
-        if self.max_dim is None:
-            return None
-        if self.max_dim == "full":
-            return -1
-        return int(self.max_dim)
 
 
 def _fmt(x) -> str:
@@ -155,8 +148,7 @@ def run_curve(config: RunConfig) -> int:
     grid = config.resolved_grid()
     est = estimator.estimate_curve(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
-        config.n, grid, config.trials, config.master_seed,
-        max_dim=config.resolved_max_dim(), workers=config.workers)
+        config.n, grid, config.trials, config.master_seed, workers=config.workers)
     rows = []
     for k, t in enumerate(grid):
         rows.append([t, config.n, config.trials,
@@ -189,8 +181,7 @@ def run_converge(config: RunConfig) -> int:
     table = estimator.convergence_study(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
         config.t, config.n_values, config.trials, config.master_seed,
-        config.target, target_source=config.target_source,
-        max_dim=config.resolved_max_dim(), workers=config.workers)
+        config.target, target_source=config.target_source, workers=config.workers)
     rows = []
     for k, n in enumerate(table.n_values):
         rows.append([n, table.t, config.trials, float(table.mean[k]),
@@ -228,10 +219,12 @@ def _selftest_checks(config: RunConfig):
         yield (f"euler-two-points t={t}", abs(float(est2.mean[k]) - expect) <= band,
                f"mean={est2.mean[k]:.4f} exact={expect:.4f} band={band:.4f}")
 
-    # closed VR edge convention: edges at exactly d == t must be present
+    # closed VR edge convention: edges at exactly d == t must be present, in
+    # the estimator's build and in the independent count
     quad = PointSample(circ, np.array([0.0, 0.25, 0.5, 0.75]), 0, 0)
-    yield ("vr-closed-convention", edge_count(quad, 0.25) == 4,
-           f"edge_count={edge_count(quad, 0.25)} (want 4)")
+    built, counted = vr_filtration(quad, [0.25]).counts[1], edge_count(quad, 0.25)
+    yield ("vr-closed-convention", built == [4] and counted == 4,
+           f"filtration edges={built} edge_count={counted} (want [4] and 4)")
 
     # Cech/VR interleaving on random samples:
     # Cech(r) <= VR(2r) <= Cech(2r + eps) for every eps > 0
@@ -273,10 +266,6 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _max_dim_arg(text: str):
-    return "full" if text == "full" else int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betticurve",
@@ -299,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--complex", choices=("vr", "cech"), dest="complex_kind")
             p.add_argument("--invariant", choices=("betti0", "betti1", "betti2", "euler"))
             p.add_argument("--trials", type=int)
-            p.add_argument("--max-dim", type=_max_dim_arg, dest="max_dim")
             p.add_argument("--workers", type=int)
 
     def add_grid(p):

@@ -190,7 +190,9 @@ class Filtration:
     ``counts[d][s]`` is the number of d-simplices entering at step s, for
     every dimension built (up to ``max_dim``; -1 means untruncated).
 
-    Simplices of dimension 1..``kept_dim`` are also kept, in filtration order
+    A truncated filtration keeps every simplex it builds, and a full one
+    keeps its edges and only counts the rest, which is all the Euler
+    characteristic needs.  Kept simplices are stored in filtration order
     (nondecreasing step, so every prefix ending at a step boundary is a
     per-scale complex): ``edges[p]`` is the p-th edge, ``keys[d][p]`` the
     vertex bitmask of the p-th d-simplex and ``steps[d][p]`` its step.
@@ -205,7 +207,6 @@ class Filtration:
     num_vertices: int
     grid: tuple[float, ...]
     max_dim: int
-    kept_dim: int
     counts: list[list[int]]
     edges: list[tuple[int, int]]
     keys: list[list[int]]
@@ -232,8 +233,7 @@ def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
 
 
 def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
-                max_dim: int, kept_dim: int, budget: int,
-                simplex_step=None) -> Filtration:
+                max_dim: int, budget: int, simplex_step=None) -> Filtration:
     """Incremental clique expansion in sorted edge order up to max(grid).
 
     ``edge_step(d)`` maps pairwise distances to entry steps (len(grid) for an
@@ -243,16 +243,13 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     simplex is found exactly once, when its longest edge arrives.  Its step is
     that edge's step, or later where ``simplex_step(vertex_bits)`` (applied
     from dimension 2, downward closed like ``accept`` in
-    :func:`_expand_cliques`) says so.  Raises when the complex at max(grid)
-    has more than ``budget`` simplices, which is when some per-scale build
-    on the grid would.
+    :func:`_expand_cliques`) says so.  Simplices are kept up to dimension
+    ``max_dim``, or up to the edges when ``max_dim`` is -1 (untruncated).
+    Raises when the complex at max(grid) has more than ``budget`` simplices,
+    which is when some per-scale build on the grid would.
     """
     num_steps = len(grid)
-    if kept_dim < 1:
-        raise ValueError(f"kept_dim must be >= 1, got {kept_dim}")
-    if max_dim != -1 and kept_dim > max_dim:
-        raise ValueError(f"cannot keep dimension {kept_dim} of a complex built to {max_dim}")
-    top = max(n - 1, kept_dim) if max_dim == -1 else max_dim
+    top, kept_dim = (max(n - 1, 1), 1) if max_dim == -1 else (max_dim, max_dim)
     iu, ju = np.triu_indices(n, k=1)
     pair_dist = dist[iu, ju]
     step = edge_step(pair_dist)
@@ -342,26 +339,27 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
             order = sorted(range(len(steps[dim])), key=steps[dim].__getitem__)
             keys[dim] = [keys[dim][p] for p in order]
             steps[dim] = [steps[dim][p] for p in order]
-    return Filtration(n, grid, max_dim, kept_dim, counts, edges, keys, steps, nbr, apparent)
+    return Filtration(n, grid, max_dim, counts, edges, keys, steps, nbr, apparent)
 
 
-def vr_filtration(s: PointSample, grid, max_dim=FULL, *, kept_dim: int = 1,
+def vr_filtration(s: PointSample, grid, max_dim=FULL, *,
                   budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
     """One filtration for the Vietoris-Rips complexes at every grid scale.
 
     Its step-s prefix is ``vr_complex(s, grid[s], max_dim)`` simplex for
     simplex: an edge enters at the first scale t with distance <= t, and a
-    simplex with its longest edge.
+    simplex with its longest edge.  Built to a finite ``max_dim`` it keeps
+    every simplex; built full it keeps the edges and counts the rest.
     """
     grid = check_grid(grid)
     md = _normalize_max_dim(max_dim)
     scales = np.asarray(grid)
     return _filtration(len(s), pairwise_distances(s),
                        lambda d: np.searchsorted(scales, d, side="left"),
-                       grid, md, kept_dim, budget)
+                       grid, md, budget)
 
 
-def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *, kept_dim: int = 1,
+def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *,
                            budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
     """One filtration for the circle Cech complexes at every grid scale.
 
@@ -369,7 +367,7 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *, kept_dim: int 
     enters at the first scale t with distance < 2t, and a larger simplex at
     the later of its longest edge's step and the first t above the minimax
     distance (1 - largest gap) / 2, computed as :func:`_circle_arcs_intersect`
-    does.
+    does.  What it keeps depends on ``max_dim`` as for :func:`vr_filtration`.
     """
     if s.manifold.kind != CIRCLE:
         raise UnsupportedDomainError("cech_filtration_circle requires a circle sample")
@@ -387,7 +385,7 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *, kept_dim: int 
 
     return _filtration(len(s), pairwise_distances(s),
                        lambda d: np.searchsorted(doubled, d, side="right"),
-                       grid, md, kept_dim, budget, simplex_step=arc_step)
+                       grid, md, budget, simplex_step=arc_step)
 
 
 def edge_count(s: PointSample, t: float) -> int:

@@ -3,8 +3,10 @@
 Each trial draws one sample and evaluates the invariant at every grid point on
 that same sample (common random numbers across the grid, which makes curve
 differences low-variance).  It does so from one filtration per trial: the
-complex is built once, at max(grid), with every simplex tagged by the grid
-step at which it enters, and the whole curve is read off it (Euler
+complex is built once, at max(grid), to the depth the invariant needs
+(dimension k+1 for b_k, every dimension for the Euler characteristic), with
+every simplex tagged by the grid step at which it enters, and the simplex
+budget counts exactly those simplices.  The whole curve is read off it (Euler
 characteristic by cumulative signed counts, Betti numbers by one persistent
 cohomology reduction).  The per-scale functions ``vr_complex`` and
 ``cech_complex_circle`` with ``betti`` and ``euler_characteristic`` stay as
@@ -16,8 +18,10 @@ are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,68 +72,42 @@ class ConvergenceTable:
         return np.abs(self.mean - self.target)
 
 
-def _trial_values(manifold, complex_kind, invariant, n, grid, master_seed,
-                  trial_index, max_dim, budget) -> list[float]:
+def _trial_values(manifold, complex_kind, invariant, n, grid, master_seed, budget,
+                  trial_index) -> list[float]:
     s = sample(manifold, n, master_seed, trial_index)
     build = vr_filtration if complex_kind == VR else cech_filtration_circle
-    filtration = build(s, grid, max_dim, kept_dim=invariant.kept_dim, budget=budget)
+    filtration = build(s, grid, invariant.max_dim, budget=budget)
     return [float(v) for v in invariant.curve(filtration)]
 
 
-def _trial_chunk(args) -> list[list[float]]:
-    (manifold, complex_kind, invariant, n, grid, master_seed,
-     start, stop, max_dim, budget) = args
-    return [_trial_values(manifold, complex_kind, invariant, n, grid,
-                          master_seed, j, max_dim, budget)
-            for j in range(start, stop)]
-
-
-def _validate_common(manifold, complex_kind, invariant, trials, max_dim):
-    if complex_kind not in (VR, CECH):
-        raise ValueError(f"complex_kind must be '{VR}' or '{CECH}', got {complex_kind!r}")
-    if complex_kind == CECH and manifold.kind != CIRCLE:
-        raise ValueError("Cech estimation is supported on the circle only")
-    if trials < 2:
-        raise ValueError("at least 2 trials are required (sample variance is undefined otherwise)")
-    if max_dim is None:
-        max_dim = invariant.dim + 1 if invariant.kind == "betti" else -1
-    if invariant.kind == "betti" and max_dim != -1 and max_dim < invariant.dim + 1:
-        raise ValueError(
-            f"betti({invariant.dim}) needs max_dim >= {invariant.dim + 1}, got {max_dim}")
-    if invariant.kind == "euler" and max_dim != -1:
-        raise ValueError("Euler characteristic requires a full complex (max_dim='full')")
-    return max_dim
-
-
 def estimate_curve(manifold: ManifoldModel, complex_kind: str, invariant: InvariantSpec,
-                   n: int, grid, trials: int, master_seed: int, *,
-                   max_dim: int | None = None, workers: int = 1,
+                   n: int, grid, trials: int, master_seed: int, *, workers: int = 1,
                    budget: int = DEFAULT_SIMPLEX_BUDGET) -> CurveEstimate:
     """Estimate mean and variance of the invariant at every grid scale.
 
     A trial that exceeds the simplex budget aborts the whole run: silently
     dropping trials would bias the estimates.
     """
-    max_dim = _validate_common(manifold, complex_kind, invariant, trials, max_dim)
+    if complex_kind not in (VR, CECH):
+        raise ValueError(f"complex_kind must be '{VR}' or '{CECH}', got {complex_kind!r}")
+    if complex_kind == CECH and manifold.kind != CIRCLE:
+        raise ValueError("Cech estimation is supported on the circle only")
+    if trials < 2:
+        raise ValueError("at least 2 trials are required (sample variance is undefined otherwise)")
     if n < 1:
         raise ValueError("sample size n must be >= 1")
     grid = check_grid(grid, positive=complex_kind == CECH)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
+    trial = partial(_trial_values, manifold, complex_kind, invariant, n, grid,
+                    master_seed, budget)
     if workers == 1:
-        values = [_trial_values(manifold, complex_kind, invariant, n, grid,
-                                master_seed, j, max_dim, budget)
-                  for j in range(trials)]
+        values = list(map(trial, range(trials)))
     else:
-        bounds = np.linspace(0, trials, workers * 4 + 1).astype(int)
-        tasks = [(manifold, complex_kind, invariant, n, grid, master_seed,
-                  int(a), int(b), max_dim, budget)
-                 for a, b in zip(bounds, bounds[1:]) if a < b]
-        values = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_trial_chunk, tasks):
-                values.extend(chunk)
+            values = list(pool.map(trial, range(trials),
+                                   chunksize=math.ceil(trials / (4 * workers))))
 
     arr = np.asarray(values, dtype=float)
     mean = arr.mean(axis=0)
@@ -143,7 +121,7 @@ def estimate_curve(manifold: ManifoldModel, complex_kind: str, invariant: Invari
 def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: InvariantSpec,
                       t: float, n_values, trials: int, master_seed: int,
                       target: float, *, target_source: str = "reference value",
-                      max_dim: int | None = None, workers: int = 1,
+                      workers: int = 1,
                       budget: int = DEFAULT_SIMPLEX_BUDGET) -> ConvergenceTable:
     """Estimate the invariant at one fixed scale for an increasing list of n."""
     if t <= 0:
@@ -156,7 +134,7 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
     means, variances, stderrs = [], [], []
     for n in n_values:
         est = estimate_curve(manifold, complex_kind, invariant, n, (t,), trials,
-                             master_seed, max_dim=max_dim, workers=workers, budget=budget)
+                             master_seed, workers=workers, budget=budget)
         means.append(est.mean[0])
         variances.append(est.variance[0])
         stderrs.append(est.stderr[0])

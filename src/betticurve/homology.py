@@ -42,9 +42,11 @@ class InvariantSpec:
         return euler_characteristic(complex_)
 
     @property
-    def kept_dim(self) -> int:
-        """Highest simplex dimension :meth:`curve` needs kept in a filtration."""
-        return self.dim + 1 if self.kind == "betti" else 1
+    def max_dim(self) -> int:
+        """Dimension the complex must be built to: k + 1 for b_k, which
+        depends only on the (k+1)-skeleton, and -1 (the full complex) for
+        the Euler characteristic, which needs every dimension."""
+        return self.dim + 1 if self.kind == "betti" else -1
 
     def curve(self, filtration: Filtration) -> list[int]:
         """The invariant of the complex at every grid step of the filtration."""
@@ -157,10 +159,10 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
-    if filtration.kept_dim < i + 1:
+    if len(filtration.keys) < i + 2:  # keys[d] for every kept dimension d
         raise ValueError(
-            f"betti_curve({i}) needs simplices kept to dimension >= {i + 1}, "
-            f"got kept_dim={filtration.kept_dim}")
+            f"betti_curve({i}) needs a filtration built to dimension >= {i + 1} "
+            f"(a full one keeps only its edges), got max_dim={filtration.max_dim}")
     num_steps = len(filtration.grid)
     negative = [[0] * num_steps for _ in range(i + 2)]
 

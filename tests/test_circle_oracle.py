@@ -75,6 +75,12 @@ class TestIrwinHall:
     def test_nondecreasing(self, n, x, h):
         assert irwin_hall_g(n, x + h) >= irwin_hall_g(n, x) - 1e-12
 
+    def test_non_finite_x_rejected(self):
+        for n in (0, 1, 3):
+            for x in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError):
+                    irwin_hall_g(n, x)
+
     def test_equals_fraction_reference(self):
         for n in range(1, 11):
             # below 0, at 0, integers, at and beyond n, and non-dyadic points

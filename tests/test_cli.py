@@ -114,7 +114,7 @@ class TestCurveCommand:
         assert comments[1] == (
             '# config: {"complex_kind": "vr", "fmt": "csv", "grid": [0.05, 0.15, 0.25], '
             '"invariant": "betti1", "manifold": "circle", "master_seed": 9, '
-            '"max_dim": null, "n": 7, "n_values": [], "output": ' + json.dumps(out) + ', '
+            '"n": 7, "n_values": [], "output": ' + json.dumps(out) + ', '
             '"steps": null, "subcommand": "curve", "t": null, "t_max": null, '
             '"t_min": null, "target": null, "target_source": "reference value", '
             '"torus_dim": 2, "trials": 40, "workers": 1}')
@@ -152,7 +152,7 @@ class TestOracleCommand:
         assert comments[1] == (
             '# config: {"complex_kind": "vr", "fmt": "csv", "grid": [], '
             '"invariant": "betti1", "manifold": "circle", "master_seed": 0, '
-            '"max_dim": null, "n": 12, "n_values": [], "output": ' + json.dumps(out) + ', '
+            '"n": 12, "n_values": [], "output": ' + json.dumps(out) + ', '
             '"steps": 6, "subcommand": "oracle", "t": null, "t_max": 0.3, '
             '"t_min": 0.05, "target": null, "target_source": "reference value", '
             '"torus_dim": 2, "trials": 1000, "workers": 1}')

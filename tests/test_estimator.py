@@ -38,14 +38,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             estimate_curve(circle(), VR, B1, 5, [], 10, 0)
 
-    def test_betti_depth_guard(self):
-        with pytest.raises(ValueError):
-            estimate_curve(circle(), VR, B1, 5, [0.1], 10, 0, max_dim=1)
-
-    def test_euler_needs_full_complex(self):
-        with pytest.raises(ValueError):
-            estimate_curve(circle(), VR, EULER, 5, [0.1], 10, 0, max_dim=2)
-
     def test_workers_positive(self):
         with pytest.raises(ValueError):
             estimate_curve(circle(), VR, B1, 5, [0.1], 10, 0, workers=0)
@@ -74,7 +66,7 @@ class TestKnownCurves:
     def test_b1_matches_exact_oracle_small_n(self):
         trials = 20_000
         n, t = 8, 0.2
-        est = estimate_curve(circle(), VR, B1, n, [t], trials, 19, max_dim=-1)
+        est = estimate_curve(circle(), VR, B1, n, [t], trials, 19)
         # at small scales b1 is Bernoulli: the complex is either a circle or
         # a disjoint union of contractible arcs
         p = circle_homotopy_prob(n, t)
@@ -197,6 +189,21 @@ class TestBudgetPropagation:
             estimate_curve(circle(), VR, EULER, 18, [0.45], 4, 3, workers=2, budget=100)
         assert info.value.budget == 100
         assert str(info.value) == "simplex budget of 100 exceeded"
+
+    @pytest.mark.parametrize("invariant", [B1, EULER], ids=["betti1", "euler"])
+    def test_budget_counts_the_invariants_depth(self, invariant):
+        # b1 builds and counts the simplices of dimension <= 2, the Euler
+        # characteristic all of them: the run aborts exactly below the
+        # largest of those counts over the trials
+        from betticurve.errors import SimplexBudgetError
+        grid = [0.1, 0.3, 0.45]
+        depth = 2 if invariant is B1 else "full"
+        samples = [sample(flat_torus(2), 9, 17, j) for j in range(2)]
+        assert vr_complex(samples[0], grid[-1]).dimension >= 3  # so the counts differ
+        size = max(vr_complex(s, grid[-1], depth).simplex_count() for s in samples)
+        with pytest.raises(SimplexBudgetError):
+            estimate_curve(flat_torus(2), VR, invariant, 9, grid, 2, 17, budget=size - 1)
+        estimate_curve(flat_torus(2), VR, invariant, 9, grid, 2, 17, budget=size)
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

@@ -34,12 +34,7 @@ def reference_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
 
 def filtration_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
     build = vr_filtration if kind == "vr" else cech_filtration_circle
-    return invariant.curve(build(s, grid, max_dim, kept_dim=invariant.kept_dim,
-                                 budget=budget))
-
-
-def default_max_dim(invariant):
-    return invariant.dim + 1 if invariant.kind == "betti" else "full"
+    return invariant.curve(build(s, grid, max_dim, budget=budget))
 
 
 def arc_scales(s):
@@ -77,17 +72,17 @@ class TestVietorisRipsEquivalence:
     @given(cases(), st.sampled_from(INVARIANTS))
     def test_curve_equals_per_scale_invariant(self, case, invariant):
         s, grid = case
-        md = default_max_dim(invariant)
+        md = invariant.max_dim
         assert filtration_curve(s, grid, invariant, md) == \
             reference_curve(s, grid, invariant, md)
 
     @settings(max_examples=60, deadline=None)
-    @given(cases(max_n=7), st.integers(0, 2), st.sampled_from([1, 2, "full"]))
+    @given(cases(max_n=7), st.integers(0, 2), st.sampled_from([1, 2, 6]))
     def test_max_dim_above_needed(self, case, k, extra):
         # building (and counting) dimensions the Betti number never reads
-        # must not change it
+        # must not change it; with n <= 7 an extra depth of 6 cuts nothing off
         s, grid = case
-        md = "full" if extra == "full" else k + 1 + extra
+        md = k + 1 + extra
         invariant = betti_invariant(k)
         assert filtration_curve(s, grid, invariant, md) == \
             reference_curve(s, grid, invariant, md)
@@ -98,7 +93,7 @@ class TestVietorisRipsEquivalence:
         # the error is raised iff the complex at max(grid) exceeds the budget,
         # which is iff some per-scale build on the grid raises
         s, grid = case
-        md = default_max_dim(invariant)
+        md = invariant.max_dim
         size = vr_complex(s, grid[-1], md).simplex_count()
         budget = max(1, size + offset)
 
@@ -118,7 +113,7 @@ class TestVietorisRipsEquivalence:
         # simplices of every built dimension
         s = sample(flat_torus(2), 9, 17, 0)
         grid = [0.1, 0.3, 0.45]
-        md = default_max_dim(invariant)
+        md = invariant.max_dim
         size = vr_complex(s, grid[-1], md).simplex_count()
         assert vr_complex(s, grid[-1]).dimension >= 3
         with pytest.raises(SimplexBudgetError):
@@ -131,7 +126,7 @@ class TestVietorisRipsEquivalence:
         s = circle_points([0.1, 0.1, 0.1, 0.6])
         grid = [0.0, 0.5]
         for invariant in INVARIANTS:
-            md = default_max_dim(invariant)
+            md = invariant.max_dim
             assert filtration_curve(s, grid, invariant, md) == \
                 reference_curve(s, grid, invariant, md)
         assert betti_curve(vr_filtration(s, grid), 0) == [2, 1]
@@ -139,10 +134,10 @@ class TestVietorisRipsEquivalence:
     def test_four_cycle_curve(self, circle_points):
         s = circle_points([0, 0.25, 0.5, 0.75])
         grid = [0.1, 0.25, 0.5]
-        f = vr_filtration(s, grid, 3, kept_dim=3)
+        f = vr_filtration(s, grid, 3)
         assert [f.counts[1][k] for k in range(3)] == [0, 4, 2]
         assert f.apparent == {4: 0, 5: 2}  # each diagonal and its first triangle
-        assert cech_filtration_circle(s, grid, 3, kept_dim=3).apparent == {}
+        assert cech_filtration_circle(s, grid, 3).apparent == {}
         assert betti_curve(f, 0) == [4, 1, 1]
         assert betti_curve(f, 1) == [0, 1, 0]
         assert betti_curve(f, 2) == [0, 0, 0]
@@ -154,7 +149,7 @@ class TestVietorisRipsEquivalence:
         # each hint q for edge p: q is p's earliest cofacet and p is q's
         # latest facet
         s, grid = case
-        f = vr_filtration(s, grid, 2, kept_dim=2)
+        f = vr_filtration(s, grid, 2)
         for p, q in f.apparent.items():
             edge = f.keys[1][p]
             assert q == min(r for r, t in enumerate(f.keys[2]) if t & edge == edge)
@@ -165,7 +160,7 @@ class TestVietorisRipsEquivalence:
 
     def test_steps_are_filtration_order(self):
         s = sample(flat_torus(2), 12, 5, 0)
-        f = vr_filtration(s, [0.2, 0.3, 0.4], 3, kept_dim=3)
+        f = vr_filtration(s, [0.2, 0.3, 0.4], 3)
         for dim in (1, 2, 3):
             assert f.steps[dim] == sorted(f.steps[dim])
             assert len(f.steps[dim]) == sum(f.counts[dim])
@@ -182,7 +177,7 @@ class TestCechEquivalence:
         arcs = arc_scales(s)
         extra = data.draw(st.lists(st.sampled_from(arcs), max_size=3)) if arcs else []
         grid = sorted({t for t in grid + halves + extra if t > 0}) or [0.1]
-        md = default_max_dim(invariant)
+        md = invariant.max_dim
         assert filtration_curve(s, grid, invariant, md, "cech") == \
             reference_curve(s, grid, invariant, md, "cech")
 
@@ -208,16 +203,19 @@ class TestValidation:
             with pytest.raises(ValueError):
                 cech_filtration_circle(s, grid)
 
-    def test_kept_dim_bounds(self):
+    def test_max_dim_bounds(self):
         s = sample(circle(), 4, 0, 0)
-        with pytest.raises(ValueError):
-            vr_filtration(s, [0.1], 1, kept_dim=2)
-        with pytest.raises(ValueError):
-            vr_filtration(s, [0.1], kept_dim=0)
+        for max_dim in (0, -2, "2"):
+            with pytest.raises(ValueError):
+                vr_filtration(s, [0.1], max_dim)
+            with pytest.raises(ValueError):
+                cech_filtration_circle(s, [0.1], max_dim)
 
     def test_curves_need_enough_kept(self):
         s = sample(circle(), 6, 0, 0)
         with pytest.raises(ValueError):
-            betti_curve(vr_filtration(s, [0.1], kept_dim=1), 1)
+            betti_curve(vr_filtration(s, [0.1], 1), 1)
+        with pytest.raises(ValueError):
+            betti_curve(vr_filtration(s, [0.1]), 1)  # a full one keeps only edges
         with pytest.raises(ValueError):
             euler_curve(vr_filtration(s, [0.1], 2))

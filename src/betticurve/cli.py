@@ -345,6 +345,8 @@ def main(argv=None) -> int:
         return run(config_from_args(args))
     except SimplexBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.trial_index is not None:
+            print(f"error: in trial {exc.trial_index} of seed {exc.master_seed}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,18 +190,18 @@ class Filtration:
     ``counts[d][s]`` is the number of d-simplices entering at step s, for
     every dimension built (up to ``max_dim``; -1 means untruncated).
 
-    A truncated filtration keeps every simplex it builds, and a full one
-    keeps its edges and only counts the rest, which is all the Euler
-    characteristic needs.  Kept simplices are stored in filtration order
-    (nondecreasing step, so every prefix ending at a step boundary is a
-    per-scale complex): ``edges[p]`` is the p-th edge, ``keys[d][p]`` the
-    vertex bitmask of the p-th d-simplex and ``steps[d][p]`` its step.
-    ``neighbours[v]`` is the vertex bitmask of v's neighbours at max(grid).
-    ``apparent`` maps an edge position p to the position q of a triangle
-    that the p-th edge is paired with without any reduction: q is its
-    earliest cofacet, and it is q's latest facet (an apparent pair).  It is
-    empty for circle Cech filtrations, whose triangles may enter after their
-    longest edge.
+    A full filtration keeps its edges and counts the rest (all the Euler
+    characteristic needs), a circle Cech one keeps every simplex, and a
+    Vietoris-Rips one keeps the dimensions below ``max_dim`` and counts that
+    one (b_k, built to k+1, only indexes it).  Kept simplices are in
+    filtration order (nondecreasing step, so every prefix ending at a step
+    boundary is a per-scale complex): ``edges[p]`` is the p-th edge,
+    ``keys[d][p]`` the vertex bitmask of the p-th d-simplex, ``steps[d][p]``
+    its step and ``neighbours[v]`` v's neighbours at max(grid).  Vietoris-Rips
+    block p is the simplices whose longest edge is the p-th; ``first[p]``, its
+    ends' common neighbourhood on arrival, has its triangles' third vertices,
+    and a d-simplex's index (its position if kept) is ``offsets[d][p]``, the
+    d-simplices in earlier blocks, plus its rank by bitmask in its block.
     """
 
     num_vertices: int
@@ -212,7 +212,8 @@ class Filtration:
     keys: list[list[int]]
     steps: list[list[int]]
     neighbours: list[int]
-    apparent: dict[int, int]
+    first: list[int]
+    offsets: list[list[int]]
 
 
 def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
@@ -243,13 +244,13 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     simplex is found exactly once, when its longest edge arrives.  Its step is
     that edge's step, or later where ``simplex_step(vertex_bits)`` (applied
     from dimension 2, downward closed like ``accept`` in
-    :func:`_expand_cliques`) says so.  Simplices are kept up to dimension
-    ``max_dim``, or up to the edges when ``max_dim`` is -1 (untruncated).
-    Raises when the complex at max(grid) has more than ``budget`` simplices,
-    which is when some per-scale build on the grid would.
+    :func:`_expand_cliques`) says so.  What is kept is as in
+    :class:`Filtration`.  Raises when the complex at max(grid) has more than
+    ``budget`` simplices, which is when some per-scale build on the grid would.
     """
     num_steps = len(grid)
-    top, kept_dim = (max(n - 1, 1), 1) if max_dim == -1 else (max_dim, max_dim)
+    blocks = max_dim != -1 and simplex_step is None  # Vietoris-Rips, truncated
+    top, kept_dim = (max(n - 1, 1), 1) if max_dim == -1 else (max_dim, max(max_dim - blocks, 1))
     iu, ju = np.triu_indices(n, k=1)
     pair_dist = dist[iu, ju]
     step = edge_step(pair_dist)
@@ -274,19 +275,18 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     for _ in range(2, kept_dim + 1):
         keys.append([])
         steps.append([])
-    # Without a simplex_step, triangles come in blocks by longest edge, so an
-    # edge's first triangle is its earliest cofacet and has it as its latest
-    # facet.
-    apparent = {}
+    first, offsets = [], [[] for _ in range(top + 1)] if blocks else []  # see Filtration
     nbr = [0] * n
     for p, ((i, j), edge_s) in enumerate(zip(edges, edge_steps)):
         cand = nbr[i] & nbr[j]
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
+        if blocks:
+            first.append(cand)
+            for d in range(2, top + 1):
+                offsets[d].append(sum(counts[d]))
         if not cand or top < 2:
             continue
-        if kept_dim >= 2 and simplex_step is None:
-            apparent[p] = len(keys[2])
         # Depth-first over the cliques of cand: an entry (key, cand, dim, s)
         # extends the simplex `key` (entered at step s) by each vertex v of
         # cand to a dim-simplex, and the vertices of cand above v that are
@@ -330,8 +330,10 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
                     sub = cand & nbr[low.bit_length() - 1]
                     if sub:
                         stack.append((new, sub, dim + 1, s))
+        for d in range(3, len(offsets) - 1):  # blocks of kept dims >= 3, by bitmask
+            keys[d][offsets[d][p]:] = sorted(keys[d][offsets[d][p]:])
 
-    while len(counts) > kept_dim + 1 and not any(counts[-1]):
+    while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
     if simplex_step is not None:
         # a simplex may enter after its longest edge: restore filtration order
@@ -339,7 +341,7 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
             order = sorted(range(len(steps[dim])), key=steps[dim].__getitem__)
             keys[dim] = [keys[dim][p] for p in order]
             steps[dim] = [steps[dim][p] for p in order]
-    return Filtration(n, grid, max_dim, counts, edges, keys, steps, nbr, apparent)
+    return Filtration(n, grid, max_dim, counts, edges, keys, steps, nbr, first, offsets)
 
 
 def vr_filtration(s: PointSample, grid, max_dim=FULL, *,
@@ -349,7 +351,7 @@ def vr_filtration(s: PointSample, grid, max_dim=FULL, *,
     Its step-s prefix is ``vr_complex(s, grid[s], max_dim)`` simplex for
     simplex: an edge enters at the first scale t with distance <= t, and a
     simplex with its longest edge.  Built to a finite ``max_dim`` it keeps
-    every simplex; built full it keeps the edges and counts the rest.
+    the dimensions below it; built full it keeps the edges.
     """
     grid = check_grid(grid)
     md = _normalize_max_dim(max_dim)
@@ -367,7 +369,7 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *,
     enters at the first scale t with distance < 2t, and a larger simplex at
     the later of its longest edge's step and the first t above the minimax
     distance (1 - largest gap) / 2, computed as :func:`_circle_arcs_intersect`
-    does.  What it keeps depends on ``max_dim`` as for :func:`vr_filtration`.
+    does.  Built to a finite ``max_dim`` it keeps every simplex.
     """
     if s.manifold.kind != CIRCLE:
         raise UnsupportedDomainError("cech_filtration_circle requires a circle sample")

@@ -6,13 +6,14 @@ class UnsupportedDomainError(ValueError):
 
 
 class SimplexBudgetError(RuntimeError):
-    """Complex construction would exceed the configured simplex budget."""
+    """Complex construction would exceed the configured simplex budget; an
+    estimator names the trial (``master_seed``, ``trial_index``) that did."""
 
-    def __init__(self, budget: int, message: str | None = None):
-        self.budget = budget
+    def __init__(self, budget: int, message: str | None = None,
+                 master_seed: int | None = None, trial_index: int | None = None):
+        self.budget, self.master_seed, self.trial_index = budget, master_seed, trial_index
         super().__init__(message or f"simplex budget of {budget} exceeded")
 
     def __reduce__(self):
-        # rebuilt from (budget, message), not from args == (message,), so the
-        # error crosses a process boundary intact
-        return type(self), (self.budget, str(self))
+        # rebuilt from its fields, not from args == (message,), to cross processes intact
+        return type(self), (self.budget, str(self), self.master_seed, self.trial_index)

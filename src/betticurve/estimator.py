@@ -27,6 +27,7 @@ import numpy as np
 
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, cech_filtration_circle, check_grid,
                         vr_filtration)
+from .errors import SimplexBudgetError
 from .homology import InvariantSpec
 from .manifolds import CIRCLE, ManifoldModel, sample
 
@@ -76,7 +77,10 @@ def _trial_values(manifold, complex_kind, invariant, n, grid, master_seed, budge
                   trial_index) -> list[float]:
     s = sample(manifold, n, master_seed, trial_index)
     build = vr_filtration if complex_kind == VR else cech_filtration_circle
-    filtration = build(s, grid, invariant.max_dim, budget=budget)
+    try:
+        filtration = build(s, grid, invariant.max_dim, budget=budget)
+    except SimplexBudgetError as exc:  # name the trial, so that it can be replayed alone
+        raise SimplexBudgetError(exc.budget, str(exc), master_seed, trial_index) from None
     return [float(v) for v in invariant.curve(filtration)]
 
 

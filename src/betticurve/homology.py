@@ -11,11 +11,14 @@ ones on spaces with 2-torsion; the model manifolds used here have none.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cache, partial, reduce
+from itertools import accumulate, combinations
+from operator import and_
 
 from .errors import SimplexBudgetError
-from .complexes import Filtration, SimplicialComplex
+from .complexes import Filtration, SimplicialComplex, _iter_bits
 
 BRUTEFORCE_SIMPLEX_LIMIT = 1 << 14
 
@@ -120,25 +123,48 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
     return sum((-1) ** k * len(s) for k, s in complex_.simplices_by_dim.items())
 
 
-def _coboundary_column(filtration: Filtration, dim: int, p: int,
-                       position: dict[int, int]) -> int:
-    """Coboundary of the p-th dim-simplex as a bit-packed column over the
-    (dim+1)-simplices, which ``position`` maps from vertex bitmask to index."""
-    key = filtration.keys[dim][p]
-    cand = -1  # the vertices adjacent to every vertex of the simplex
-    rest = key
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        cand &= filtration.neighbours[low.bit_length() - 1]
-    column = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        q = position.get(key | low)
-        if q is not None:
-            column |= 1 << q
-    return column
+def _coboundary(f: Filtration):
+    """The coboundary of the p-th dim-simplex over its cofacets' indices (see
+    :class:`~betticurve.complexes.Filtration`); a Vietoris-Rips cofacet's
+    block is that of its longest edge, found in an n x n table of edge positions."""
+    keys, nbr, first, offsets = f.keys, f.neighbours, f.first, f.offsets
+    common = lambda key: reduce(and_, map(nbr.__getitem__, _iter_bits(key)))
+    if not offsets:  # circle Cech: stored positions, and some cliques are missing
+        position = {key: q for group in keys for q, key in enumerate(group)}
+
+        def stored(dim: int, p: int) -> int:
+            key = keys[dim][p]
+            cofacets = (key | 1 << v for v in _iter_bits(common(key)))
+            return sum(1 << position[c] for c in cofacets if c in position)
+        return stored
+    pos = [[len(f.edges)] * len(nbr) for _ in nbr]  # the edge count where there is none
+    for p, (a, b) in enumerate(f.edges):
+        pos[a][b] = pos[b][a] = p
+    ranks: dict[tuple[int, int], dict[int, int]] = {}  # by (dim, block), when first needed
+
+    def blocked(dim: int, p: int) -> int:
+        key, cand, column = keys[dim][p], common(keys[dim][p]), 0
+        if dim == 1:  # a triangle's rank in its block is that of its third vertex
+            pa, pb = (pos[v] for v in f.edges[p])
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                ra, rb = pa[v], pb[v]  # the longest edge, by comparisons: max() is slower
+                r = p if p > ra and p > rb else ra if ra > rb else rb
+                third = (key | low) ^ keys[1][r]
+                column |= 1 << (offsets[2][r] + (first[r] & (third - 1)).bit_count())
+            return column
+        for v in _iter_bits(cand):
+            r = max(pos[u][w] for u, w in combinations(_iter_bits(key | 1 << v), 2))
+            if (dim, r) not in ranks:  # block r's (dim+1)-simplices, by bitmask
+                ranks[dim, r] = {c: q for q, c in enumerate(sorted(
+                    sum(1 << u for u in c) for c in combinations(_iter_bits(first[r]), dim)
+                    if all(pos[u][w] < r for u, w in combinations(c, 2))))}
+            column |= 1 << (offsets[dim + 1][r] + ranks[dim, r][(key | 1 << v) ^ keys[1][r]])
+        return column
+
+    return blocked
 
 
 def betti_curve(filtration: Filtration, i: int) -> list[int]:
@@ -153,13 +179,14 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     coboundary reduction (persistent cohomology, whose pairs are those of
     homology) over dimensions 1..i, taking columns in reverse filtration order
     and skipping, by clearing, the columns of simplices already known to be
-    negative, whose reduced coboundaries are zero.  An edge column in an
-    apparent pair needs no reduction, and is built only if another column is
-    reduced against it.
+    negative, whose reduced coboundaries are zero.  Rows are cofacet indices,
+    in step order.  A Vietoris-Rips edge p with ``first[p]`` nonzero pairs
+    with index ``offsets[2][p]``, its earliest cofacet, whose latest facet it
+    is, and its column is built only if another is reduced against it.
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
-    if len(filtration.keys) < i + 2:  # keys[d] for every kept dimension d
+    if i and filtration.max_dim <= i:  # every filtration keeps its edges
         raise ValueError(
             f"betti_curve({i}) needs a filtration built to dimension >= {i + 1} "
             f"(a full one keeps only its edges), got max_dim={filtration.max_dim}")
@@ -177,44 +204,38 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     cleared = set()  # the negative simplices of the dimension below
     edge_steps = filtration.steps[1]
     for p, (a, b) in enumerate(filtration.edges):
+        if len(cleared) == filtration.num_vertices - 1:
+            break  # one component is left
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
             cleared.add(p)
             negative[1][edge_steps[p]] += 1
 
+    coboundary = cache(partial(_coboundary, filtration))  # made with the first column
     for dim in range(1, i + 1):
-        steps_up = filtration.steps[dim + 1]
-        apparent = filtration.apparent if dim == 1 else {}
+        ends = list(accumulate(filtration.counts[dim + 1]))  # of each step's indices
         owner: dict[int, int] = {}  # pivot -> the column reduced onto it
         reduced: dict[int, int] = {}  # columns built so far, by position
-        position: dict[int, int] = {}  # filled when the first column is built
-
-        def column(p: int) -> int:
-            if not position:
-                position.update((key, q) for q, key in enumerate(filtration.keys[dim + 1]))
-            return _coboundary_column(filtration, dim, p, position)
-
         for p in range(len(filtration.keys[dim]) - 1, -1, -1):
             if p in cleared:
                 continue
-            q = apparent.get(p)
-            if q is not None:
+            if dim == 1 and filtration.offsets and filtration.first[p]:
                 # its unreduced coboundary has a pivot no later column shares
-                owner[q] = p
-                negative[dim + 1][steps_up[q]] += 1
+                owner[filtration.offsets[2][p]] = p
+                negative[2][edge_steps[p]] += 1
                 continue
-            col = column(p)
+            col = coboundary()(dim, p)
             while col:
                 low = (col & -col).bit_length() - 1
                 other = owner.get(low)
                 if other is None:
                     owner[low] = p
                     reduced[p] = col
-                    negative[dim + 1][steps_up[low]] += 1
+                    negative[dim + 1][bisect_right(ends, low)] += 1
                     break
                 if other not in reduced:
-                    reduced[other] = column(other)
+                    reduced[other] = coboundary()(dim, other)
                 col ^= reduced[other]
         cleared = owner
 

@@ -251,6 +251,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: simplex budget of 100 exceeded\n"
 
 
+    def test_budget_overrun_names_the_trial(self, tmp_path, monkeypatch, capsys):
+        # a real overrun under two workers: stderr names the trial to replay
+        from functools import partial
+        monkeypatch.setattr(cli.estimator, "estimate_curve",
+                            partial(cli.estimator.estimate_curve, budget=48))
+        code = run_cli(tmp_path, "curve", "--manifold", "torus", "--n", "9", "--trials", "6",
+                       "--seed", "17", "--workers", "2", "--grid", "0.1,0.3,0.45",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err == ("error: simplex budget of 48 exceeded\n"
+                                           "error: in trial 1 of seed 17\n")
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code = cli.main(["selftest", "--trials", "600"])

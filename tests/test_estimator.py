@@ -182,6 +182,10 @@ class TestBudgetPropagation:
         assert str(exc) == "simplex budget of 100 exceeded"
         custom = pickle.loads(pickle.dumps(SimplexBudgetError(7, "too big")))
         assert (custom.budget, str(custom)) == (7, "too big")
+        assert (custom.master_seed, custom.trial_index) == (None, None)
+        named = pickle.loads(pickle.dumps(SimplexBudgetError(7, master_seed=5, trial_index=3)))
+        assert (named.budget, str(named), named.master_seed, named.trial_index) == \
+            (7, "simplex budget of 7 exceeded", 5, 3)
 
     def test_budget_error_crosses_workers_intact(self):
         from betticurve.errors import SimplexBudgetError
@@ -204,6 +208,22 @@ class TestBudgetPropagation:
         with pytest.raises(SimplexBudgetError):
             estimate_curve(flat_torus(2), VR, invariant, 9, grid, 2, 17, budget=size - 1)
         estimate_curve(flat_torus(2), VR, invariant, 9, grid, 2, 17, budget=size)
+
+    def test_overrun_names_the_same_trial_for_any_worker_count(self):
+        # several trials exceed the budget; the error names the first of them
+        # in trial order, whichever process ran it
+        from betticurve.errors import SimplexBudgetError
+        grid, budget = [0.1, 0.3, 0.45], 48
+        sizes = [vr_complex(sample(flat_torus(2), 9, 17, j), grid[-1], 2).simplex_count()
+                 for j in range(6)]
+        over = [j for j, size in enumerate(sizes) if size > budget]
+        assert len(over) > 1 and over[0] > 0
+        for workers in (1, 2):
+            with pytest.raises(SimplexBudgetError) as info:
+                estimate_curve(flat_torus(2), VR, B1, 9, grid, 6, 17, workers=workers,
+                               budget=budget)
+            assert (info.value.master_seed, info.value.trial_index) == (17, over[0])
+            assert str(info.value) == f"simplex budget of {budget} exceeded"
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

@@ -77,10 +77,11 @@ class TestVietorisRipsEquivalence:
             reference_curve(s, grid, invariant, md)
 
     @settings(max_examples=60, deadline=None)
-    @given(cases(max_n=7), st.integers(0, 2), st.sampled_from([1, 2, 6]))
+    @given(cases(max_n=7), st.integers(0, 3), st.sampled_from([0, 1, 2, 6]))
     def test_max_dim_above_needed(self, case, k, extra):
         # building (and counting) dimensions the Betti number never reads
-        # must not change it; with n <= 7 an extra depth of 6 cuts nothing off
+        # must not change it; with n <= 7 an extra depth of 6 cuts nothing off.
+        # Kept dimensions >= 3 must be stored at their block indices.
         s, grid = case
         md = k + 1 + extra
         invariant = betti_invariant(k)
@@ -136,8 +137,16 @@ class TestVietorisRipsEquivalence:
         grid = [0.1, 0.25, 0.5]
         f = vr_filtration(s, grid, 3)
         assert [f.counts[1][k] for k in range(3)] == [0, 4, 2]
-        assert f.apparent == {4: 0, 5: 2}  # each diagonal and its first triangle
-        assert cech_filtration_circle(s, grid, 3).apparent == {}
+        # the triangles are kept at their block index: by longest edge, then
+        # by bitmask; each diagonal's block is its two triangles
+        def longest(t):
+            return max(f.edges.index(e) for e in combinations(t, 2))
+        triangles = sorted(combinations(range(4), 3),
+                           key=lambda t: (longest(t), sum(1 << v for v in t)))
+        assert f.keys[2] == [sum(1 << v for v in t) for t in triangles]
+        assert f.first[4:] == [0b1010, 0b0101] and f.offsets[2] == [0, 0, 0, 0, 0, 2]
+        cech = cech_filtration_circle(s, grid, 3)
+        assert cech.first == cech.offsets == []
         assert betti_curve(f, 0) == [4, 1, 1]
         assert betti_curve(f, 1) == [0, 1, 0]
         assert betti_curve(f, 2) == [0, 0, 0]
@@ -146,24 +155,58 @@ class TestVietorisRipsEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(cases(max_n=9))
     def test_apparent_pairs(self, case):
-        # each hint q for edge p: q is p's earliest cofacet and p is q's
-        # latest facet
+        # by brute force from the distances: every edge p with a triangle in
+        # its block pairs with index offsets[2][p], which is p's earliest
+        # cofacet and has p as its latest facet
         s, grid = case
         f = vr_filtration(s, grid, 2)
-        for p, q in f.apparent.items():
-            edge = f.keys[1][p]
-            assert q == min(r for r, t in enumerate(f.keys[2]) if t & edge == edge)
-            triangle = f.keys[2][q]
-            facets = [f.keys[1].index(triangle ^ (1 << v))
-                      for v in range(len(s)) if triangle >> v & 1]
-            assert max(facets) == p
+        dist = pairwise_distances(s)
+        edges = [e for e in combinations(range(len(s)), 2) if dist[e] <= grid[-1]]
+        assert sorted(f.edges) == edges
+        position = {e: p for p, e in enumerate(f.edges)}
+        # the filtration order of the triangles: by latest facet, then bitmask
+        triangles = sorted((max(position[e] for e in combinations(t, 2)), sum(1 << v for v in t))
+                           for t in combinations(range(len(s)), 3)
+                           if all(e in position for e in combinations(t, 2)))
+        assert sum(f.counts[2]) == len(triangles)
+        for p, edge in enumerate(f.keys[1]):
+            cofacets = [q for q, (_, key) in enumerate(triangles) if key & edge == edge]
+            block = [key ^ edge for latest, key in triangles if latest == p]
+            assert f.first[p] == sum(block)
+            if block:
+                q = f.offsets[2][p]
+                assert q == min(cofacets) and triangles[q][0] == p
 
     def test_steps_are_filtration_order(self):
         s = sample(flat_torus(2), 12, 5, 0)
         f = vr_filtration(s, [0.2, 0.3, 0.4], 3)
-        for dim in (1, 2, 3):
+        assert len(f.keys) == 3 and sum(f.counts[3]) > 0  # dimension 3 is only counted
+        for dim in (1, 2):
             assert f.steps[dim] == sorted(f.steps[dim])
             assert len(f.steps[dim]) == sum(f.counts[dim])
+
+
+class TestChainedReductions:
+    # At these sizes an edge column is reduced through a long chain of
+    # apparent columns, which the hypothesis cases (n <= 9) rarely reach.
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_circle_b1_on_benchmark_grid(self, seed):
+        s = sample(circle(), 50, seed, 0)
+        grid = np.linspace(0.02, 0.32, 16).tolist()
+        curve = filtration_curve(s, grid, betti_invariant(1), 2)
+        assert curve == reference_curve(s, grid, betti_invariant(1), 2)
+        assert 1 in curve
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_torus(self, k, seed):
+        s = sample(flat_torus(2), 25, seed, 0)
+        grid = np.linspace(0.1, 0.45, 8).tolist()
+        invariant = betti_invariant(k)
+        curve = filtration_curve(s, grid, invariant, k + 1)
+        assert curve == reference_curve(s, grid, invariant, k + 1)
+        assert any(curve)
 
 
 class TestCechEquivalence:

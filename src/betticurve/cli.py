@@ -346,9 +346,10 @@ def main(argv=None) -> int:
     except SimplexBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.trial_index is not None:
-            print(f"error: in trial {exc.trial_index} of seed {exc.master_seed}", file=sys.stderr)
+            print(f"error: in trial {exc.trial_index} of seed {exc.master_seed} at n={exc.n}",
+                  file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

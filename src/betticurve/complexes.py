@@ -23,7 +23,6 @@ import numpy as np
 from .errors import SimplexBudgetError, UnsupportedDomainError
 from .manifolds import CIRCLE, PointSample, pairwise_distances
 
-FULL = "full"
 DEFAULT_SIMPLEX_BUDGET = 10_000_000
 
 
@@ -61,10 +60,11 @@ class SimplicialComplex:
 
 
 def _normalize_max_dim(max_dim) -> int:
-    if max_dim == FULL or max_dim == -1:
+    if max_dim == -1:
         return -1
     if not isinstance(max_dim, int) or max_dim < 1:
-        raise ValueError(f"max_dim must be a positive integer or 'full', got {max_dim!r}")
+        raise ValueError(f"max_dim must be a positive integer or -1 (untruncated), "
+                         f"got {max_dim!r}")
     return max_dim
 
 
@@ -139,7 +139,7 @@ def _edges_and_adjacency(dist: np.ndarray, threshold: float, strict: bool):
     return edges, nbr
 
 
-def vr_complex(s: PointSample, t: float, max_dim=FULL, *,
+def vr_complex(s: PointSample, t: float, max_dim=-1, *,
                dist: np.ndarray | None = None,
                budget: int = DEFAULT_SIMPLEX_BUDGET) -> SimplicialComplex:
     """Clique complex of the graph with edges at pairwise distance <= t."""
@@ -163,7 +163,7 @@ def _circle_arcs_intersect(positions: np.ndarray, simplex: tuple[int, ...], t: f
     return (1.0 - gmax) / 2.0 < t
 
 
-def cech_complex_circle(s: PointSample, t: float, max_dim=FULL, *,
+def cech_complex_circle(s: PointSample, t: float, max_dim=-1, *,
                         budget: int = DEFAULT_SIMPLEX_BUDGET) -> SimplicialComplex:
     """Nerve of the open arcs of radius t around the sample points."""
     if s.manifold.kind != CIRCLE:
@@ -344,7 +344,7 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     return Filtration(n, grid, max_dim, counts, edges, keys, steps, nbr, first, offsets)
 
 
-def vr_filtration(s: PointSample, grid, max_dim=FULL, *,
+def vr_filtration(s: PointSample, grid, max_dim=-1, *,
                   budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
     """One filtration for the Vietoris-Rips complexes at every grid scale.
 
@@ -361,7 +361,7 @@ def vr_filtration(s: PointSample, grid, max_dim=FULL, *,
                        grid, md, budget)
 
 
-def cech_filtration_circle(s: PointSample, grid, max_dim=FULL, *,
+def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
                            budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
     """One filtration for the circle Cech complexes at every grid scale.
 

@@ -80,7 +80,7 @@ def _trial_values(manifold, complex_kind, invariant, n, grid, master_seed, budge
     try:
         filtration = build(s, grid, invariant.max_dim, budget=budget)
     except SimplexBudgetError as exc:  # name the trial, so that it can be replayed alone
-        raise SimplexBudgetError(exc.budget, str(exc), master_seed, trial_index) from None
+        raise SimplexBudgetError(exc.budget, str(exc), master_seed, trial_index, n) from None
     return [float(v) for v in invariant.curve(filtration)]
 
 
@@ -128,7 +128,7 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
                       workers: int = 1,
                       budget: int = DEFAULT_SIMPLEX_BUDGET) -> ConvergenceTable:
     """Estimate the invariant at one fixed scale for an increasing list of n."""
-    if t <= 0:
+    if not t > 0:  # false for NaN too
         raise ValueError("scale t must be positive")
     n_values = tuple(int(n) for n in n_values)
     if not n_values:

@@ -182,7 +182,10 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     negative, whose reduced coboundaries are zero.  Rows are cofacet indices,
     in step order.  A Vietoris-Rips edge p with ``first[p]`` nonzero pairs
     with index ``offsets[2][p]``, its earliest cofacet, whose latest facet it
-    is, and its column is built only if another is reduced against it.
+    is, and its column is built only if another is reduced against it.  Each
+    step of a reduction must move the pivot later; if a column lacks the
+    pivot it is recorded under, the cofacet index is faulty and RuntimeError
+    is raised rather than reducing forever.
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
@@ -225,9 +228,13 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
                 owner[filtration.offsets[2][p]] = p
                 negative[2][edge_steps[p]] += 1
                 continue
-            col = coboundary()(dim, p)
+            col, low = coboundary()(dim, p), -1
             while col:
-                low = (col & -col).bit_length() - 1
+                last, low = low, (col & -col).bit_length() - 1
+                if low <= last:  # the column just added lacked pivot `last`; it would loop
+                    raise RuntimeError(
+                        f"cofacet index fault: the coboundary of {dim}-simplex {other} "
+                        f"{tuple(_iter_bits(filtration.keys[dim][other]))} lacks pivot {last}")
                 other = owner.get(low)
                 if other is None:
                     owner[low] = p

@@ -137,59 +137,24 @@ def _circle_gaps(points: np.ndarray) -> np.ndarray:
     return np.append(gaps, wrap)
 
 
-def _sphere_probe_grid(resolution: int) -> np.ndarray:
-    """Deterministic Fibonacci-lattice probe grid with resolution^2 points."""
-    n = resolution * resolution
-    k = np.arange(n)
-    phi = (1 + math.sqrt(5)) / 2
-    z = 1.0 - (2.0 * k + 1.0) / n
-    theta = 2.0 * math.pi * k / phi
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
-
-
 @dataclass(frozen=True)
 class CoveringRadiusEstimate:
-    """Covering radius value plus the additive error bound of the method.
-
-    ``mesh_error`` is 0 for the circle (exact computation); otherwise the true
-    covering radius lies in [value, value + mesh_error].
-    """
+    """Exact covering radius of a circle sample."""
 
     value: float
-    mesh_error: float
 
 
-def covering_radius(s: PointSample, grid_resolution: int | None = None) -> CoveringRadiusEstimate:
+def covering_radius(s: PointSample) -> CoveringRadiusEstimate:
     """Smallest r such that balls of radius r around the sample cover M.
 
-    Circle: exact (half the largest circular gap).  Torus and sphere: lower
-    bound from a deterministic probe grid of grid_resolution^dim points.
+    Exact on the circle (half the largest circular gap); no other manifold has
+    an exact method here.
     """
+    if s.manifold.kind != CIRCLE:
+        raise UnsupportedDomainError("covering radius is implemented for the circle only")
     if len(s) == 0:
         raise ValueError("covering radius of an empty sample is undefined")
-    m = s.manifold
-    if m.kind == CIRCLE:
-        return CoveringRadiusEstimate(float(_circle_gaps(s.points).max()) / 2.0, 0.0)
-    if grid_resolution is None:
-        raise ValueError("grid_resolution is required for non-circle manifolds")
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be positive")
-    if m.kind == FLAT_TORUS:
-        d = m.torus_dim
-        axes = [(np.arange(grid_resolution) + 0.5) / grid_resolution] * d
-        probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        diff = np.abs(probes[:, None, :] - s.points[None, :, :])
-        diff = np.minimum(diff, 1.0 - diff)
-        dists = np.sqrt(np.sum(diff * diff, axis=2))
-        mesh = math.sqrt(d) / (2 * grid_resolution)
-    else:
-        probes = _sphere_probe_grid(grid_resolution)
-        g = np.clip(probes @ s.points.T, -1.0, 1.0)
-        dists = np.arccos(g)
-        # empirical covering-radius scale of the Fibonacci lattice
-        mesh = 2.8 / math.sqrt(probes.shape[0])
-    return CoveringRadiusEstimate(float(dists.min(axis=1).max()), mesh)
+    return CoveringRadiusEstimate(float(_circle_gaps(s.points).max()) / 2.0)
 
 
 def covering_tail_bound(manifold: ManifoldModel, epsilon: float, n: int) -> float:

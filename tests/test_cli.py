@@ -42,7 +42,8 @@ class TestCurveCommand:
                 "--grid", "0.1,0.2", "--output", out)
         gp = str(tmp_path / "c.gp")
         assert os.path.exists(gp)
-        assert "c.csv" in open(gp).read()
+        with open(gp) as fh:
+            assert "c.csv" in fh.read()
 
     def test_single_step_grid(self, tmp_path):
         out = str(tmp_path / "one.csv")
@@ -87,7 +88,8 @@ class TestCurveCommand:
         code = run_cli(tmp_path, "curve", "--n", "6", "--trials", "20",
                        "--grid", "0.1,0.2", "--fmt", "json", "--output", out)
         assert code == EXIT_OK
-        doc = json.load(open(out))
+        with open(out) as fh:
+            doc = json.load(fh)
         assert doc["format_version"] == cli.FORMAT_VERSION
         assert doc["config"]["n"] == 6
         assert len(doc["columns"]["mean"]) == 2
@@ -233,6 +235,20 @@ class TestExitCodes:
             assert code == EXIT_USAGE
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_output_in_missing_directory_usage(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "2",
+                       "--grid", "0.1", "--output", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_nan_scale_converge_usage(self, tmp_path, capsys):
+        code = run_cli(tmp_path, "converge", "--t", "nan", "--n-values", "4,8",
+                       "--trials", "2", "--target", "0.5", "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: scale t must be positive\n"
+
     def test_missing_grid_usage(self, tmp_path):
         code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
                        "--output", str(tmp_path / "x.csv"))
@@ -261,7 +277,7 @@ class TestExitCodes:
                        "--output", str(tmp_path / "x.csv"))
         assert code == EXIT_RESOURCE
         assert capsys.readouterr().err == ("error: simplex budget of 48 exceeded\n"
-                                           "error: in trial 1 of seed 17\n")
+                                           "error: in trial 1 of seed 17 at n=9\n")
 
 
 class TestSelftest:

@@ -182,10 +182,11 @@ class TestBudgetPropagation:
         assert str(exc) == "simplex budget of 100 exceeded"
         custom = pickle.loads(pickle.dumps(SimplexBudgetError(7, "too big")))
         assert (custom.budget, str(custom)) == (7, "too big")
-        assert (custom.master_seed, custom.trial_index) == (None, None)
-        named = pickle.loads(pickle.dumps(SimplexBudgetError(7, master_seed=5, trial_index=3)))
-        assert (named.budget, str(named), named.master_seed, named.trial_index) == \
-            (7, "simplex budget of 7 exceeded", 5, 3)
+        assert (custom.master_seed, custom.trial_index, custom.n) == (None, None, None)
+        named = pickle.loads(pickle.dumps(
+            SimplexBudgetError(7, master_seed=5, trial_index=3, n=11)))
+        assert (named.budget, str(named), named.master_seed, named.trial_index, named.n) == \
+            (7, "simplex budget of 7 exceeded", 5, 3, 11)
 
     def test_budget_error_crosses_workers_intact(self):
         from betticurve.errors import SimplexBudgetError
@@ -201,7 +202,7 @@ class TestBudgetPropagation:
         # largest of those counts over the trials
         from betticurve.errors import SimplexBudgetError
         grid = [0.1, 0.3, 0.45]
-        depth = 2 if invariant is B1 else "full"
+        depth = 2 if invariant is B1 else -1
         samples = [sample(flat_torus(2), 9, 17, j) for j in range(2)]
         assert vr_complex(samples[0], grid[-1]).dimension >= 3  # so the counts differ
         size = max(vr_complex(s, grid[-1], depth).simplex_count() for s in samples)
@@ -224,6 +225,15 @@ class TestBudgetPropagation:
                                budget=budget)
             assert (info.value.master_seed, info.value.trial_index) == (17, over[0])
             assert str(info.value) == f"simplex budget of {budget} exceeded"
+
+    def test_convergence_overrun_names_its_n(self):
+        # every n runs with the same master seed, so the trial alone does not
+        # say where to replay: n=5 stays within the budget, n=30 does not
+        from betticurve.errors import SimplexBudgetError
+        with pytest.raises(SimplexBudgetError) as info:
+            convergence_study(circle(), VR, B1, 0.3, (5, 30), 4, 0, 1.0, budget=200)
+        assert (info.value.master_seed, info.value.trial_index, info.value.n) == (0, 0, 30)
+        estimate_curve(circle(), VR, B1, 5, [0.3], 4, 0, budget=200)
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

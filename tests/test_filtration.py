@@ -5,6 +5,7 @@ of the complex that ``vr_complex`` or ``cech_complex_circle`` builds at each
 grid scale, which ``betti`` and ``euler_characteristic`` then evaluate.
 """
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -208,6 +209,16 @@ class TestChainedReductions:
         assert curve == reference_curve(s, grid, invariant, k + 1)
         assert any(curve)
 
+    def test_index_fault_raises(self):
+        # a phantom third vertex below each block's earliest shifts its ranks
+        # up by one, so apparent edges are paired with pivots their columns
+        # lack: reducing against such a column would never end
+        s = sample(circle(), 50, 0, 0)
+        f = vr_filtration(s, np.linspace(0.02, 0.32, 16).tolist(), 2)
+        bad = dataclasses.replace(f, first=[x | (x & -x) >> 1 for x in f.first])
+        with pytest.raises(RuntimeError, match="cofacet index fault"):
+            betti_curve(bad, 1)
+
 
 class TestCechEquivalence:
     @settings(max_examples=120, deadline=None)
@@ -248,7 +259,7 @@ class TestValidation:
 
     def test_max_dim_bounds(self):
         s = sample(circle(), 4, 0, 0)
-        for max_dim in (0, -2, "2"):
+        for max_dim in (0, -2, "2", "full"):
             with pytest.raises(ValueError):
                 vr_filtration(s, [0.1], max_dim)
             with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ failure, 2 usage/domain error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -114,6 +115,16 @@ def _write_table(config: RunConfig, header: list[str], rows: list[list], path: s
             fh.write("\n")
 
 
+def _output_path(config: RunConfig, default: str) -> str:
+    """``--output`` (or ``default``), refused before any trial runs if its
+    directory is missing, with the error that writing it would raise; the
+    file itself is neither created nor truncated here."""
+    path = config.output or default
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return path
+
+
 def _write_plot_script(csv_path: str, with_oracle: bool) -> str:
     gp_path = os.path.splitext(csv_path)[0] + ".gp"
     csv_name = os.path.basename(csv_path)
@@ -146,6 +157,7 @@ def _oracle_value(config: RunConfig, t: float) -> float | None:
 
 def run_curve(config: RunConfig) -> int:
     grid = config.resolved_grid()
+    out = _output_path(config, "curve." + config.fmt)
     est = estimator.estimate_curve(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
         config.n, grid, config.trials, config.master_seed, workers=config.workers)
@@ -154,7 +166,6 @@ def run_curve(config: RunConfig) -> int:
         rows.append([t, config.n, config.trials,
                      float(est.mean[k]), float(est.variance[k]), float(est.stderr[k]),
                      _oracle_value(config, t)])
-    out = config.output or "curve." + config.fmt
     _write_table(config, ["t", "n", "trials", "mean", "variance", "stderr", "oracle_p"],
                  rows, out)
     if config.fmt == "csv":
@@ -165,9 +176,9 @@ def run_curve(config: RunConfig) -> int:
 
 def run_oracle(config: RunConfig) -> int:
     grid = config.resolved_grid()
+    out = _output_path(config, "oracle." + config.fmt)
     evals = circle_oracle.circle_oracle_curve(config.n, grid)
     rows = [[e.r, e.n, e.p_circle, e.expected_b1, e.variance_b1] for e in evals]
-    out = config.output or "oracle." + config.fmt
     _write_table(config, ["r", "n", "p", "expected_b1", "variance_b1"], rows, out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -178,6 +189,7 @@ def run_converge(config: RunConfig) -> int:
         raise ValueError("converge needs --t and --n-values")
     if config.target is None:
         raise ValueError("converge needs --target")
+    out = _output_path(config, "converge." + config.fmt)
     table = estimator.convergence_study(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
         config.t, config.n_values, config.trials, config.master_seed,
@@ -187,7 +199,6 @@ def run_converge(config: RunConfig) -> int:
         rows.append([n, table.t, config.trials, float(table.mean[k]),
                      float(table.variance[k]), float(table.stderr[k]),
                      float(table.abs_error[k]), table.target])
-    out = config.output or "converge." + config.fmt
     _write_table(config, ["n", "t", "trials", "mean", "variance", "stderr",
                           "abs_error", "target"], rows, out)
     print(f"wrote {out}")
@@ -225,6 +236,17 @@ def _selftest_checks(config: RunConfig):
     built, counted = vr_filtration(quad, [0.25]).counts[1], edge_count(quad, 0.25)
     yield ("vr-closed-convention", built == [4] and counted == 4,
            f"filtration edges={built} edge_count={counted} (want [4] and 4)")
+
+    # full VR counts on the octahedron, the six points +-e_i of the sphere at
+    # t = pi/2 (a 2-sphere): the counted build against the per-scale one
+    octahedron = PointSample(manifolds.sphere2(), np.vstack([np.eye(3), -np.eye(3)]), 0, 0)
+    full = vr_filtration(octahedron, [math.pi / 2])
+    per_scale = vr_complex(octahedron, math.pi / 2)
+    listed = [[len(per_scale.simplices(d))] for d in range(per_scale.dimension + 1)]
+    chi = euler_invariant().curve(full)
+    yield ("vr-full-counts", full.counts == listed == [[6], [12], [8]] and chi == [2],
+           f"filtration counts={full.counts} vr_complex={listed} euler={chi} "
+           f"(want [[6], [12], [8]] and [2])")
 
     # Cech/VR interleaving on random samples:
     # Cech(r) <= VR(2r) <= Cech(2r + eps) for every eps > 0

@@ -143,7 +143,7 @@ def vr_complex(s: PointSample, t: float, max_dim=-1, *,
                dist: np.ndarray | None = None,
                budget: int = DEFAULT_SIMPLEX_BUDGET) -> SimplicialComplex:
     """Clique complex of the graph with edges at pairwise distance <= t."""
-    if t < 0:
+    if not t >= 0:  # false for NaN too
         raise ValueError("scale t must be nonnegative")
     md = _normalize_max_dim(max_dim)
     if dist is None:
@@ -168,7 +168,7 @@ def cech_complex_circle(s: PointSample, t: float, max_dim=-1, *,
     """Nerve of the open arcs of radius t around the sample points."""
     if s.manifold.kind != CIRCLE:
         raise UnsupportedDomainError("cech_complex_circle requires a circle sample")
-    if t <= 0:
+    if not t > 0:  # false for NaN too
         raise ValueError("scale t must be positive")
     md = _normalize_max_dim(max_dim)
     dist = pairwise_distances(s)
@@ -191,9 +191,11 @@ class Filtration:
     every dimension built (up to ``max_dim``; -1 means untruncated).
 
     A full filtration keeps its edges and counts the rest (all the Euler
-    characteristic needs), a circle Cech one keeps every simplex, and a
-    Vietoris-Rips one keeps the dimensions below ``max_dim`` and counts that
-    one (b_k, built to k+1, only indexes it).  Kept simplices are in
+    characteristic needs), a circle Cech one built to ``max_dim`` keeps every
+    simplex, and a Vietoris-Rips one keeps the dimensions below ``max_dim``
+    and counts that one (b_k, built to k+1, only indexes it).  Vietoris-Rips
+    simplices that are only counted are never listed (see
+    :func:`_filtration`); the budget counts them all.  Kept simplices are in
     filtration order (nondecreasing step, so every prefix ending at a step
     boundary is a per-scale complex): ``edges[p]`` is the p-th edge,
     ``keys[d][p]`` the vertex bitmask of the p-th d-simplex, ``steps[d][p]``
@@ -233,24 +235,82 @@ def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
     return grid
 
 
+def _clique_polynomial(cand: int, nbr: list[int], x: int, limit: int) -> int:
+    """The cliques S of the vertex set ``cand`` (a bitmask) in the graph
+    ``nbr``, the empty one included, as the sum of x**len(S), for x = 2**w
+    with w > len(cand).
+
+    No coefficient (the cliques of one size, at most C(len(cand), j) <
+    2**len(cand)) reaches x, and neither does one of any partial sum, so
+    sums, shifts and products never carry: the polynomial is packed in one
+    int, w bits per coefficient.  It recurses by P(C) = P(C - v) +
+    x * P(C & N(v)), on the vertex v with the fewest neighbours in C, after
+    factoring out every cone of C (a vertex adjacent to all the rest, which
+    doubles the cliques: a factor 1 + x).  Distinct leaves of the recursion
+    stand for distinct cliques, so it visits at most about twice as many
+    nodes as C has cliques.  It stops once its leaves pass ``limit``, and the
+    part of the sum it returns then counts more than ``limit`` cliques.
+    """
+    total, leaves = 0, 0
+    stack = [(cand, 1)]  # a subset of cand and its weight: the polynomial factored out
+    while stack and leaves <= limit:
+        c, weight = stack.pop()
+        while c:
+            cones, pivot, fewest = 0, 0, c.bit_count()
+            rest = c
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                common = c & nbr[low.bit_length() - 1]
+                if common == c ^ low:
+                    cones |= low
+                elif (size := common.bit_count()) < fewest:
+                    fewest, pivot, pivot_common = size, low, common
+            if cones:
+                weight *= pow(1 + x, cones.bit_count())
+                c ^= cones
+            if c:  # its cliques without the pivot stay in c, those with it go on the stack
+                stack.append((pivot_common & c, weight * x))
+                c ^= pivot
+        total += weight
+        leaves += 1
+    return total
+
+
 def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
                 max_dim: int, budget: int, simplex_step=None) -> Filtration:
     """Incremental clique expansion in sorted edge order up to max(grid).
 
     ``edge_step(d)`` maps pairwise distances to entry steps (len(grid) for an
     edge absent at max(grid)).  Edges are added in order of distance, and the
-    simplices whose longest edge is the edge just added are the cliques of the
-    common neighbourhood of its endpoints in the graph built so far, so every
-    simplex is found exactly once, when its longest edge arrives.  Its step is
-    that edge's step, or later where ``simplex_step(vertex_bits)`` (applied
-    from dimension 2, downward closed like ``accept`` in
-    :func:`_expand_cliques`) says so.  What is kept is as in
-    :class:`Filtration`.  Raises when the complex at max(grid) has more than
-    ``budget`` simplices, which is when some per-scale build on the grid would.
+    simplices whose longest edge is the edge just added (its block) are the
+    cliques of ``cand``, the common neighbourhood of its endpoints in the
+    graph built so far, so every simplex is found exactly once, when its
+    longest edge arrives.  Its step is that edge's step, or later where
+    ``simplex_step(vertex_bits)`` (applied from dimension 2, downward closed
+    like ``accept`` in :func:`_expand_cliques`) says so.  What is kept is as
+    in :class:`Filtration`.
+
+    A Vietoris-Rips build that keeps nothing above its edges (full, or to
+    dimension 2 for b1) lists no simplex of a block: the block's triangles
+    are the vertices of ``cand`` (its popcount), and its d-simplices for
+    d >= 3 the cliques of d - 1 vertices of ``cand``, counted for every d at
+    once by :func:`_clique_polynomial`.  Every other build (Vietoris-Rips
+    for b_k with k >= 2, circle Cech) walks the cliques of ``cand`` depth
+    first, and a Vietoris-Rips one counts its top dimension by the popcount
+    of the last level.
+
+    Raises when the complex at max(grid) has more than ``budget`` simplices,
+    which is when some per-scale build on the grid would.  The total is
+    checked after the vertices, after the edges, and then after each counted
+    block or each walked simplex; a block's clique count stops early once
+    the cliques it has found exceed the budget, so the work stays bounded by
+    the budget.
     """
     num_steps = len(grid)
     blocks = max_dim != -1 and simplex_step is None  # Vietoris-Rips, truncated
     top, kept_dim = (max(n - 1, 1), 1) if max_dim == -1 else (max_dim, max(max_dim - blocks, 1))
+    counted = kept_dim == 1 and simplex_step is None  # Vietoris-Rips, nothing kept above edges
     iu, ju = np.triu_indices(n, k=1)
     pair_dist = dist[iu, ju]
     step = edge_step(pair_dist)
@@ -287,6 +347,27 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
                 offsets[d].append(sum(counts[d]))
         if not cand or top < 2:
             continue
+        if counted:
+            size = cand.bit_count()
+            total += size
+            counts[2][edge_s] += size
+            if top > 2 and size > 1:
+                w = size + 1
+                mask = (1 << w) - 1
+                # the limit leaves room for the empty clique and the size
+                # single vertices, counted already as the edge and triangles;
+                # the cliques of two or more vertices are dimensions 3 and up
+                poly = _clique_polynomial(cand, nbr, 1 << w, budget - total + size + 1) >> 2 * w
+                dim = 3
+                while poly:
+                    found = poly & mask
+                    total += found
+                    counts[dim][edge_s] += found
+                    poly >>= w
+                    dim += 1
+            if total > budget:
+                raise SimplexBudgetError(budget)
+            continue
         # Depth-first over the cliques of cand: an entry (key, cand, dim, s)
         # extends the simplex `key` (entered at step s) by each vertex v of
         # cand to a dim-simplex, and the vertices of cand above v that are
@@ -295,20 +376,13 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
         while stack:
             key, cand, dim, s0 = stack.pop()
             if dim > kept_dim and simplex_step is None:
-                # count the whole level at once: nothing is kept and every
-                # clique here enters with the edge
+                # the top dimension of a Vietoris-Rips build, only counted:
+                # every clique here enters with the edge
                 size = cand.bit_count()
                 total += size
                 if total > budget:
                     raise SimplexBudgetError(budget)
                 counts[dim][s0] += size
-                if dim < top:
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        sub = cand & nbr[low.bit_length() - 1]
-                        if sub:
-                            stack.append((0, sub, dim + 1, s0))
                 continue
             while cand:
                 low = cand & -cand
@@ -392,7 +466,7 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
 
 def edge_count(s: PointSample, t: float) -> int:
     """Number of point pairs at distance <= t."""
-    if t < 0:
+    if not t >= 0:  # false for NaN too
         raise ValueError("scale t must be nonnegative")
     dist = pairwise_distances(s)
     iu, ju = np.triu_indices(len(s), k=1)

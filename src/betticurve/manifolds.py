@@ -124,9 +124,14 @@ def pairwise_distances(s: PointSample) -> np.ndarray:
         d = np.abs(pts[:, None, :] - pts[None, :, :])
         d = np.minimum(d, 1.0 - d)
         return np.sqrt(np.sum(d * d, axis=2))
-    g = np.clip(pts @ pts.T, -1.0, 1.0)
-    np.fill_diagonal(g, 1.0)
-    return np.arccos(g)
+    g = pts @ pts.T
+    d = np.arccos(np.clip(g, -1.0, 1.0))
+    # arccos loses half the digits of a small angle (points 1e-9 apart would
+    # be at distance 0): take the close pairs, the diagonal among them, from
+    # their chord instead
+    i, j = np.divmod(np.flatnonzero(g > 0.99), len(pts))  # 2-d np.nonzero is slower
+    d[i, j] = 2.0 * np.arcsin(np.linalg.norm(pts[i] - pts[j], axis=1) / 2.0)
+    return d
 
 
 def _circle_gaps(points: np.ndarray) -> np.ndarray:

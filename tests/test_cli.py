@@ -235,10 +235,21 @@ class TestExitCodes:
             assert code == EXIT_USAGE
             assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_output_in_missing_directory_usage(self, tmp_path, capsys):
+    def test_output_in_missing_directory_usage(self, tmp_path, monkeypatch, capsys):
+        # refused before any trial runs
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
         out = tmp_path / "missing" / "x.csv"
         code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "2",
                        "--grid", "0.1", "--output", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_output_in_missing_directory_converge_usage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        out = tmp_path / "missing" / "x.csv"
+        code = run_cli(tmp_path, "converge", "--t", "0.1", "--n-values", "4,8",
+                       "--trials", "2", "--target", "0.5", "--output", str(out))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == \
             f"error: [Errno 2] No such file or directory: {str(out)!r}\n"

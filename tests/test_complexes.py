@@ -39,6 +39,12 @@ class TestVietorisRips:
         with pytest.raises(ValueError):
             vr_complex(circle_points([0, 0.5]), -0.1)
 
+    def test_nan_scale_rejected(self, circle_points):
+        s = circle_points([0, 0.1, 0.3, 0.5, 0.7, 0.9])
+        for build in (vr_complex, cech_complex_circle, edge_count):
+            with pytest.raises(ValueError):
+                build(s, float("nan"))
+
     def test_budget_error_names_budget(self, circle_points):
         s = circle_points(np.linspace(0, 0.05, 12))
         with pytest.raises(SimplexBudgetError, match="100"):

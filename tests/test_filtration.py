@@ -6,6 +6,7 @@ grid scale, which ``betti`` and ``euler_characteristic`` then evaluate.
 """
 
 import dataclasses
+import math
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.complexes import (cech_complex_circle, cech_filtration_circle,
+from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_polynomial, _filtration,
+                                  cech_complex_circle, cech_filtration_circle,
                                   vr_complex, vr_filtration)
 from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
 from betticurve.estimator import CECH, estimate_curve
@@ -185,6 +187,71 @@ class TestVietorisRipsEquivalence:
         for dim in (1, 2):
             assert f.steps[dim] == sorted(f.steps[dim])
             assert len(f.steps[dim]) == sum(f.counts[dim])
+
+
+def cross_polytope(m):
+    """The full filtration, at the one scale 1, of 2m vertices with every pair
+    adjacent except v and v + m: the boundary of the m-dimensional
+    cross-polytope, a sphere S^(m-1)."""
+    dist = np.ones((2 * m, 2 * m))
+    np.fill_diagonal(dist, 0.0)
+    for v in range(m):
+        dist[v, v + m] = dist[v + m, v] = 2.0
+    return _filtration(2 * m, dist, lambda d: np.searchsorted([1.0], d, side="left"),
+                       (1.0,), -1, DEFAULT_SIMPLEX_BUDGET)
+
+
+class TestCliqueCounts:
+    # A full Vietoris-Rips filtration counts its simplices above the edges
+    # without listing them; vr_complex lists them.
+
+    @settings(max_examples=100, deadline=None)
+    @given(cases(max_n=10))
+    def test_full_counts_equal_per_scale(self, case):
+        s, grid = case
+        f = vr_filtration(s, grid)
+        dist = pairwise_distances(s)
+        for step, t in enumerate(grid):
+            c = vr_complex(s, t, dist=dist)
+            assert c.dimension < len(f.counts)
+            assert [sum(counts[:step + 1]) for counts in f.counts] == \
+                [len(c.simplices(d)) for d in range(len(f.counts))]
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_cross_polytope(self, m):
+        # f_d = 2^(d+1) C(m, d+1).  The edges arrive in lexicographic order,
+        # so the last blocks are cross-polytopes on up to 2m - 4 vertices, with
+        # no cone and coefficients 2^j C(m - 2, j), all packed in one int.
+        f = cross_polytope(m)
+        assert [sum(c) for c in f.counts if any(c)] == \
+            [2 ** (d + 1) * math.comb(m, d + 1) for d in range(m)]
+        assert euler_curve(f) == [1 + (-1) ** (m - 1)]
+
+    def test_limit(self):
+        # the clique polynomial of a cross-polytope on 12 vertices is
+        # (1 + 2x)^6; stopped early, the part returned counts more cliques
+        # than the limit
+        k, n = 6, 12
+        nbr = [((1 << n) - 1) ^ (1 << v) ^ (1 << (v + k) % n) for v in range(n)]
+        w = n + 1
+        exact = (1 + 2 * (1 << w)) ** k
+        for limit in range(-1, 3 ** k + 1, 7):
+            got = _clique_polynomial((1 << n) - 1, nbr, 1 << w, limit)
+            cliques = sum((got >> (w * j)) & ((1 << w) - 1) for j in range(k + 1))
+            assert got == exact or cliques > limit
+        assert _clique_polynomial((1 << n) - 1, nbr, 1 << w, 3 ** k) == exact
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_budget_parity_dense_block(self, offset):
+        # nearly every pair of 18 circle points is within 0.45
+        s = sample(circle(), 18, 0, 0)
+        size = vr_complex(s, 0.45).simplex_count()
+        assert size > 30_000  # 142 of the 153 pairs are edges
+        if offset < 0:
+            with pytest.raises(SimplexBudgetError):
+                vr_filtration(s, [0.45], budget=size + offset)
+        else:
+            assert sum(map(sum, vr_filtration(s, [0.45], budget=size).counts)) == size
 
 
 class TestChainedReductions:

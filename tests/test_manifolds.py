@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ class TestGeodesicDistance:
     def test_sphere_antipodal(self):
         d = two_point_distance(sphere2(), (1, 0, 0), (-1, 0, 0))
         assert d == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize("angle", [1e-9, 1e-5])
+    def test_sphere_small_angles(self, angle):
+        # the reference is the angle between the stored vectors, from their
+        # cross and dot products in exact arithmetic
+        p = (math.cos(0.3), math.sin(0.3), 0.0)
+        q = (math.cos(0.3 + angle), math.sin(0.3 + angle), 0.0)
+        (px, py, _), (qx, qy, _) = (map(Fraction, v) for v in (p, q))
+        exact = math.atan2(px * qy - py * qx, px * qx + py * qy)
+        assert exact == pytest.approx(angle, rel=1e-6)
+        assert two_point_distance(sphere2(), p, q) == pytest.approx(exact, rel=1e-12)
 
     def test_torus_wrap_then_norm(self):
         d = two_point_distance(flat_torus(2), (0.9, 0.9), (0.1, 0.1))

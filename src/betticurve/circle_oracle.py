@@ -43,12 +43,10 @@ chance that all n gaps between n uniform points on the circle are shorter
 than r.  The numerator is one integer sum of at most 1/r + 1 terms, with no
 gcd taken anywhere, and the one int/int division is correctly rounded: the
 float is the exact p rounded once, as it would be from rational arithmetic.
-``irwin_hall_g`` is the same integer sum over the denominator of x.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # Exact arithmetic has no precision ceiling; this cap only bounds runtime.
@@ -74,22 +72,6 @@ def _alternating_sum(n: int, u: int, a: int, e: int) -> int:
         total += -term if k & 1 else term
         binom = binom * (n - k) // (k + 1)
     return total
-
-
-def irwin_hall_g(n: int, x: float) -> float:
-    """The unnormalized Irwin-Hall CDF g(n, x); g(n, x)/n! = P(U1+...+Un <= x)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    if n == 0:
-        return 0.0 if x <= 0 else 1.0
-    c, d = float(x).as_integer_ratio()
-    if c <= 0:
-        return 0.0
-    if c >= n * d:
-        return float(math.factorial(n))
-    return _alternating_sum(n, c, d, n) / d ** n
 
 
 def circle_homotopy_prob(n: int, r: float) -> float:

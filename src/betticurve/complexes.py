@@ -190,20 +190,20 @@ class Filtration:
     ``counts[d][s]`` is the number of d-simplices entering at step s, for
     every dimension built (up to ``max_dim``; -1 means untruncated).
 
-    A full filtration keeps its edges and counts the rest (all the Euler
-    characteristic needs), a circle Cech one built to ``max_dim`` keeps every
-    simplex, and a Vietoris-Rips one keeps the dimensions below ``max_dim``
-    and counts that one (b_k, built to k+1, only indexes it).  Vietoris-Rips
-    simplices that are only counted are never listed (see
-    :func:`_filtration`); the budget counts them all.  Kept simplices are in
-    filtration order (nondecreasing step, so every prefix ending at a step
-    boundary is a per-scale complex): ``edges[p]`` is the p-th edge,
-    ``keys[d][p]`` the vertex bitmask of the p-th d-simplex, ``steps[d][p]``
-    its step and ``neighbours[v]`` v's neighbours at max(grid).  Vietoris-Rips
-    block p is the simplices whose longest edge is the p-th; ``first[p]``, its
-    ends' common neighbourhood on arrival, has its triangles' third vertices,
-    and a d-simplex's index (its position if kept) is ``offsets[d][p]``, the
-    d-simplices in earlier blocks, plus its rank by bitmask in its block.
+    A Vietoris-Rips filtration built full or to dimension <= 2 (for b0 or
+    b1) keeps its edges and counts the rest; every other one keeps every
+    simplex through ``max_dim`` (a full circle Cech one, its edges).
+    Counted simplices are never listed (see :func:`_filtration`); the budget
+    counts them all.  Kept simplices are in filtration order (nondecreasing
+    step, so every prefix ending at a step boundary is a per-scale complex):
+    ``edges[p]`` is the p-th edge, ``keys[d][p]`` the vertex bitmask of the
+    p-th d-simplex, ``steps[d][p]`` its step and ``neighbours[v]`` v's
+    neighbours at max(grid).  Only a Vietoris-Rips build to dimension 2 has
+    ``first`` and ``offsets``, one entry per edge: block p is the triangles
+    whose longest edge is the p-th, ``first[p]`` (its ends' common
+    neighbourhood on arrival) has their third vertices, and ``offsets[p]``
+    counts the triangles in earlier blocks.  A triangle's index is its
+    block's offset plus the rank of its third vertex in ``first[p]``.
     """
 
     num_vertices: int
@@ -215,7 +215,7 @@ class Filtration:
     steps: list[list[int]]
     neighbours: list[int]
     first: list[int]
-    offsets: list[list[int]]
+    offsets: list[int]
 
 
 def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
@@ -295,10 +295,9 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     dimension 2 for b1) lists no simplex of a block: the block's triangles
     are the vertices of ``cand`` (its popcount), and its d-simplices for
     d >= 3 the cliques of d - 1 vertices of ``cand``, counted for every d at
-    once by :func:`_clique_polynomial`.  Every other build (Vietoris-Rips
-    for b_k with k >= 2, circle Cech) walks the cliques of ``cand`` depth
-    first, and a Vietoris-Rips one counts its top dimension by the popcount
-    of the last level.
+    once by :func:`_clique_polynomial`.  Every other build walks the cliques
+    of ``cand`` depth first and lists them; a Vietoris-Rips walk meets the
+    blocks in edge order, so its simplices are in step order as they come.
 
     Raises when the complex at max(grid) has more than ``budget`` simplices,
     which is when some per-scale build on the grid would.  The total is
@@ -308,9 +307,10 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     the budget.
     """
     num_steps = len(grid)
-    blocks = max_dim != -1 and simplex_step is None  # Vietoris-Rips, truncated
-    top, kept_dim = (max(n - 1, 1), 1) if max_dim == -1 else (max_dim, max(max_dim - blocks, 1))
-    counted = kept_dim == 1 and simplex_step is None  # Vietoris-Rips, nothing kept above edges
+    counted = simplex_step is None and max_dim <= 2  # Vietoris-Rips, full or for b0/b1
+    indexed = simplex_step is None and max_dim == 2  # has first/offsets (see Filtration)
+    top = max(n - 1, 1) if max_dim == -1 else max_dim
+    kept_dim = 1 if counted or max_dim == -1 else max_dim
     iu, ju = np.triu_indices(n, k=1)
     pair_dist = dist[iu, ju]
     step = edge_step(pair_dist)
@@ -335,16 +335,15 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     for _ in range(2, kept_dim + 1):
         keys.append([])
         steps.append([])
-    first, offsets = [], [[] for _ in range(top + 1)] if blocks else []  # see Filtration
+    first, offsets = [], []
     nbr = [0] * n
-    for p, ((i, j), edge_s) in enumerate(zip(edges, edge_steps)):
+    for (i, j), edge_s in zip(edges, edge_steps):
         cand = nbr[i] & nbr[j]
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
-        if blocks:
+        if indexed:
             first.append(cand)
-            for d in range(2, top + 1):
-                offsets[d].append(sum(counts[d]))
+            offsets.append(sum(counts[2]))
         if not cand or top < 2:
             continue
         if counted:
@@ -375,15 +374,6 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
         stack = [((1 << i) | (1 << j), cand, 2, edge_s)]
         while stack:
             key, cand, dim, s0 = stack.pop()
-            if dim > kept_dim and simplex_step is None:
-                # the top dimension of a Vietoris-Rips build, only counted:
-                # every clique here enters with the edge
-                size = cand.bit_count()
-                total += size
-                if total > budget:
-                    raise SimplexBudgetError(budget)
-                counts[dim][s0] += size
-                continue
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -404,8 +394,6 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
                     sub = cand & nbr[low.bit_length() - 1]
                     if sub:
                         stack.append((new, sub, dim + 1, s))
-        for d in range(3, len(offsets) - 1):  # blocks of kept dims >= 3, by bitmask
-            keys[d][offsets[d][p]:] = sorted(keys[d][offsets[d][p]:])
 
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach

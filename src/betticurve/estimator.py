@@ -130,6 +130,8 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
     """Estimate the invariant at one fixed scale for an increasing list of n."""
     if not t > 0:  # false for NaN too
         raise ValueError("scale t must be positive")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     n_values = tuple(int(n) for n in n_values)
     if not n_values:
         raise ValueError("n_values must be nonempty")

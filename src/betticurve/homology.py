@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import and_
 
 from .errors import SimplexBudgetError
@@ -125,46 +125,42 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
 
 def _coboundary(f: Filtration):
     """The coboundary of the p-th dim-simplex over its cofacets' indices (see
-    :class:`~betticurve.complexes.Filtration`); a Vietoris-Rips cofacet's
-    block is that of its longest edge, found in an n x n table of edge positions."""
+    :class:`~betticurve.complexes.Filtration`): their stored positions, or,
+    in a Vietoris-Rips filtration for b1, which stores no triangle, the index
+    of a triangle from the block of its longest edge, found in an n x n
+    table of edge positions."""
     keys, nbr, first, offsets = f.keys, f.neighbours, f.first, f.offsets
     common = lambda key: reduce(and_, map(nbr.__getitem__, _iter_bits(key)))
-    if not offsets:  # circle Cech: stored positions, and some cliques are missing
+    if not offsets:  # stored positions; some circle Cech cliques are missing
         position = {key: q for group in keys for q, key in enumerate(group)}
 
         def stored(dim: int, p: int) -> int:
-            key = keys[dim][p]
-            cofacets = (key | 1 << v for v in _iter_bits(common(key)))
-            return sum(1 << position[c] for c in cofacets if c in position)
+            # one int from bytes: summing shifted ints adds the full width per cofacet
+            key, rows = keys[dim][p], bytearray(len(keys[dim + 1]) + 7 >> 3)
+            for v in _iter_bits(common(key)):
+                q = position.get(key | 1 << v)
+                if q is not None:
+                    rows[q >> 3] |= 1 << (q & 7)
+            return int.from_bytes(rows, "little")
         return stored
     pos = [[len(f.edges)] * len(nbr) for _ in nbr]  # the edge count where there is none
     for p, (a, b) in enumerate(f.edges):
         pos[a][b] = pos[b][a] = p
-    ranks: dict[tuple[int, int], dict[int, int]] = {}  # by (dim, block), when first needed
 
-    def blocked(dim: int, p: int) -> int:
-        key, cand, column = keys[dim][p], common(keys[dim][p]), 0
-        if dim == 1:  # a triangle's rank in its block is that of its third vertex
-            pa, pb = (pos[v] for v in f.edges[p])
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                v = low.bit_length() - 1
-                ra, rb = pa[v], pb[v]  # the longest edge, by comparisons: max() is slower
-                r = p if p > ra and p > rb else ra if ra > rb else rb
-                third = (key | low) ^ keys[1][r]
-                column |= 1 << (offsets[2][r] + (first[r] & (third - 1)).bit_count())
-            return column
-        for v in _iter_bits(cand):
-            r = max(pos[u][w] for u, w in combinations(_iter_bits(key | 1 << v), 2))
-            if (dim, r) not in ranks:  # block r's (dim+1)-simplices, by bitmask
-                ranks[dim, r] = {c: q for q, c in enumerate(sorted(
-                    sum(1 << u for u in c) for c in combinations(_iter_bits(first[r]), dim)
-                    if all(pos[u][w] < r for u, w in combinations(c, 2))))}
-            column |= 1 << (offsets[dim + 1][r] + ranks[dim, r][(key | 1 << v) ^ keys[1][r]])
+    def triangles(dim: int, p: int) -> int:  # dim is 1: edges are all this build keeps
+        key, cand, column = keys[1][p], common(keys[1][p]), 0
+        pa, pb = (pos[v] for v in f.edges[p])
+        while cand:  # a triangle's rank in its block is that of its third vertex
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            ra, rb = pa[v], pb[v]  # the longest edge, by comparisons: max() is slower
+            r = p if p > ra and p > rb else ra if ra > rb else rb
+            third = (key | low) ^ keys[1][r]
+            column |= 1 << (offsets[r] + (first[r] & (third - 1)).bit_count())
         return column
 
-    return blocked
+    return triangles
 
 
 def betti_curve(filtration: Filtration, i: int) -> list[int]:
@@ -180,12 +176,13 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     homology) over dimensions 1..i, taking columns in reverse filtration order
     and skipping, by clearing, the columns of simplices already known to be
     negative, whose reduced coboundaries are zero.  Rows are cofacet indices,
-    in step order.  A Vietoris-Rips edge p with ``first[p]`` nonzero pairs
-    with index ``offsets[2][p]``, its earliest cofacet, whose latest facet it
-    is, and its column is built only if another is reduced against it.  Each
-    step of a reduction must move the pivot later; if a column lacks the
-    pivot it is recorded under, the cofacet index is faulty and RuntimeError
-    is raised rather than reducing forever.
+    in step order.  In a Vietoris-Rips filtration for b1, an edge p with
+    ``first[p]`` nonzero pairs with triangle ``offsets[p]``, its earliest
+    cofacet, whose latest facet it is, and its column is built only if
+    another is reduced against it.  Each step of a reduction must move the
+    pivot later; if a column lacks the pivot it is recorded under, the
+    cofacet index is faulty and RuntimeError is raised rather than reducing
+    forever.
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
@@ -223,9 +220,9 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
         for p in range(len(filtration.keys[dim]) - 1, -1, -1):
             if p in cleared:
                 continue
-            if dim == 1 and filtration.offsets and filtration.first[p]:
+            if filtration.offsets and filtration.first[p]:
                 # its unreduced coboundary has a pivot no later column shares
-                owner[filtration.offsets[2][p]] = p
+                owner[filtration.offsets[p]] = p
                 negative[2][edge_steps[p]] += 1
                 continue
             col, low = coboundary()(dim, p), -1

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.circle_oracle import (MAX_ORACLE_N, circle_homotopy_prob,
-                                      circle_oracle_curve, irwin_hall_g)
+from betticurve.circle_oracle import MAX_ORACLE_N, circle_homotopy_prob, circle_oracle_curve
 
 
 # Independent slow path: the closed form of the module docstring evaluated
@@ -40,53 +39,6 @@ def reference_prob(n, r):
     bracket = (reference_antiderivative(m, u1) - reference_antiderivative(m, u0)
                - reference_g(m, u0))
     return float(n * rf ** n * bracket)
-
-
-class TestIrwinHall:
-    def test_point_values(self):
-        assert irwin_hall_g(3, 1.5) == pytest.approx(3.0)
-        assert irwin_hall_g(2, 2.0) == pytest.approx(2.0)
-        for n in range(1, 8):
-            assert irwin_hall_g(n, 0.0) == 0.0
-
-    def test_saturation(self):
-        assert irwin_hall_g(4, 10.0) == pytest.approx(math.factorial(4))
-        assert irwin_hall_g(6, 6.0) == pytest.approx(math.factorial(6))
-
-    def test_cdf_median_symmetry(self):
-        # the sum of n uniforms is symmetric about n/2
-        for n in (1, 2, 3, 5, 8):
-            assert irwin_hall_g(n, n / 2) == pytest.approx(math.factorial(n) / 2)
-
-    @given(st.integers(1, 8), st.floats(0.0, 8.0))
-    def test_reflection_identity(self, n, x):
-        total = irwin_hall_g(n, x) + irwin_hall_g(n, n - x)
-        assert total == pytest.approx(math.factorial(n), rel=1e-12)
-
-    def test_cdf_against_monte_carlo(self):
-        rng = np.random.default_rng(42)
-        draws = rng.random((100_000, 4)).sum(axis=1)
-        for x in (1.0, 1.7, 2.5, 3.2):
-            cdf = irwin_hall_g(4, x) / math.factorial(4)
-            emp = float(np.mean(draws <= x))
-            assert abs(emp - cdf) < 4 * math.sqrt(cdf * (1 - cdf) / 100_000) + 1e-9
-
-    @given(st.integers(1, 10), st.floats(-2.0, 12.0), st.floats(0.0, 0.5))
-    def test_nondecreasing(self, n, x, h):
-        assert irwin_hall_g(n, x + h) >= irwin_hall_g(n, x) - 1e-12
-
-    def test_non_finite_x_rejected(self):
-        for n in (0, 1, 3):
-            for x in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(ValueError):
-                    irwin_hall_g(n, x)
-
-    def test_equals_fraction_reference(self):
-        for n in range(1, 11):
-            # below 0, at 0, integers, at and beyond n, and non-dyadic points
-            for x in (-1.5, -0.0, 0.0, 1.0, 2.0, 3.0, float(n), n + 0.5, 12.0,
-                      0.1, 1 / 3, 2.7, n - 0.1, n / 3):
-                assert irwin_hall_g(n, x) == float(reference_g(n, Fraction(x))), (n, x)
 
 
 class TestHomotopyProbability:
@@ -147,11 +99,13 @@ class TestHomotopyProbability:
     def test_closed_form_integral_against_quadrature(self):
         # independent route: numerically integrate the Irwin-Hall factor
         from scipy.integrate import quad
+
+        def g(n, x):
+            return float(reference_g(n, Fraction(x)))
+
         for n, r in [(5, 0.25), (10, 0.2), (12, 0.3), (20, 0.15)]:
-            integral, err = quad(
-                lambda x: irwin_hall_g(n - 1, (1 - x) / r), 0.0, r, limit=200)
-            numeric = n * r ** (n - 1) * (
-                integral - r * irwin_hall_g(n - 1, 1 / r - 1))
+            integral, err = quad(lambda x: g(n - 1, (1 - x) / r), 0.0, r, limit=200)
+            numeric = n * r ** (n - 1) * (integral - r * g(n - 1, 1 / r - 1))
             exact = circle_homotopy_prob(n, r)
             assert numeric == pytest.approx(exact, rel=1e-7, abs=max(1e-9, 10 * err))
 

@@ -260,6 +260,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: scale t must be positive\n"
 
+    def test_non_finite_target_converge_usage(self, tmp_path, monkeypatch, capsys):
+        # refused before any trial runs
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        for target in ("nan", "inf", "-inf"):
+            capsys.readouterr()
+            code = run_cli(tmp_path, "converge", "--t", "0.1", "--n-values", "4,8",
+                           "--trials", "2", f"--target={target}",
+                           "--output", str(tmp_path / "x.csv"))
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: target must be finite, got {float(target)}\n"
+
     def test_missing_grid_usage(self, tmp_path):
         code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
                        "--output", str(tmp_path / "x.csv"))

@@ -84,7 +84,6 @@ class TestVietorisRipsEquivalence:
     def test_max_dim_above_needed(self, case, k, extra):
         # building (and counting) dimensions the Betti number never reads
         # must not change it; with n <= 7 an extra depth of 6 cuts nothing off.
-        # Kept dimensions >= 3 must be stored at their block indices.
         s, grid = case
         md = k + 1 + extra
         invariant = betti_invariant(k)
@@ -138,28 +137,37 @@ class TestVietorisRipsEquivalence:
     def test_four_cycle_curve(self, circle_points):
         s = circle_points([0, 0.25, 0.5, 0.75])
         grid = [0.1, 0.25, 0.5]
-        f = vr_filtration(s, grid, 3)
+        f = vr_filtration(s, grid, 2)
         assert [f.counts[1][k] for k in range(3)] == [0, 4, 2]
-        # the triangles are kept at their block index: by longest edge, then
-        # by bitmask; each diagonal's block is its two triangles
+        # a b1 build stores no triangle and indexes them by block: by longest
+        # edge, then by bitmask; each diagonal's block is its two triangles
         def longest(t):
             return max(f.edges.index(e) for e in combinations(t, 2))
         triangles = sorted(combinations(range(4), 3),
                            key=lambda t: (longest(t), sum(1 << v for v in t)))
-        assert f.keys[2] == [sum(1 << v for v in t) for t in triangles]
-        assert f.first[4:] == [0b1010, 0b0101] and f.offsets[2] == [0, 0, 0, 0, 0, 2]
+
+        def index(t):  # its block's offset plus the rank of its third vertex there
+            r = longest(t)
+            third = sum(1 << v for v in t) ^ f.keys[1][r]
+            return f.offsets[r] + (f.first[r] & (third - 1)).bit_count()
+        assert len(f.keys) == 2 and [index(t) for t in triangles] == [0, 1, 2, 3]
+        assert f.first[4:] == [0b1010, 0b0101] and f.offsets == [0, 0, 0, 0, 0, 2]
+        # a deeper build stores its triangles in that order, and has no index
+        deep = vr_filtration(s, grid, 3)
+        assert deep.keys[2] == [sum(1 << v for v in t) for t in triangles]
+        assert deep.keys[3] == [0b1111] and deep.first == deep.offsets == []
         cech = cech_filtration_circle(s, grid, 3)
         assert cech.first == cech.offsets == []
         assert betti_curve(f, 0) == [4, 1, 1]
-        assert betti_curve(f, 1) == [0, 1, 0]
-        assert betti_curve(f, 2) == [0, 0, 0]
+        assert betti_curve(f, 1) == betti_curve(deep, 1) == [0, 1, 0]
+        assert betti_curve(deep, 2) == [0, 0, 0]
         assert euler_curve(vr_filtration(s, grid)) == [4, 0, 1]
 
     @settings(max_examples=40, deadline=None)
     @given(cases(max_n=9))
     def test_apparent_pairs(self, case):
         # by brute force from the distances: every edge p with a triangle in
-        # its block pairs with index offsets[2][p], which is p's earliest
+        # its block pairs with index offsets[p], which is p's earliest
         # cofacet and has p as its latest facet
         s, grid = case
         f = vr_filtration(s, grid, 2)
@@ -172,19 +180,23 @@ class TestVietorisRipsEquivalence:
                            for t in combinations(range(len(s)), 3)
                            if all(e in position for e in combinations(t, 2)))
         assert sum(f.counts[2]) == len(triangles)
+        # which is the order a deeper build stores them in
+        assert vr_filtration(s, grid, 3).keys[2] == [key for _, key in triangles]
         for p, edge in enumerate(f.keys[1]):
             cofacets = [q for q, (_, key) in enumerate(triangles) if key & edge == edge]
             block = [key ^ edge for latest, key in triangles if latest == p]
             assert f.first[p] == sum(block)
             if block:
-                q = f.offsets[2][p]
+                q = f.offsets[p]
                 assert q == min(cofacets) and triangles[q][0] == p
 
     def test_steps_are_filtration_order(self):
         s = sample(flat_torus(2), 12, 5, 0)
-        f = vr_filtration(s, [0.2, 0.3, 0.4], 3)
-        assert len(f.keys) == 3 and sum(f.counts[3]) > 0  # dimension 3 is only counted
-        for dim in (1, 2):
+        grid = [0.2, 0.3, 0.4]
+        assert len(vr_filtration(s, grid, 2).keys) == 2  # triangles are only counted
+        f = vr_filtration(s, grid, 3)
+        assert len(f.keys) == 4 and sum(f.counts[3]) > 0  # dimension 3 is stored
+        for dim in (1, 2, 3):
             assert f.steps[dim] == sorted(f.steps[dim])
             assert len(f.steps[dim]) == sum(f.counts[dim])
 
@@ -275,6 +287,18 @@ class TestChainedReductions:
         curve = filtration_curve(s, grid, invariant, k + 1)
         assert curve == reference_curve(s, grid, invariant, k + 1)
         assert any(curve)
+
+    def test_circle_b3(self):
+        # on (1/3, 2/5) the Vietoris-Rips complex of the whole circle is an
+        # S^3, and so is that of a dense enough sample
+        grid = np.linspace(0.34, 0.39, 4).tolist()
+        curves = []
+        for seed in range(3):
+            s = sample(circle(), 30, seed, 0)
+            curve = filtration_curve(s, grid, betti_invariant(3), 4)
+            assert curve == reference_curve(s, grid, betti_invariant(3), 4)
+            curves.append(curve)
+        assert any(map(any, curves))
 
     def test_index_fault_raises(self):
         # a phantom third vertex below each block's earliest shifts its ranks

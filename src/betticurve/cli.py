@@ -87,6 +87,10 @@ class RunConfig:
             grid = self.grid
         elif self.t_min is None or self.t_max is None or self.steps is None:
             raise ValueError("provide either --grid or --t-min/--t-max/--steps")
+        elif self.steps < 1:
+            raise ValueError(f"--steps must be >= 1, got {self.steps}")
+        elif self.steps == 1 and self.t_min != self.t_max:
+            raise ValueError("--steps 1 needs --t-min equal to --t-max")
         else:
             grid = np.linspace(self.t_min, self.t_max, self.steps)
         return check_grid(grid)

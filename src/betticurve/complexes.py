@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,9 +125,18 @@ def _expand_cliques(n: int, edges: list[tuple[int, int]], nbr: list[int],
     return SimplicialComplex(n, by_dim, built)
 
 
+@lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only: the i < j vertex pairs, row by row."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def _edges_and_adjacency(dist: np.ndarray, threshold: float, strict: bool):
     n = dist.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pairs(n)
     if strict:
         mask = dist[iu, ju] < threshold
     else:
@@ -311,7 +321,7 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     indexed = simplex_step is None and max_dim == 2  # has first/offsets (see Filtration)
     top = max(n - 1, 1) if max_dim == -1 else max_dim
     kept_dim = 1 if counted or max_dim == -1 else max_dim
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pairs(n)
     pair_dist = dist[iu, ju]
     step = edge_step(pair_dist)
     keep = step < num_steps
@@ -336,6 +346,7 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
         keys.append([])
         steps.append([])
     first, offsets = [], []
+    triangles = 0  # in the blocks so far, when indexed
     nbr = [0] * n
     for (i, j), edge_s in zip(edges, edge_steps):
         cand = nbr[i] & nbr[j]
@@ -343,7 +354,8 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
         nbr[j] |= 1 << i
         if indexed:
             first.append(cand)
-            offsets.append(sum(counts[2]))
+            offsets.append(triangles)
+            triangles += cand.bit_count()
         if not cand or top < 2:
             continue
         if counted:
@@ -457,5 +469,5 @@ def edge_count(s: PointSample, t: float) -> int:
     if not t >= 0:  # false for NaN too
         raise ValueError("scale t must be nonnegative")
     dist = pairwise_distances(s)
-    iu, ju = np.triu_indices(len(s), k=1)
+    iu, ju = _pairs(len(s))
     return int(np.count_nonzero(dist[iu, ju] <= t))

@@ -227,13 +227,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: grid scales must be finite\n"
         # a linspace grid goes through the same check as --grid
         for linspace, message in ((["--t-min", "0.1", "--t-max", "0.2", "--steps", "0"],
-                                   "grid must be nonempty"),
+                                   "--steps must be >= 1, got 0"),
                                   (["--t-min", "-0.1", "--t-max", "0.2", "--steps", "3"],
                                    "grid scales must be nonnegative")):
             capsys.readouterr()
             code = run_cli(tmp_path, "oracle", *linspace, "--output", str(tmp_path / "x.csv"))
             assert code == EXIT_USAGE
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["curve", "oracle"])
+    @pytest.mark.parametrize("steps, message", [
+        ("-2", "--steps must be >= 1, got -2"),
+        ("1", "--steps 1 needs --t-min equal to --t-max")])
+    def test_bad_steps_usage(self, tmp_path, monkeypatch, capsys, command, steps, message):
+        # refused before any trial runs, rather than dropping --t-max or
+        # failing inside numpy
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        code = run_cli(tmp_path, command, "--n", "5", "--t-min", "0.1", "--t-max", "0.3",
+                       f"--steps={steps}", "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_output_in_missing_directory_usage(self, tmp_path, monkeypatch, capsys):
         # refused before any trial runs

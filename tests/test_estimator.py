@@ -1,8 +1,12 @@
 import math
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from betticurve import estimator
 from betticurve.circle_oracle import circle_homotopy_prob
 from betticurve.estimator import (CECH, VR, convergence_study, estimate_curve,
                                   max_discrete_slope)
@@ -13,6 +17,50 @@ from betticurve.complexes import vr_complex
 B0 = betti_invariant(0)
 B1 = betti_invariant(1)
 EULER = euler_invariant()
+
+
+class InlinePool:
+    """Stand-in for ``estimator.ProcessPoolExecutor`` that runs the jobs in
+    this process and records each pool's ``max_workers``."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        InlinePool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlinePool, "made", [])
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+RAN_DIR = "BETTICURVE_TEST_RAN_DIR"
+_real_trial_values = estimator._trial_values
+
+
+def recording_trial(*args):
+    """``_trial_values`` that leaves a file per job it starts, in the
+    directory named by $BETTICURVE_TEST_RAN_DIR (pool workers inherit it);
+    jobs with n > 30 only sleep, so that a study is still running them when
+    an earlier job fails."""
+    n, trial_index = args[-1]
+    Path(os.environ[RAN_DIR], f"{n}-{trial_index}").touch()
+    if n > 30:
+        time.sleep(0.05)
+        return [0.0]
+    return _real_trial_values(*args)
 
 
 class TestValidation:
@@ -125,7 +173,33 @@ class TestConvergenceStudy:
         assert table.abs_error[-1] < table.abs_error[0]
         assert table.abs_error[-1] < 0.1
 
+    def test_worker_count_does_not_change_bits(self):
+        # n values of unequal cost share one pool's chunks
+        tables = [convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0,
+                                    workers=workers)
+                  for workers in (1, 2, 3)]
+        for table in tables[1:]:
+            for name in ("mean", "variance", "stderr", "abs_error"):
+                np.testing.assert_array_equal(getattr(table, name), getattr(tables[0], name))
+
+    def test_one_pool_per_study(self, inline_pool):
+        serial = convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0)
+        assert inline_pool.made == []
+        pooled = convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0,
+                                   workers=2)
+        assert inline_pool.made == [2]
+        np.testing.assert_array_equal(pooled.mean, serial.mean)
+        np.testing.assert_array_equal(pooled.variance, serial.variance)
+
+    def test_never_more_workers_than_jobs(self, inline_pool):
+        estimate_curve(circle(), VR, B1, 5, [0.1], 4, 0, workers=8)
+        estimate_curve(circle(), VR, B1, 5, [0.1], 4, 0, workers=3)
+        convergence_study(circle(), VR, B1, 0.1, [4, 8], 2, 0, target=1.0, workers=8)
+        assert inline_pool.made == [4, 3, 4]
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            convergence_study(circle(), VR, B1, 0.1, [0, 8], 100, 0, target=0.5)
         with pytest.raises(ValueError):
             convergence_study(circle(), VR, B1, 0.0, [4, 8], 100, 0, target=0.5)
         with pytest.raises(ValueError):
@@ -230,10 +304,30 @@ class TestBudgetPropagation:
         # every n runs with the same master seed, so the trial alone does not
         # say where to replay: n=5 stays within the budget, n=30 does not
         from betticurve.errors import SimplexBudgetError
-        with pytest.raises(SimplexBudgetError) as info:
-            convergence_study(circle(), VR, B1, 0.3, (5, 30), 4, 0, 1.0, budget=200)
-        assert (info.value.master_seed, info.value.trial_index, info.value.n) == (0, 0, 30)
+        for workers in (1, 2):
+            with pytest.raises(SimplexBudgetError) as info:
+                convergence_study(circle(), VR, B1, 0.3, (5, 30), 4, 0, 1.0, workers=workers,
+                                  budget=200)
+            assert (info.value.master_seed, info.value.trial_index, info.value.n) == (0, 0, 30)
         estimate_curve(circle(), VR, B1, 5, [0.3], 4, 0, budget=200)
+
+    def test_convergence_overrun_cancels_the_larger_n(self, tmp_path, monkeypatch):
+        # one pool runs the whole study, 60 jobs in 8 chunks of 8; the first
+        # (n=5 and n=30) overruns, and the chunks not yet handed to a worker
+        # are cancelled: the other worker's, the one the first worker takes
+        # next and the three in the pool's call queue (max_workers + 1) still
+        # run, so chunks 7 and 8 (n >= 41) never start
+        from betticurve.errors import SimplexBudgetError
+        monkeypatch.setenv(RAN_DIR, str(tmp_path))
+        monkeypatch.setattr(estimator, "_trial_values", recording_trial)
+        n_values = (5, 30) + tuple(range(31, 44))
+        with pytest.raises(SimplexBudgetError) as info:
+            convergence_study(circle(), VR, B1, 0.3, n_values, 4, 0, 1.0, workers=2,
+                              budget=200)
+        assert (info.value.master_seed, info.value.trial_index, info.value.n) == (0, 0, 30)
+        ran = {int(name.split("-")[0]) for name in os.listdir(tmp_path)}
+        assert {5, 30} <= ran
+        assert max(ran) <= 40
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

@@ -9,7 +9,7 @@ context.
 import argparse
 import sys
 
-from betticurve.circle_oracle import MAX_ORACLE_N, circle_homotopy_prob
+from betticurve.circle_oracle import MAX_ORACLE_N, circle_homotopy_prob, in_oracle_domain
 from betticurve.estimator import VR, convergence_study
 from betticurve.homology import betti_invariant
 from betticurve.manifolds import circle
@@ -39,7 +39,7 @@ def main(argv=None) -> int:
               f"{table.stderr[k]:>10.4f} {table.abs_error[k]:>10.4f}")
 
     n_max = max(args.n_values)
-    if n_max <= MAX_ORACLE_N and 0 < args.t < 1 / 3:
+    if n_max <= MAX_ORACLE_N and in_oracle_domain(args.t):
         p = circle_homotopy_prob(n_max, args.t)
         print(f"exact P(n={n_max}, r={args.t}) = {p:.6f}")
     return 0

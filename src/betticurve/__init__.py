@@ -1,7 +1,7 @@
 """Monte Carlo curves of topological invariants of random geometric complexes,
 validated against an exact closed-form oracle on the circle."""
 
-from .circle_oracle import CircleOracleEval, circle_homotopy_prob, circle_oracle_curve
+from .circle_oracle import circle_homotopy_prob
 from .complexes import (Filtration, SimplicialComplex, cech_complex_circle,
                         cech_filtration_circle, edge_count, vr_complex, vr_filtration)
 from .errors import SimplexBudgetError, UnsupportedDomainError

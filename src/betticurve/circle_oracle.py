@@ -47,8 +47,6 @@ float is the exact p rounded once, as it would be from rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Exact arithmetic has no precision ceiling; this cap only bounds runtime.
 MAX_ORACLE_N = 1000
 
@@ -86,34 +84,3 @@ def circle_homotopy_prob(n: int, r: float) -> float:
     a, b = float(r).as_integer_ratio()
     return _alternating_sum(n, b, a, n - 1) / b ** (n - 1)
 
-
-@dataclass(frozen=True)
-class CircleOracleEval:
-    """Exact oracle values at one (n, r) point."""
-
-    n: int
-    r: float
-    p_circle: float
-    expected_b1: float
-    variance_b1: float
-
-
-def circle_oracle_curve(n: int, r_grid) -> list[CircleOracleEval]:
-    """Pointwise oracle evaluation on a strictly increasing grid in (0, 1/3).
-
-    The whole grid is checked before any point is evaluated.  The Bernoulli
-    identity gives expected_b1 = p and variance_b1 = p(1-p).
-    """
-    grid = [float(r) for r in r_grid]
-    for a, b in zip(grid, grid[1:]):
-        if not a < b:
-            raise ValueError("r grid must be strictly increasing")
-    for r in grid:
-        if not in_oracle_domain(r):
-            raise ValueError(f"grid point r={r} outside the validity domain (0, 1/3)")
-    out = []
-    for r in grid:
-        p = circle_homotopy_prob(n, r)
-        out.append(CircleOracleEval(n=n, r=r, p_circle=p,
-                                    expected_b1=p, variance_b1=p * (1.0 - p)))
-    return out

@@ -59,7 +59,7 @@ class RunConfig:
     t: float | None = None
     n_values: list[int] = field(default_factory=list)
     target: float | None = None
-    target_source: str = "reference value"
+    target_source: str = "reference value"  # no option sets it; the config line keeps it
     output: str | None = None
     fmt: str = "csv"
 
@@ -83,6 +83,8 @@ class RunConfig:
         raise ValueError(f"unknown invariant {self.invariant!r}")
 
     def resolved_grid(self) -> tuple[float, ...]:
+        if self.grid and (self.t_min, self.t_max, self.steps) != (None, None, None):
+            raise ValueError("provide either --grid or --t-min/--t-max/--steps, not both")
         if self.grid:
             grid = self.grid
         elif self.t_min is None or self.t_max is None or self.steps is None:
@@ -121,16 +123,22 @@ def _write_table(config: RunConfig, header: list[str], rows: list[list], path: s
 
 def _output_path(config: RunConfig, default: str) -> str:
     """``--output`` (or ``default``), refused before any trial runs if its
-    directory is missing, with the error that writing it would raise; the
-    file itself is neither created nor truncated here."""
+    directory is missing or it is a directory, with the error that writing
+    it would raise; the file itself is neither created nor truncated here."""
     path = config.output or default
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return path
 
 
+def _plot_script_path(csv_path: str) -> str:
+    return os.path.splitext(csv_path)[0] + ".gp"
+
+
 def _write_plot_script(csv_path: str, with_oracle: bool) -> str:
-    gp_path = os.path.splitext(csv_path)[0] + ".gp"
+    gp_path = _plot_script_path(csv_path)
     csv_name = os.path.basename(csv_path)
     lines = [
         f"# gnuplot script for {csv_name}: expectation and variance vs scale",
@@ -162,6 +170,9 @@ def _oracle_value(config: RunConfig, t: float) -> float | None:
 def run_curve(config: RunConfig) -> int:
     grid = config.resolved_grid()
     out = _output_path(config, "curve." + config.fmt)
+    if config.fmt == "csv" and _plot_script_path(out) == out:
+        raise ValueError(f"--output {out} is the path of its own gnuplot script; "
+                         "give the CSV another extension")
     est = estimator.estimate_curve(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
         config.n, grid, config.trials, config.master_seed, workers=config.workers)
@@ -181,8 +192,13 @@ def run_curve(config: RunConfig) -> int:
 def run_oracle(config: RunConfig) -> int:
     grid = config.resolved_grid()
     out = _output_path(config, "oracle." + config.fmt)
-    evals = circle_oracle.circle_oracle_curve(config.n, grid)
-    rows = [[e.r, e.n, e.p_circle, e.expected_b1, e.variance_b1] for e in evals]
+    for r in grid:  # the whole grid, before any point is evaluated
+        if not circle_oracle.in_oracle_domain(r):
+            raise ValueError(f"grid point r={r} outside the validity domain (0, 1/3)")
+    rows = []
+    for r in grid:  # b1 is Bernoulli(p): E[b1] = p, Var[b1] = p(1-p)
+        p = circle_oracle.circle_homotopy_prob(config.n, r)
+        rows.append([r, config.n, p, p, p * (1.0 - p)])
     _write_table(config, ["r", "n", "p", "expected_b1", "variance_b1"], rows, out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -197,7 +213,7 @@ def run_converge(config: RunConfig) -> int:
     table = estimator.convergence_study(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
         config.t, config.n_values, config.trials, config.master_seed,
-        config.target, target_source=config.target_source, workers=config.workers)
+        config.target, workers=config.workers)
     rows = []
     for k, n in enumerate(table.n_values):
         rows.append([n, table.t, config.trials, float(table.mean[k]),
@@ -337,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--t", type=float)
     p_conv.add_argument("--n-values", type=_int_list, dest="n_values")
     p_conv.add_argument("--target", type=float)
-    p_conv.add_argument("--target-source", type=str, dest="target_source")
 
     p_self = add_subparser("selftest", "fast statistical and structural self-checks")
     p_self.add_argument("--seed", type=int, dest="master_seed")

@@ -45,12 +45,8 @@ CECH = "cech"
 class CurveEstimate:
     """Monte Carlo estimate of a scale-to-invariant curve."""
 
-    manifold: ManifoldModel
-    invariant: InvariantSpec
-    complex_kind: str
     n: int
     trials: int
-    master_seed: int
     grid: tuple[float, ...]
     mean: np.ndarray
     variance: np.ndarray
@@ -61,13 +57,9 @@ class CurveEstimate:
 class ConvergenceTable:
     """Per-n estimates at a fixed scale, against a reference target value."""
 
-    manifold: ManifoldModel
-    invariant: InvariantSpec
-    complex_kind: str
     t: float
     n_values: tuple[int, ...]
     trials: int
-    master_seed: int
     mean: np.ndarray
     variance: np.ndarray
     stderr: np.ndarray
@@ -154,10 +146,8 @@ def estimate_curve(manifold: ManifoldModel, complex_kind: str, invariant: Invari
     grid = _check_run(manifold, complex_kind, (n,), grid, trials, workers)
     [(mean, variance, stderr)] = _run_trials(manifold, complex_kind, invariant, (n,), grid,
                                              trials, master_seed, budget, workers)
-    return CurveEstimate(
-        manifold=manifold, invariant=invariant, complex_kind=complex_kind,
-        n=n, trials=trials, master_seed=master_seed, grid=grid,
-        mean=mean, variance=variance, stderr=stderr)
+    return CurveEstimate(n=n, trials=trials, grid=grid,
+                         mean=mean, variance=variance, stderr=stderr)
 
 
 def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: InvariantSpec,
@@ -185,10 +175,8 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
     # each n's moments are arrays over the one-scale grid (t,)
     mean, variance, stderr = (np.asarray([at_n[0] for at_n in moment]) for moment in zip(*per_n))
     return ConvergenceTable(
-        manifold=manifold, invariant=invariant, complex_kind=complex_kind,
-        t=float(t), n_values=n_values, trials=trials, master_seed=master_seed,
-        mean=mean, variance=variance, stderr=stderr, target=float(target),
-        target_source=target_source)
+        t=float(t), n_values=n_values, trials=trials, mean=mean, variance=variance,
+        stderr=stderr, target=float(target), target_source=target_source)
 
 
 def max_discrete_slope(grid, values) -> tuple[float, tuple[float, float]]:

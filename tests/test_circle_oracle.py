@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.circle_oracle import MAX_ORACLE_N, circle_homotopy_prob, circle_oracle_curve
+from betticurve.circle_oracle import MAX_ORACLE_N, circle_homotopy_prob
 
 
 # Independent slow path: the closed form of the module docstring evaluated
@@ -111,28 +111,6 @@ class TestHomotopyProbability:
 
 
 class TestOracleCurve:
-    def test_two_point_curve_is_zero(self):
-        evals = circle_oracle_curve(2, np.linspace(0.05, 0.3, 7))
-        assert all(e.expected_b1 == 0.0 for e in evals)
-
-    def test_output_length_and_bernoulli_identity(self):
-        grid = np.linspace(0.05, 0.3, 11)
-        evals = circle_oracle_curve(12, grid)
-        assert len(evals) == len(grid)
-        for e in evals:
-            assert e.expected_b1 == e.p_circle
-            assert e.variance_b1 == e.p_circle * (1.0 - e.p_circle)
-
-    def test_monotone_example(self):
-        a, b = circle_oracle_curve(50, [0.05, 0.15])
-        assert a.p_circle <= b.p_circle
-
-    def test_offending_grid_point_reported(self):
-        with pytest.raises(ValueError, match="0.4"):
-            circle_oracle_curve(10, [0.1, 0.2, 0.4])
-        with pytest.raises(ValueError, match="increasing"):
-            circle_oracle_curve(10, [0.2, 0.1])
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 25))
     def test_slope_refinement_stabilizes(self, n):

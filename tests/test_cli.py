@@ -143,6 +143,7 @@ class TestOracleCommand:
             p = float(row[2])
             assert 0.0 <= p <= 1.0
             assert float(row[3]) == p
+            assert float(row[4]) == p * (1 - p)
 
     def test_config_line_is_pinned(self, tmp_path, monkeypatch):
         # the oracle parser sets no estimation option: RunConfig's defaults fill them
@@ -189,7 +190,8 @@ class TestOracleCommand:
         code = run_cli(tmp_path, "oracle", "--n", "10", "--grid", "0.1,0.5",
                        "--output", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: grid point r=0.5 outside the validity domain (0, 1/3)\n"
 
 
 class TestConvergeCommand:
@@ -218,6 +220,11 @@ class TestExitCodes:
             code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "10",
                            "--grid", grid, "--output", str(tmp_path / "x.csv"))
             assert code == EXIT_USAGE
+        capsys.readouterr()
+        code = run_cli(tmp_path, "oracle", "--n", "10", "--grid", "0.2,0.1",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: grid must be strictly increasing\n"
         # an infinite scale is refused before any trial runs
         monkeypatch.setattr(cli.estimator, "_trial_values", None)
         capsys.readouterr()
@@ -258,6 +265,44 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == \
             f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--n", "5", "--trials", "2", "--grid", "0.1"],
+        ["oracle", "--n", "5", "--grid", "0.1"],
+        ["converge", "--t", "0.1", "--n-values", "4,8", "--trials", "2", "--target", "0.5"]],
+        ids=["curve", "oracle", "converge"])
+    def test_output_is_a_directory_usage(self, tmp_path, monkeypatch, capsys, argv):
+        # refused before any trial runs, with the error writing it would raise
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        code = run_cli(tmp_path, *argv, "--output", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_output_is_its_own_plot_script_usage(self, tmp_path, monkeypatch, capsys):
+        # the gnuplot script would overwrite the CSV; nothing is written
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        out = tmp_path / "x.gp"
+        code = run_cli(tmp_path, "curve", "--n", "5", "--trials", "2",
+                       "--grid", "0.1", "--output", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: --output {out} is the path of its own gnuplot script; "
+            "give the CSV another extension\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["curve", "oracle"])
+    def test_grid_with_linspace_usage(self, tmp_path, monkeypatch, capsys, command):
+        # --grid does not silently win over --t-min/--t-max/--steps
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        for linspace in (["--t-min", "0.1", "--t-max", "0.2", "--steps", "2"], ["--steps", "2"]):
+            capsys.readouterr()
+            code = run_cli(tmp_path, command, "--n", "5", *linspace, "--grid", "0.3",
+                           "--output", str(tmp_path / "x.csv"))
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == \
+                "error: provide either --grid or --t-min/--t-max/--steps, not both\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_in_missing_directory_converge_usage(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli.estimator, "_trial_values", None)

@@ -7,6 +7,8 @@ arguments, so a change to the library calls they make fails here.
 import runpy
 from pathlib import Path
 
+from betticurve import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,3 +31,18 @@ def test_convergence_experiment(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("t = 0.1, trials = 4")
     assert "exact P(n=8, r=0.1)" in out
+
+
+def test_convergence_experiment_exact_line_at_float_third(tmp_path, monkeypatch, capsys):
+    # the float nearest 1/3 lies below 1/3: the script, like curve's oracle
+    # column, is inside the oracle's domain there and prints the same value
+    monkeypatch.chdir(tmp_path)
+    t = repr(1 / 3)
+    main = load_main("convergence_experiment.py")
+    assert main(["--t", t, "--n-values", "4", "8", "--trials", "4"]) == 0
+    exact = [line for line in capsys.readouterr().out.splitlines() if line.startswith("exact")]
+    assert cli.main(["curve", "--n", "8", "--trials", "2", "--grid", t,
+                     "--output", "c.csv"]) == 0
+    with open("c.csv") as fh:
+        oracle_p = float(fh.read().splitlines()[-1].split(",")[-1])
+    assert exact == [f"exact P(n=8, r={t}) = {oracle_p:.6f}"]

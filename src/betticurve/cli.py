@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import circle_oracle, estimator, manifolds
-from .complexes import (cech_complex_circle, check_grid, edge_count, vr_complex,
-                        vr_filtration)
+from .complexes import cech_complex_circle, check_grid, vr_complex, vr_filtration
 from .errors import SimplexBudgetError
 from .homology import InvariantSpec, betti_invariant, euler_invariant
 from .manifolds import ManifoldModel, PointSample
@@ -40,7 +39,8 @@ class RunConfig:
     """Complete, serializable description of one CLI run.
 
     The field defaults are the CLI's defaults: the parsers set only the
-    options given on the command line.
+    options given on the command line, except ``selftest --trials``, which
+    defaults to 2000.
     """
 
     subcommand: str
@@ -121,11 +121,10 @@ def _write_table(config: RunConfig, header: list[str], rows: list[list], path: s
             fh.write("\n")
 
 
-def _output_path(config: RunConfig, default: str) -> str:
-    """``--output`` (or ``default``), refused before any trial runs if its
-    directory is missing or it is a directory, with the error that writing
-    it would raise; the file itself is neither created nor truncated here."""
-    path = config.output or default
+def _output_path(path: str) -> str:
+    """``path``, refused before any trial runs if its directory is missing or
+    it is a directory, with the error that writing it would raise; the file
+    itself is neither created nor truncated here."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
@@ -169,10 +168,13 @@ def _oracle_value(config: RunConfig, t: float) -> float | None:
 
 def run_curve(config: RunConfig) -> int:
     grid = config.resolved_grid()
-    out = _output_path(config, "curve." + config.fmt)
-    if config.fmt == "csv" and _plot_script_path(out) == out:
-        raise ValueError(f"--output {out} is the path of its own gnuplot script; "
-                         "give the CSV another extension")
+    out = _output_path(config.output or "curve." + config.fmt)
+    if config.fmt == "csv":
+        gp_path = _plot_script_path(out)
+        if gp_path == out:
+            raise ValueError(f"--output {out} is the path of its own gnuplot script; "
+                             "give the CSV another extension")
+        _output_path(gp_path)
     est = estimator.estimate_curve(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
         config.n, grid, config.trials, config.master_seed, workers=config.workers)
@@ -191,7 +193,7 @@ def run_curve(config: RunConfig) -> int:
 
 def run_oracle(config: RunConfig) -> int:
     grid = config.resolved_grid()
-    out = _output_path(config, "oracle." + config.fmt)
+    out = _output_path(config.output or "oracle." + config.fmt)
     for r in grid:  # the whole grid, before any point is evaluated
         if not circle_oracle.in_oracle_domain(r):
             raise ValueError(f"grid point r={r} outside the validity domain (0, 1/3)")
@@ -209,7 +211,7 @@ def run_converge(config: RunConfig) -> int:
         raise ValueError("converge needs --t and --n-values")
     if config.target is None:
         raise ValueError("converge needs --target")
-    out = _output_path(config, "converge." + config.fmt)
+    out = _output_path(config.output or "converge." + config.fmt)
     table = estimator.convergence_study(
         config.manifold_model(), config.complex_kind, config.invariant_spec(),
         config.t, config.n_values, config.trials, config.master_seed,
@@ -251,15 +253,16 @@ def _selftest_checks(config: RunConfig):
                f"mean={est2.mean[k]:.4f} exact={expect:.4f} band={band:.4f}")
 
     # closed VR edge convention: edges at exactly d == t must be present, in
-    # the estimator's build and in the independent count
-    quad = PointSample(circ, np.array([0.0, 0.25, 0.5, 0.75]), 0, 0)
-    built, counted = vr_filtration(quad, [0.25]).counts[1], edge_count(quad, 0.25)
-    yield ("vr-closed-convention", built == [4] and counted == 4,
-           f"filtration edges={built} edge_count={counted} (want [4] and 4)")
+    # the estimator's build and in the per-scale one
+    quad = PointSample(circ, np.array([0.0, 0.25, 0.5, 0.75]))
+    built = vr_filtration(quad, [0.25]).counts[1]
+    listed = len(vr_complex(quad, 0.25, 1).simplices(1))
+    yield ("vr-closed-convention", built == [4] and listed == 4,
+           f"filtration edges={built} vr_complex edges={listed} (want [4] and 4)")
 
     # full VR counts on the octahedron, the six points +-e_i of the sphere at
     # t = pi/2 (a 2-sphere): the counted build against the per-scale one
-    octahedron = PointSample(manifolds.sphere2(), np.vstack([np.eye(3), -np.eye(3)]), 0, 0)
+    octahedron = PointSample(manifolds.sphere2(), np.vstack([np.eye(3), -np.eye(3)]))
     full = vr_filtration(octahedron, [math.pi / 2])
     per_scale = vr_complex(octahedron, math.pi / 2)
     listed = [[len(per_scale.simplices(d))] for d in range(per_scale.dimension + 1)]
@@ -362,18 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig of the options given; BETTI_WORKERS stands in for --workers."""
-    fields = dict(vars(args))
-    env = os.environ.get("BETTI_WORKERS")
-    if "workers" not in fields and env:
-        try:
-            fields["workers"] = int(env)
-        except ValueError:
-            raise ValueError(f"BETTI_WORKERS must be an integer, got {env!r}") from None
-    return RunConfig(**fields)
-
-
 def run(config: RunConfig) -> int:
     handlers = {"curve": run_curve, "oracle": run_oracle,
                 "converge": run_converge, "selftest": run_selftest}
@@ -383,7 +374,7 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(RunConfig(**vars(args)))
     except SimplexBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.trial_index is not None:

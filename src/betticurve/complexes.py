@@ -89,8 +89,6 @@ def _expand_cliques(n: int, edges: list[tuple[int, int]], nbr: list[int],
     count = n
     if count > budget:
         raise SimplexBudgetError(budget)
-    if max_dim == 0:
-        return SimplicialComplex(n, by_dim, 0 if edges else -1)
     by_dim[1] = [tuple(e) for e in edges]
     count += len(edges)
     if count > budget:
@@ -463,11 +461,3 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
                        lambda d: np.searchsorted(doubled, d, side="right"),
                        grid, md, budget, simplex_step=arc_step)
 
-
-def edge_count(s: PointSample, t: float) -> int:
-    """Number of point pairs at distance <= t."""
-    if not t >= 0:  # false for NaN too
-        raise ValueError("scale t must be nonnegative")
-    dist = pairwise_distances(s)
-    iu, ju = _pairs(len(s))
-    return int(np.count_nonzero(dist[iu, ju] <= t))

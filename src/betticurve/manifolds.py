@@ -81,12 +81,10 @@ def sphere2() -> ManifoldModel:
 
 @dataclass(frozen=True, eq=False)
 class PointSample:
-    """An ordered i.i.d. sample on a manifold with full seed provenance."""
+    """An ordered sample of points on a manifold."""
 
     manifold: ManifoldModel
     points: np.ndarray
-    master_seed: int
-    trial_index: int
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -111,7 +109,7 @@ def sample(manifold: ManifoldModel, n: int, master_seed: int,
             norms = np.linalg.norm(pts, axis=1)
         pts = pts / norms[:, None]
     pts.setflags(write=False)
-    return PointSample(manifold, pts, master_seed, trial_index)
+    return PointSample(manifold, pts)
 
 
 def pairwise_distances(s: PointSample) -> np.ndarray:

@@ -11,7 +11,7 @@ def circle_points():
     def make(coords):
         pts = np.asarray(coords, dtype=float)
         pts.setflags(write=False)
-        return PointSample(circle(), pts, master_seed=0, trial_index=0)
+        return PointSample(circle(), pts)
 
     return make
 

@@ -106,9 +106,8 @@ class TestCurveCommand:
         _, _, body2 = read_csv(config.output)
         assert body1 == body2
 
-    def test_config_line_is_pinned(self, tmp_path, monkeypatch):
+    def test_config_line_is_pinned(self, tmp_path):
         # every RunConfig field appears, defaults included, in sorted key order
-        monkeypatch.delenv("BETTI_WORKERS", raising=False)
         out = str(tmp_path / "a.csv")
         run_cli(tmp_path, "curve", "--n", "7", "--trials", "40", "--seed", "9",
                 "--grid", "0.05,0.15,0.25", "--output", out)
@@ -145,9 +144,8 @@ class TestOracleCommand:
             assert float(row[3]) == p
             assert float(row[4]) == p * (1 - p)
 
-    def test_config_line_is_pinned(self, tmp_path, monkeypatch):
+    def test_config_line_is_pinned(self, tmp_path):
         # the oracle parser sets no estimation option: RunConfig's defaults fill them
-        monkeypatch.delenv("BETTI_WORKERS", raising=False)
         out = str(tmp_path / "o.csv")
         run_cli(tmp_path, "oracle", "--n", "12", "--t-min", "0.05", "--t-max", "0.3",
                 "--steps", "6", "--output", out)
@@ -291,6 +289,17 @@ class TestExitCodes:
             "give the CSV another extension\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_plot_script_is_a_directory_usage(self, tmp_path, monkeypatch, capsys):
+        # refused before any trial runs; the CSV is not written either
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        (tmp_path / "d.gp").mkdir()
+        code = run_cli(tmp_path, "curve", "--n", "8", "--trials", "4", "--grid", "0.1,0.2",
+                       "--output", str(tmp_path / "d.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: [Errno 21] Is a directory: {str(tmp_path / 'd.gp')!r}\n"
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("command", ["curve", "oracle"])
     def test_grid_with_linspace_usage(self, tmp_path, monkeypatch, capsys, command):
         # --grid does not silently win over --t-min/--t-max/--steps
@@ -384,23 +393,18 @@ class TestSelftest:
 
 
 class TestWorkers:
-    def test_env_variable_respected(self, monkeypatch):
-        monkeypatch.setenv("BETTI_WORKERS", "3")
-        args = cli.build_parser().parse_args(["curve", "--grid", "0.1"])
-        assert cli.config_from_args(args).workers == 3
-
-    def test_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("BETTI_WORKERS", "3")
-        args = cli.build_parser().parse_args(
-            ["curve", "--grid", "0.1", "--workers", "2"])
-        assert cli.config_from_args(args).workers == 2
-
-    def test_non_integer_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BETTI_WORKERS", "abc")
-        code = run_cli(tmp_path, "oracle", "--n", "5", "--grid", "0.1",
-                       "--output", str(tmp_path / "x.csv"))
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: BETTI_WORKERS must be an integer, got 'abc'\n"
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        # the command line alone sets a run's configuration
+        lines = []
+        for value in (None, "abc", "3"):
+            if value is not None:
+                monkeypatch.setenv("BETTI_WORKERS", value)
+            out = str(tmp_path / "x.csv")
+            assert run_cli(tmp_path, "oracle", "--n", "5", "--grid", "0.1",
+                           "--output", out) == EXIT_OK
+            lines.append(read_csv(out)[0][1])
+        assert lines[0] == lines[1] == lines[2]
+        assert json.loads(lines[0].split("# config: ", 1)[1])["workers"] == 1
 
     def test_worker_count_preserves_output_bytes(self, tmp_path):
         outs = []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.complexes import cech_complex_circle, edge_count, vr_complex
+from betticurve.complexes import cech_complex_circle, vr_complex
 from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
 from betticurve.manifolds import circle, pairwise_distances, sample, sphere2
 from conftest import brute_force_vr_simplices, check_downward_closure
@@ -41,7 +41,7 @@ class TestVietorisRips:
 
     def test_nan_scale_rejected(self, circle_points):
         s = circle_points([0, 0.1, 0.3, 0.5, 0.7, 0.9])
-        for build in (vr_complex, cech_complex_circle, edge_count):
+        for build in (vr_complex, cech_complex_circle):
             with pytest.raises(ValueError):
                 build(s, float("nan"))
 
@@ -70,7 +70,8 @@ class TestVietorisRips:
     @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
     def test_one_skeleton_matches_edge_count(self, n, seed, t):
         s = sample(circle(), n, seed, 0)
-        assert len(vr_complex(s, t, 1).simplices(1)) == edge_count(s, t)
+        pairs_within_t = int(np.count_nonzero(np.triu(pairwise_distances(s) <= t, 1)))
+        assert len(vr_complex(s, t, 1).simplices(1)) == pairs_within_t
 
     def test_truncation_flag(self, circle_points):
         s = circle_points([0, 0.02, 0.04, 0.06])
@@ -140,7 +141,9 @@ class TestCechCircle:
 
 class TestEdgeCount:
     def test_edge_count_examples(self, circle_points):
-        s = circle_points([0, 0.25, 0.5])
-        assert edge_count(s, 0.25) == 2
-        assert edge_count(s, 0.6) == 3
-        assert edge_count(circle_points([0, 0.2, 0.7]), 0.0) == 0
+        def edge_count(coords, t):
+            return len(vr_complex(circle_points(coords), t, 1).simplices(1))
+
+        assert edge_count([0, 0.25, 0.5], 0.25) == 2  # closed: d == t is an edge
+        assert edge_count([0, 0.25, 0.5], 0.6) == 3
+        assert edge_count([0, 0.2, 0.7], 0.0) == 0

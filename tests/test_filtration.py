@@ -355,6 +355,10 @@ class TestValidation:
                 vr_filtration(s, [0.1], max_dim)
             with pytest.raises(ValueError):
                 cech_filtration_circle(s, [0.1], max_dim)
+            with pytest.raises(ValueError):
+                vr_complex(s, 0.1, max_dim)
+            with pytest.raises(ValueError):
+                cech_complex_circle(s, 0.1, max_dim)
 
     def test_curves_need_enough_kept(self):
         s = sample(circle(), 6, 0, 0)

@@ -53,7 +53,7 @@ class TestSampling:
 
 def two_point_distance(manifold, p, q) -> float:
     pts = np.array([p, q], dtype=float)
-    return float(pairwise_distances(PointSample(manifold, pts, 0, 0))[0, 1])
+    return float(pairwise_distances(PointSample(manifold, pts))[0, 1])
 
 
 class TestGeodesicDistance:

@@ -22,7 +22,7 @@ import numpy as np
 from . import circle_oracle, estimator, manifolds
 from .complexes import cech_complex_circle, check_grid, vr_complex, vr_filtration
 from .errors import SimplexBudgetError
-from .homology import InvariantSpec, betti_invariant, euler_invariant
+from .homology import InvariantSpec, betti, betti_invariant, euler_invariant
 from .manifolds import ManifoldModel, PointSample
 
 FORMAT_VERSION = "betticurve-1"
@@ -270,6 +270,15 @@ def _selftest_checks(config: RunConfig):
     yield ("vr-full-counts", full.counts == listed == [[6], [12], [8]] and chi == [2],
            f"filtration counts={full.counts} vr_complex={listed} euler={chi} "
            f"(want [[6], [12], [8]] and [2])")
+
+    # one-scale Vietoris-Rips Betti numbers, which the estimator reads off a
+    # strong-collapse core, against the per-scale build: the octahedron at
+    # pi/2 (b2 = 1) and the 4-cycle at 0.25 (b1 = 1)
+    cases = ((octahedron, math.pi / 2, 2), (quad, 0.25, 1))
+    core = [estimator.sample_curve(s, "vr", betti_invariant(k), (t,)) for s, t, k in cases]
+    per_scale = [[betti(vr_complex(s, t, k + 1), k)] for s, t, k in cases]
+    yield ("vr-one-scale-core", core == per_scale == [[1], [1]],
+           f"estimator={core} vr_complex={per_scale} (want [[1], [1]])")
 
     # Cech/VR interleaving on random samples:
     # Cech(r) <= VR(2r) <= Cech(2r + eps) for every eps > 0

@@ -2,9 +2,10 @@
 
 A filtration (:func:`vr_filtration`, :func:`cech_filtration_circle`) builds
 the complex once at the largest grid scale and tags every simplex with the
-grid step at which it enters; the per-scale functions (:func:`vr_complex`,
-:func:`cech_complex_circle`) are the independent reference it is tested
-against.
+grid step at which it enters; :func:`vr_core_filtration` builds, for one
+scale, that of the Vietoris-Rips complex's strong-collapse core.  The
+per-scale functions (:func:`vr_complex`, :func:`cech_complex_circle`) are the
+independent reference they are tested against.
 
 VR uses the closed condition (pairwise distance <= t, matching "diameter of
 the simplex <= t"); Cech uses open balls (simplex present iff the open balls
@@ -427,10 +428,125 @@ def vr_filtration(s: PointSample, grid, max_dim=-1, *,
     """
     grid = check_grid(grid)
     md = _normalize_max_dim(max_dim)
+    return _vr_filtration(pairwise_distances(s), grid, md, budget)
+
+
+def _vr_filtration(dist: np.ndarray, grid: tuple[float, ...], max_dim: int,
+                   budget: int) -> Filtration:
     scales = np.asarray(grid)
-    return _filtration(len(s), pairwise_distances(s),
-                       lambda d: np.searchsorted(scales, d, side="left"),
-                       grid, md, budget)
+    return _filtration(dist.shape[0], dist, lambda d: np.searchsorted(scales, d, side="left"),
+                       grid, max_dim, budget)
+
+
+def _bitmask_rows(matrix: np.ndarray) -> list[int]:
+    """Each row of a square boolean matrix as an int, bit j for column j."""
+    n = matrix.shape[0]
+    width = n + 7 >> 3
+    rows = np.packbits(matrix, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(rows[v * width:(v + 1) * width], "little") for v in range(n)]
+
+
+def _count_cliques(nbr: list[int], depth: int, limit: int) -> int:
+    """The cliques of 1 to ``depth`` vertices of the graph ``nbr`` (open
+    neighbourhoods), counted without listing the largest: each clique of
+    ``depth - 1`` vertices adds the popcount of its common neighbours above
+    it.  It stops once the count passes ``limit``."""
+    total = 0
+    stack = [((1 << len(nbr)) - 1, 1)]  # the candidates above a clique, the size they make
+    while stack and total <= limit:
+        cand, size = stack.pop()
+        total += cand.bit_count()
+        if size < depth:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if sub := cand & nbr[low.bit_length() - 1]:
+                    stack.append((sub, size + 1))
+    return total
+
+
+def _strong_collapse(closed: list[int], common: np.ndarray) -> list[int]:
+    """The vertices a strong collapse removes, in order: each is dominated
+    when it goes (some other vertex w left has N[v] & left <= N[w], for the
+    closed neighbourhoods ``closed``), and none of those left is.
+
+    ``common`` is A @ A for the closed adjacency matrix A, so N[v] <= N[w]
+    iff common[v, w] = |N[v]| = common[v, v]; such a w dominates v for as
+    long as w is left.  One sweep removes every v that such a w still
+    dominates.  A removal can make only the removed vertex's neighbours
+    dominated, so the vertices left are then checked again, each against its
+    neighbours, and a removal queues its neighbours.
+    """
+    dominates = common == common.diagonal()[:, None]
+    np.fill_diagonal(dominates, False)
+    left = (1 << len(closed)) - 1
+    removed = []
+    for v, above in enumerate(_bitmask_rows(dominates)):
+        if above & left:
+            left ^= 1 << v
+            removed.append(v)
+    todo = left
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        near = closed[v] & left
+        others = near ^ low
+        while others:
+            w = others & -others
+            others ^= w
+            if closed[w.bit_length() - 1] & near == near:
+                left ^= low
+                removed.append(v)
+                todo |= near ^ low
+                break
+    return removed
+
+
+def vr_core_filtration(s: PointSample, grid, max_dim, *,
+                       budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
+    """The Vietoris-Rips filtration, at a one-scale grid (t,), of the core
+    that a strong collapse leaves of ``vr_complex(s, t)``.
+
+    A dominated vertex v (N[v] within N[w] for another vertex w, among the
+    vertices left) is removed until none is left.  Each removal is a
+    deformation retraction of the flag complex (Boissonnat & Pritam, SoCG
+    2020), so the core has the Betti numbers of the whole complex, in every
+    dimension.  Its filtration is built from the same distances, sliced, so
+    its edges are those of the whole complex between core vertices.
+
+    The budget counts the whole complex through ``max_dim`` without listing
+    it, and raises as :func:`vr_filtration` would.  Through the triangles the
+    count comes from C = A @ A, for the closed adjacency matrix A, whose
+    entry C[v, w] is |N[v] & N[w]|: an edge vw is in C[v, w] - 2 triangles.
+    The same C gives the first dominations.  Deeper, a walk over the cliques
+    counts them (:func:`_count_cliques`).
+    """
+    grid = check_grid(grid)
+    if len(grid) != 1:
+        raise ValueError(f"vr_core_filtration takes a one-scale grid, got {len(grid)} scales")
+    md = _normalize_max_dim(max_dim)
+    n = len(s)
+    dist = pairwise_distances(s)
+    near = dist <= grid[0]
+    np.fill_diagonal(near, True)  # closed neighbourhoods
+    closed = _bitmask_rows(near)
+    adjacency = near.astype(np.float64)  # exact: every sum below is an integer < 2**53
+    common = adjacency @ adjacency
+    if md in (1, 2):
+        edges = (int(np.count_nonzero(near)) - n) // 2
+        size = n + edges
+        if md == 2:  # C[v, w] summed over the ordered edges (v, w): 6 triangles + 4 edges
+            ordered = round(float(np.sum(common * adjacency) - np.trace(common)))
+            size += (ordered - 4 * edges) // 6
+    else:
+        nbr = [mask ^ (1 << v) for v, mask in enumerate(closed)]
+        size = _count_cliques(nbr, n if md == -1 else md + 1, budget)
+    if size > budget:
+        raise SimplexBudgetError(budget)
+    removed = set(_strong_collapse(closed, common))
+    core = [v for v in range(n) if v not in removed]
+    return _vr_filtration(dist[np.ix_(core, core)], grid, md, budget)
 
 
 def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,

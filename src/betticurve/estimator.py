@@ -8,11 +8,17 @@ complex is built once, at max(grid), to the depth the invariant needs
 every simplex tagged by the grid step at which it enters, and the simplex
 budget counts exactly those simplices.  The whole curve is read off it (Euler
 characteristic by cumulative signed counts, Betti numbers by one persistent
-cohomology reduction).  The per-scale functions ``vr_complex`` and
-``cech_complex_circle`` with ``betti`` and ``euler_characteristic`` stay as
-the independent reference path the filtration is tested against, value for
-value.  A trial's sample depends only on (master_seed, trial_index) and its
-size n.
+cohomology reduction).  A Vietoris-Rips Betti number on a one-scale grid
+(every ``convergence_study`` trial, and an ``estimate_curve`` at one scale)
+has no other scale to share the filtration with: it is read off the
+filtration of the complex's strong-collapse core instead
+(``vr_core_filtration``), which is homotopy equivalent to the whole complex
+and so has the same Betti numbers, while the budget still counts the whole
+complex.  The per-scale functions
+``vr_complex`` and ``cech_complex_circle`` with ``betti`` and
+``euler_characteristic`` stay as the independent reference path both are
+tested against, value for value.  A trial's sample depends only on
+(master_seed, trial_index) and its size n.
 
 A run is a list of (n, trial_index) jobs: one n for a curve, every n of a
 convergence study.  With one worker they run in this process; with more, one
@@ -32,10 +38,10 @@ from itertools import islice
 import numpy as np
 
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, cech_filtration_circle, check_grid,
-                        vr_filtration)
+                        vr_core_filtration, vr_filtration)
 from .errors import SimplexBudgetError
 from .homology import InvariantSpec
-from .manifolds import CIRCLE, ManifoldModel, sample
+from .manifolds import CIRCLE, ManifoldModel, PointSample, sample
 
 VR = "vr"
 CECH = "cech"
@@ -71,16 +77,29 @@ class ConvergenceTable:
         return np.abs(self.mean - self.target)
 
 
+def sample_curve(s: PointSample, complex_kind: str, invariant: InvariantSpec, grid,
+                 budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[int]:
+    """The invariant of the sample's complex at every grid scale, read off one
+    filtration: of the strong-collapse core for a Vietoris-Rips Betti number
+    at one scale, of the whole complex otherwise."""
+    if complex_kind == CECH:
+        build = cech_filtration_circle
+    elif invariant.kind == "betti" and len(grid) == 1:
+        build = vr_core_filtration
+    else:
+        build = vr_filtration
+    return invariant.curve(build(s, grid, invariant.max_dim, budget=budget))
+
+
 def _trial_values(manifold, complex_kind, invariant, grid, master_seed, budget,
                   job) -> list[float]:
     n, trial_index = job
     s = sample(manifold, n, master_seed, trial_index)
-    build = vr_filtration if complex_kind == VR else cech_filtration_circle
     try:
-        filtration = build(s, grid, invariant.max_dim, budget=budget)
+        values = sample_curve(s, complex_kind, invariant, grid, budget)
     except SimplexBudgetError as exc:  # name the trial, so that it can be replayed alone
         raise SimplexBudgetError(exc.budget, str(exc), master_seed, trial_index, n) from None
-    return [float(v) for v in invariant.curve(filtration)]
+    return [float(v) for v in values]
 
 
 def _check_run(manifold, complex_kind, n_values, grid, trials, workers) -> tuple[float, ...]:

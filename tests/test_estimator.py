@@ -16,6 +16,7 @@ from betticurve.complexes import vr_complex
 
 B0 = betti_invariant(0)
 B1 = betti_invariant(1)
+B2 = betti_invariant(2)
 EULER = euler_invariant()
 
 
@@ -269,19 +270,26 @@ class TestBudgetPropagation:
         assert info.value.budget == 100
         assert str(info.value) == "simplex budget of 100 exceeded"
 
-    @pytest.mark.parametrize("invariant", [B1, EULER], ids=["betti1", "euler"])
-    def test_budget_counts_the_invariants_depth(self, invariant):
-        # b1 builds and counts the simplices of dimension <= 2, the Euler
+    @pytest.mark.parametrize("invariant, grid", [
+        pytest.param(invariant, grid, id=name + suffix)
+        for grid, suffix in (([0.1, 0.3, 0.45], ""), ([0.45], "-one-scale"))
+        for invariant, name in ((B1, "betti1"), (B2, "betti2"), (EULER, "euler"))])
+    def test_budget_counts_the_invariants_depth(self, invariant, grid):
+        # b_k builds and counts the simplices of dimension <= k+1, the Euler
         # characteristic all of them: the run aborts exactly below the
-        # largest of those counts over the trials
+        # largest of those counts over the trials, and names the first trial
+        # that has more.  At one scale a Betti number reduces the
+        # strong-collapse core, but its budget still counts the whole
+        # complex, dimension k+1 without listing it.
         from betticurve.errors import SimplexBudgetError
-        grid = [0.1, 0.3, 0.45]
-        depth = 2 if invariant is B1 else -1
         samples = [sample(flat_torus(2), 9, 17, j) for j in range(2)]
-        assert vr_complex(samples[0], grid[-1]).dimension >= 3  # so the counts differ
-        size = max(vr_complex(s, grid[-1], depth).simplex_count() for s in samples)
-        with pytest.raises(SimplexBudgetError):
+        assert vr_complex(samples[0], grid[-1]).dimension >= 4  # so the counts differ
+        sizes = [vr_complex(s, grid[-1], invariant.max_dim).simplex_count() for s in samples]
+        size = max(sizes)
+        with pytest.raises(SimplexBudgetError) as info:
             estimate_curve(flat_torus(2), VR, invariant, 9, grid, 2, 17, budget=size - 1)
+        assert (info.value.master_seed, info.value.trial_index, info.value.n) == \
+            (17, sizes.index(size), 9)
         estimate_curve(flat_torus(2), VR, invariant, 9, grid, 2, 17, budget=size)
 
     def test_overrun_names_the_same_trial_for_any_worker_count(self):
@@ -328,6 +336,21 @@ class TestBudgetPropagation:
         ran = {int(name.split("-")[0]) for name in os.listdir(tmp_path)}
         assert {5, 30} <= ran
         assert max(ran) <= 40
+
+    def test_one_scale_betti_reduces_the_core(self, monkeypatch):
+        # a Vietoris-Rips Betti number at one scale is read off the
+        # strong-collapse core; on a longer grid, or for the Euler
+        # characteristic, off the whole complex's filtration
+        built = []
+        for name in ("vr_filtration", "vr_core_filtration"):
+            def record(*args, name=name, build=getattr(estimator, name), **kwargs):
+                built.append(name)
+                return build(*args, **kwargs)
+            monkeypatch.setattr(estimator, name, record)
+        for invariant, grid in ((B1, [0.2]), (B1, [0.1, 0.2]), (EULER, [0.2]), (B2, [0.2])):
+            estimate_curve(circle(), VR, invariant, 6, grid, 2, 0)
+        assert built == ["vr_core_filtration"] * 2 + ["vr_filtration"] * 4 + \
+            ["vr_core_filtration"] * 2
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

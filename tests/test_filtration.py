@@ -7,7 +7,7 @@ grid scale, which ``betti`` and ``euler_characteristic`` then evaluate.
 
 import dataclasses
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_polynomial, _filtration,
-                                  cech_complex_circle, cech_filtration_circle,
-                                  vr_complex, vr_filtration)
+                                  _strong_collapse, cech_complex_circle,
+                                  cech_filtration_circle, vr_complex, vr_core_filtration,
+                                  vr_filtration)
 from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
-from betticurve.estimator import CECH, estimate_curve
-from betticurve.homology import betti_curve, betti_invariant, euler_curve, euler_invariant
+from betticurve.estimator import CECH, VR, estimate_curve, sample_curve
+from betticurve.homology import (betti_curve, betti_invariant, betti_oracle_bruteforce,
+                                 euler_curve, euler_invariant)
 from betticurve.manifolds import circle, flat_torus, pairwise_distances, sample, sphere2
 
 MANIFOLDS = {"circle": circle(), "torus": flat_torus(2), "sphere": sphere2()}
@@ -38,6 +40,10 @@ def reference_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
 def filtration_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
     build = vr_filtration if kind == "vr" else cech_filtration_circle
     return invariant.curve(build(s, grid, max_dim, budget=budget))
+
+
+def core_curve(s, grid, invariant, max_dim, budget=10_000_000):
+    return invariant.curve(vr_core_filtration(s, grid, max_dim, budget=budget))
 
 
 def arc_scales(s):
@@ -100,7 +106,7 @@ class TestVietorisRipsEquivalence:
         size = vr_complex(s, grid[-1], md).simplex_count()
         budget = max(1, size + offset)
 
-        def raises(curve):
+        def raises(curve, grid=grid):
             try:
                 curve(s, grid, invariant, md, budget=budget)
             except SimplexBudgetError as exc:
@@ -109,6 +115,8 @@ class TestVietorisRipsEquivalence:
             return False
 
         assert raises(filtration_curve) == raises(reference_curve) == (size > budget)
+        # the core's budget counts the whole complex
+        assert raises(core_curve, [grid[-1]]) == (size > budget)
 
     @pytest.mark.parametrize("invariant", INVARIANTS, ids=lambda inv: inv.describe())
     def test_budget_boundary(self, invariant):
@@ -311,6 +319,78 @@ class TestChainedReductions:
             betti_curve(bad, 1)
 
 
+class TestOneScaleCore:
+    # At one scale a Vietoris-Rips Betti number is read off the core that a
+    # strong collapse leaves; Betti numbers are homotopy invariants, so it
+    # must equal the whole complex's.
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases(), st.integers(0, 2), st.data())
+    def test_equals_per_scale_betti(self, case, k, data):
+        s, grid = case
+        grid = [data.draw(st.sampled_from(grid))]
+        invariant = betti_invariant(k)
+        curve = core_curve(s, grid, invariant, k + 1)
+        assert curve == sample_curve(s, VR, invariant, grid)
+        assert curve == filtration_curve(s, grid, invariant, k + 1) == \
+            reference_curve(s, grid, invariant, k + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cases(max_n=8), st.data())
+    def test_collapse_removes_dominated_vertices(self, case, data):
+        # every removed vertex is dominated when it goes, none left is, and
+        # the core's Betti numbers are the brute-force ones of the whole
+        # complex; the inputs are built from the distances by hand
+        s, grid = case
+        t = data.draw(st.sampled_from(grid))
+        dist = pairwise_distances(s)
+        n = len(s)
+        nbhd = [{u for u in range(n) if u == v or dist[v, u] <= t} for v in range(n)]
+        closed = [sum(1 << u for u in nbhd[v]) for v in range(n)]
+        common = np.array([[len(a & b) for b in nbhd] for a in nbhd], dtype=float)
+        left = set(range(n))
+
+        def dominated(v):
+            return any(nbhd[v] & left <= nbhd[w] for w in left - {v})
+
+        for v in _strong_collapse(closed, common):
+            assert v in left and dominated(v)
+            left.remove(v)
+        assert left and not any(map(dominated, left))
+        for k in range(3):
+            f = vr_core_filtration(s, [t], k + 1)
+            assert f.num_vertices == len(left)
+            assert betti_curve(f, k) == [betti_oracle_bruteforce(vr_complex(s, t, k + 1), k)]
+
+    def test_coincident_points(self, circle_points):
+        # coincident points dominate each other; one of them stays
+        s = circle_points([0.1, 0.1, 0.1, 0.6])
+        for t, b0 in ((0.0, 2), (0.5, 1)):
+            f = vr_core_filtration(s, [t], 1)
+            assert f.num_vertices == 1 + (t == 0.0) and betti_curve(f, 0) == [b0]
+
+    @pytest.mark.parametrize("manifold, n, t, k", [
+        ("circle", 100, 0.1, 1), ("circle", 60, 0.1, 2),
+        ("torus", 40, 0.25, 1), ("torus", 40, 0.3, 2), ("sphere", 40, 0.6, 2)])
+    def test_benchmark_sizes(self, manifold, n, t, k):
+        # the core is smaller than the complex, and no vertex of it is
+        # dominated, which a collapse stopped early would leave
+        s = sample(MANIFOLDS[manifold], n, 0, 0)
+        invariant = betti_invariant(k)
+        f = vr_core_filtration(s, [t], k + 1)
+        nbhd = [{v} for v in range(f.num_vertices)]
+        for a, b in f.edges:
+            nbhd[a].add(b)
+            nbhd[b].add(a)
+        assert f.num_vertices < n
+        assert not any(nbhd[v] <= nbhd[w] for v, w in permutations(range(f.num_vertices), 2))
+        assert invariant.curve(f) == reference_curve(s, [t], invariant, k + 1)
+
+    def test_one_scale_only(self):
+        with pytest.raises(ValueError, match="one-scale"):
+            vr_core_filtration(sample(circle(), 5, 0, 0), [0.1, 0.2], 2)
+
+
 class TestCechEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(cases(kinds=("circle",)), st.sampled_from(INVARIANTS), st.data())
@@ -355,6 +435,8 @@ class TestValidation:
                 vr_filtration(s, [0.1], max_dim)
             with pytest.raises(ValueError):
                 cech_filtration_circle(s, [0.1], max_dim)
+            with pytest.raises(ValueError):
+                vr_core_filtration(s, [0.1], max_dim)
             with pytest.raises(ValueError):
                 vr_complex(s, 0.1, max_dim)
             with pytest.raises(ValueError):

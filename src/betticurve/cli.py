@@ -14,6 +14,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -76,10 +77,12 @@ class RunConfig:
         raise ValueError(f"unknown manifold {self.manifold!r}")
 
     def invariant_spec(self) -> InvariantSpec:
+        """``euler``, or ``betti<k>`` with k in decimal, unsigned and without
+        a leading zero."""
         if self.invariant == "euler":
             return euler_invariant()
-        if self.invariant.startswith("betti"):
-            return betti_invariant(int(self.invariant[len("betti"):]))
+        if match := re.fullmatch(r"betti(0|[1-9][0-9]*)", self.invariant):
+            return betti_invariant(int(match[1]))
         raise ValueError(f"unknown invariant {self.invariant!r}")
 
     def resolved_grid(self) -> tuple[float, ...]:
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--manifold", choices=("circle", "torus", "sphere"))
             p.add_argument("--torus-dim", type=int, dest="torus_dim")
             p.add_argument("--complex", choices=("vr", "cech"), dest="complex_kind")
-            p.add_argument("--invariant", choices=("betti0", "betti1", "betti2", "euler"))
+            p.add_argument("--invariant")
             p.add_argument("--trials", type=int)
             p.add_argument("--workers", type=int)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,23 +123,11 @@ def _expand_cliques(n: int, edges: list[tuple[int, int]], nbr: list[int],
     return SimplicialComplex(n, by_dim, built)
 
 
-@lru_cache(maxsize=16)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, read-only: the i < j vertex pairs, row by row."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
-
-
 def _edges_and_adjacency(dist: np.ndarray, threshold: float, strict: bool):
     n = dist.shape[0]
-    iu, ju = _pairs(n)
-    if strict:
-        mask = dist[iu, ju] < threshold
-    else:
-        mask = dist[iu, ju] <= threshold
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    near = dist < threshold if strict else dist <= threshold
+    iu, ju = np.nonzero(np.triu(near, 1))  # the i < j pairs, row by row
+    edges = list(zip(iu.tolist(), ju.tolist()))
     nbr = [0] * n
     for i, j in edges:
         nbr[i] |= 1 << j
@@ -286,12 +273,15 @@ def _clique_polynomial(cand: int, nbr: list[int], x: int, limit: int) -> int:
     return total
 
 
-def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
+def _filtration(dist: np.ndarray, near: np.ndarray, edge_step, grid: tuple[float, ...],
                 max_dim: int, budget: int, simplex_step=None) -> Filtration:
     """Incremental clique expansion in sorted edge order up to max(grid).
 
-    ``edge_step(d)`` maps pairwise distances to entry steps (len(grid) for an
-    edge absent at max(grid)).  Edges are added in order of distance, and the
+    ``near`` is the boolean matrix of the vertex pairs joined by an edge at
+    max(grid) (only its part above the diagonal is read), and
+    ``edge_step(d)`` maps the distances of those pairs, and only those, to
+    their entry steps.  The two must agree: every pair of ``near`` enters at
+    some step below len(grid).  Edges are added in order of distance, and the
     simplices whose longest edge is the edge just added (its block) are the
     cliques of ``cand``, the common neighbourhood of its endpoints in the
     graph built so far, so every simplex is found exactly once, when its
@@ -315,18 +305,17 @@ def _filtration(n: int, dist: np.ndarray, edge_step, grid: tuple[float, ...],
     the cliques it has found exceed the budget, so the work stays bounded by
     the budget.
     """
+    n = dist.shape[0]
     num_steps = len(grid)
     counted = simplex_step is None and max_dim <= 2  # Vietoris-Rips, full or for b0/b1
     indexed = simplex_step is None and max_dim == 2  # has first/offsets (see Filtration)
     top = max(n - 1, 1) if max_dim == -1 else max_dim
     kept_dim = 1 if counted or max_dim == -1 else max_dim
-    iu, ju = _pairs(n)
+    iu, ju = np.nonzero(np.triu(near, 1))  # row by row, so ties keep that order
     pair_dist = dist[iu, ju]
-    step = edge_step(pair_dist)
-    keep = step < num_steps
-    order = np.argsort(pair_dist[keep], kind="stable")
-    edges = list(zip(iu[keep][order].tolist(), ju[keep][order].tolist()))
-    edge_steps = step[keep][order].tolist()
+    order = np.argsort(pair_dist, kind="stable")
+    edges = list(zip(iu[order].tolist(), ju[order].tolist()))
+    edge_steps = edge_step(pair_dist[order]).tolist()
 
     counts = [[0] * num_steps for _ in range(top + 1)]
     counts[0][0] = n
@@ -433,8 +422,9 @@ def vr_filtration(s: PointSample, grid, max_dim=-1, *,
 
 def _vr_filtration(dist: np.ndarray, grid: tuple[float, ...], max_dim: int,
                    budget: int) -> Filtration:
+    # closed: an edge enters at the first scale t with distance <= t
     scales = np.asarray(grid)
-    return _filtration(dist.shape[0], dist, lambda d: np.searchsorted(scales, d, side="left"),
+    return _filtration(dist, dist <= grid[-1], lambda d: np.searchsorted(scales, d, side="left"),
                        grid, max_dim, budget)
 
 
@@ -573,7 +563,9 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
             gmax = max(gmax, b - a)
         return bisect_right(grid, (1.0 - gmax) / 2.0)
 
-    return _filtration(len(s), pairwise_distances(s),
+    # open: two arcs of radius t meet iff the distance is < 2t
+    dist = pairwise_distances(s)
+    return _filtration(dist, dist < doubled[-1],
                        lambda d: np.searchsorted(doubled, d, side="right"),
                        grid, md, budget, simplex_step=arc_step)
 

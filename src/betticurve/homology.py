@@ -57,9 +57,6 @@ class InvariantSpec:
             return betti_curve(filtration, self.dim)
         return euler_curve(filtration)
 
-    def describe(self) -> str:
-        return f"betti{self.dim}" if self.kind == "betti" else "euler"
-
 
 def betti_invariant(dim: int) -> InvariantSpec:
     return InvariantSpec("betti", dim)

@@ -61,11 +61,6 @@ class ManifoldModel:
             return math.sqrt(self.torus_dim) / 2
         return math.pi
 
-    def describe(self) -> str:
-        if self.kind == FLAT_TORUS:
-            return f"flat_torus({self.torus_dim})"
-        return self.kind
-
 
 def circle() -> ManifoldModel:
     return ManifoldModel(CIRCLE)

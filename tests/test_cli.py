@@ -5,6 +5,9 @@ import pytest
 
 from betticurve import cli
 from betticurve.cli import EXIT_OK, EXIT_RESOURCE, EXIT_SELFTEST_FAIL, EXIT_USAGE
+from betticurve.estimator import convergence_study
+from betticurve.homology import betti_invariant
+from betticurve.manifolds import circle
 
 
 def read_csv(path):
@@ -206,6 +209,21 @@ class TestConvergeCommand:
         for row in body:
             assert float(row[6]) == pytest.approx(abs(float(row[3]) - 0.5))
 
+    def test_any_betti_dimension(self, tmp_path):
+        # --invariant takes b_k for every k, as the library does; on (1/3, 2/5)
+        # the Vietoris-Rips complex of a dense circle sample is an S^3
+        out = str(tmp_path / "v.csv")
+        code = run_cli(tmp_path, "converge", "--invariant", "betti3", "--t", "0.36",
+                       "--n-values", "10,70", "--trials", "3", "--target", "1",
+                       "--output", out)
+        assert code == EXIT_OK
+        _, _, body = read_csv(out)
+        table = convergence_study(circle(), "vr", betti_invariant(3), 0.36, (10, 70), 3, 0, 1.0)
+        assert [[float(x) for x in row] for row in body] == \
+            [[n, 0.36, 3, m, v, e, abs(m - 1), 1]
+             for n, m, v, e in zip(table.n_values, table.mean, table.variance, table.stderr)]
+        assert table.mean[-1] > 0
+
     def test_missing_args_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "converge", "--t", "0.1") == EXIT_USAGE
         assert run_cli(tmp_path, "converge", "--n-values", "4,8",
@@ -253,6 +271,20 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("name", ["betti", "betti-1", "betti01", "bettix", "foo"])
+    def test_malformed_invariant_usage(self, tmp_path, monkeypatch, capsys, name):
+        # refused before any trial runs; nothing is written
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        for argv in (["curve", "--n", "5", "--trials", "2", "--grid", "0.1"],
+                     ["converge", "--t", "0.1", "--n-values", "4,8", "--trials", "2",
+                      "--target", "0.5"]):
+            capsys.readouterr()
+            code = run_cli(tmp_path, *argv, f"--invariant={name}",
+                           "--output", str(tmp_path / "x.csv"))
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: unknown invariant {name!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_in_missing_directory_usage(self, tmp_path, monkeypatch, capsys):
         # refused before any trial runs

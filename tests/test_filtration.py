@@ -118,7 +118,7 @@ class TestVietorisRipsEquivalence:
         # the core's budget counts the whole complex
         assert raises(core_curve, [grid[-1]]) == (size > budget)
 
-    @pytest.mark.parametrize("invariant", INVARIANTS, ids=lambda inv: inv.describe())
+    @pytest.mark.parametrize("invariant", INVARIANTS, ids=["betti0", "betti1", "betti2", "euler"])
     def test_budget_boundary(self, invariant):
         # budgets one below and exactly at the size of a complex with
         # simplices of every built dimension
@@ -217,7 +217,7 @@ def cross_polytope(m):
     np.fill_diagonal(dist, 0.0)
     for v in range(m):
         dist[v, v + m] = dist[v + m, v] = 2.0
-    return _filtration(2 * m, dist, lambda d: np.searchsorted([1.0], d, side="left"),
+    return _filtration(dist, dist <= 1.0, lambda d: np.searchsorted([1.0], d, side="left"),
                        (1.0,), -1, DEFAULT_SIMPLEX_BUDGET)
 
 
@@ -402,6 +402,13 @@ class TestCechEquivalence:
         arcs = arc_scales(s)
         extra = data.draw(st.lists(st.sampled_from(arcs), max_size=3)) if arcs else []
         grid = sorted({t for t in grid + halves + extra if t > 0}) or [0.1]
+        # a grid may end at half a pairwise distance d, where the pair at d is
+        # not an edge: the open condition d < 2 max(grid) alone decides it
+        dist = pairwise_distances(s)
+        ends = sorted({d / 2.0 for d in dist[np.triu_indices(len(s), k=1)].tolist() if d > 0})
+        if ends and data.draw(st.booleans()):
+            end = data.draw(st.sampled_from(ends))
+            grid = [t for t in grid if t < end] + [end]
         md = invariant.max_dim
         assert filtration_curve(s, grid, invariant, md, "cech") == \
             reference_curve(s, grid, invariant, md, "cech")

@@ -40,12 +40,34 @@ C(n, j), and n C(m, j-1) = j C(n, j), so the coefficient of
 
 which is Stevens' formula sum_j (-1)^j C(n, j) (1 - j r)_+^(n-1) for the
 chance that all n gaps between n uniform points on the circle are shorter
-than r.  The numerator is one integer sum of at most 1/r + 1 terms, with no
-gcd taken anywhere, and the one int/int division is correctly rounded: the
-float is the exact p rounded once, as it would be from rational arithmetic.
+than r.  The numerator is an integer sum, with no gcd taken anywhere, and an
+int/int division is correctly rounded: the float is the exact p rounded once,
+as it would be from rational arithmetic.
+
+Not every term is needed.  Write t_j = C(n, j) (b - j a)^(n-1), B = b^(n-1)
+and S_j for the partial sum through j.  The ratio
+
+    t_(j+1) / t_j = (n - j)/(j + 1) * (1 - a/(b - j a))^(n-1)
+
+is a product of two nonnegative factors that do not grow with j, so the
+magnitudes rise, if at all, only before they fall.  A term t_j < t_0 = B
+with j >= 1 therefore lies past the peak, no later term is larger, and the
+alternating tail from j on puts p B between S_(j-1) and S_j.  Correctly
+rounded division is monotone, so when S_(j-1)/B and S_j/B are the same
+float, bit for bit, p rounds to that float and the sum stops: the bits, not
+==, since -0.0 == 0.0 while p itself is never negative.  Waiting for t_j < B
+has a second use: the bracket, of width t_j and holding p in [0, 1], then
+lies in (-1, 2), so no float division is spent on the huge partial sums
+where the terms cancel, and none can overflow (near r = 1/n the terms reach
+about e^(n/e)).  Above the coverage threshold a few terms fix the float;
+just above r = 1/n every term is still needed.  When n r <= 1 the n gaps,
+which sum to 1, cannot all be shorter than r: p is exactly 0, which no
+bracket can confirm, so it is returned before any power.
 """
 
 from __future__ import annotations
+
+import math
 
 # Exact arithmetic has no precision ceiling; this cap only bounds runtime.
 MAX_ORACLE_N = 1000
@@ -61,15 +83,23 @@ def in_oracle_domain(r: float) -> bool:
     return 3 * a < b
 
 
-def _alternating_sum(n: int, u: int, a: int, e: int) -> int:
-    """sum_{k=0..n} (-1)^k C(n, k) (u - k a)_+^e, in integers."""
+def _stevens_sum(n: int, a: int, b: int) -> tuple[float, int]:
+    """p(n, a/b) and the number of terms it took."""
+    if n * a <= b:
+        return 0.0, 0
+    denom = 1 << (b.bit_length() - 1) * (n - 1)  # b^(n-1): b is a power of two
     total = 0
     binom = 1
-    for k in range(min(u // a, n) + 1):
-        term = binom * (u - k * a) ** e
+    for k in range(min(b // a, n) + 1):
+        term = binom * (b - k * a) ** (n - 1)
+        last = total
         total += -term if k & 1 else term
+        if k and term < denom:
+            lo, hi = last / denom, total / denom
+            if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+                return hi, k + 1
         binom = binom * (n - k) // (k + 1)
-    return total
+    return total / denom, k + 1
 
 
 def circle_homotopy_prob(n: int, r: float) -> float:
@@ -82,5 +112,5 @@ def circle_homotopy_prob(n: int, r: float) -> float:
     if not in_oracle_domain(r):
         raise ValueError(f"scale r={r} outside the oracle's validity domain (0, 1/3)")
     a, b = float(r).as_integer_ratio()
-    return _alternating_sum(n, b, a, n - 1) / b ** (n - 1)
+    return _stevens_sum(n, a, b)[0]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.circle_oracle import MAX_ORACLE_N, circle_homotopy_prob
+from betticurve.circle_oracle import MAX_ORACLE_N, _stevens_sum, circle_homotopy_prob
 
 
 # Independent slow path: the closed form of the module docstring evaluated
@@ -57,6 +57,9 @@ class TestHomotopyProbability:
         # n gaps summing to 1 cannot all be below r when n*r < 1
         assert circle_homotopy_prob(5, 0.125) == 0.0
         assert circle_homotopy_prob(8, 0.06) == 0.0
+        # without a single power, even at the cap
+        a, b = (0.0005).as_integer_ratio()
+        assert _stevens_sum(MAX_ORACLE_N, a, b) == (0.0, 0)
 
     def test_monotone_pair(self):
         assert circle_homotopy_prob(50, 0.05) <= circle_homotopy_prob(50, 0.15)
@@ -89,12 +92,37 @@ class TestHomotopyProbability:
             grid += [float(r) for r in np.linspace(0.005, 0.33, 23)]
             for r in grid:
                 if r <= 1 / 3:
-                    assert circle_homotopy_prob(n, r) == reference_prob(n, r), (n, r)
+                    assert repr(circle_homotopy_prob(n, r)) == repr(reference_prob(n, r)), (n, r)
 
     def test_equals_fraction_reference_at_cap(self):
-        for r in np.linspace(0.02, 0.32, 6):
-            r = float(r)
-            assert circle_homotopy_prob(MAX_ORACLE_N, r) == reference_prob(MAX_ORACLE_N, r)
+        # the last two lie in the coverage window r ~ log n / n, where the
+        # sum stops late
+        grid = [float(r) for r in np.linspace(0.02, 0.32, 6)] + [0.0069, 0.01]
+        for r in grid:
+            assert repr(circle_homotopy_prob(MAX_ORACLE_N, r)) == repr(
+                reference_prob(MAX_ORACLE_N, r)), r
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_equals_fraction_reference_where_terms_cancel(self, data):
+        # just above r = 1/n the terms grow far past 1 and cancel to a p
+        # that may underflow; the stopped sum must still round like the
+        # exact rational, and never to -0.0
+        n = data.draw(st.integers(3, 300))  # n = 2 has no r in [1/n, 1/3]
+        r = data.draw(st.floats(1 / n, min(3 / n, 1 / 3)))
+        assert repr(circle_homotopy_prob(n, r)) == repr(reference_prob(n, r)), (n, r)
+
+    def test_equals_fraction_reference_on_underflow(self):
+        for r in (math.nextafter(1 / 300, 1), 1 / 300 * (1 + 1e-9)):
+            assert repr(circle_homotopy_prob(300, r)) == repr(reference_prob(300, r)), r
+
+    def test_sum_stops_once_the_float_is_fixed(self):
+        # above the coverage threshold the first few terms fix the float;
+        # at the cap the whole sum has 8 and 50 terms here
+        for r, most in ((0.14, 2), (0.02, 4)):
+            a, b = r.as_integer_ratio()
+            _, terms = _stevens_sum(MAX_ORACLE_N, a, b)
+            assert terms <= most, (r, terms)
 
     def test_closed_form_integral_against_quadrature(self):
         # independent route: numerically integrate the Irwin-Hall factor

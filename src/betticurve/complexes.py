@@ -273,19 +273,18 @@ def _clique_polynomial(cand: int, nbr: list[int], x: int, limit: int) -> int:
     return total
 
 
-def _filtration(dist: np.ndarray, near: np.ndarray, edge_step, grid: tuple[float, ...],
+def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[float, ...],
                 max_dim: int, budget: int, simplex_step=None) -> Filtration:
     """Incremental clique expansion in sorted edge order up to max(grid).
 
-    ``near`` is the boolean matrix of the vertex pairs joined by an edge at
-    max(grid) (only its part above the diagonal is read), and
-    ``edge_step(d)`` maps the distances of those pairs, and only those, to
-    their entry steps.  The two must agree: every pair of ``near`` enters at
-    some step below len(grid).  Edges are added in order of distance, and the
-    simplices whose longest edge is the edge just added (its block) are the
-    cliques of ``cand``, the common neighbourhood of its endpoints in the
-    graph built so far, so every simplex is found exactly once, when its
-    longest edge arrives.  Its step is that edge's step, or later where
+    A pair at distance d enters at the first step s with d <= scales[s]
+    (d < scales[s] when ``strict``), and is no edge if there is none;
+    ``scales`` is increasing, one entry per grid step.  Edges are added in
+    order of distance, and the simplices whose longest edge is the edge just
+    added (its block) are the cliques of ``cand``, the common neighbourhood
+    of its endpoints in the graph built so far, so every simplex is found
+    exactly once, when its longest edge arrives.  Its step is that edge's
+    step, or later where
     ``simplex_step(vertex_bits)`` (applied from dimension 2, downward closed
     like ``accept`` in :func:`_expand_cliques`) says so.  What is kept is as
     in :class:`Filtration`.
@@ -311,11 +310,13 @@ def _filtration(dist: np.ndarray, near: np.ndarray, edge_step, grid: tuple[float
     indexed = simplex_step is None and max_dim == 2  # has first/offsets (see Filtration)
     top = max(n - 1, 1) if max_dim == -1 else max_dim
     kept_dim = 1 if counted or max_dim == -1 else max_dim
+    near = dist < scales[-1] if strict else dist <= scales[-1]
     iu, ju = np.nonzero(np.triu(near, 1))  # row by row, so ties keep that order
     pair_dist = dist[iu, ju]
     order = np.argsort(pair_dist, kind="stable")
     edges = list(zip(iu[order].tolist(), ju[order].tolist()))
-    edge_steps = edge_step(pair_dist[order]).tolist()
+    edge_steps = np.searchsorted(scales, pair_dist[order],
+                                 side="right" if strict else "left").tolist()
 
     counts = [[0] * num_steps for _ in range(top + 1)]
     counts[0][0] = n
@@ -417,15 +418,7 @@ def vr_filtration(s: PointSample, grid, max_dim=-1, *,
     """
     grid = check_grid(grid)
     md = _normalize_max_dim(max_dim)
-    return _vr_filtration(pairwise_distances(s), grid, md, budget)
-
-
-def _vr_filtration(dist: np.ndarray, grid: tuple[float, ...], max_dim: int,
-                   budget: int) -> Filtration:
-    # closed: an edge enters at the first scale t with distance <= t
-    scales = np.asarray(grid)
-    return _filtration(dist, dist <= grid[-1], lambda d: np.searchsorted(scales, d, side="left"),
-                       grid, max_dim, budget)
+    return _filtration(pairwise_distances(s), np.asarray(grid), False, grid, md, budget)
 
 
 def _bitmask_rows(matrix: np.ndarray) -> list[int]:
@@ -536,7 +529,7 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
         raise SimplexBudgetError(budget)
     removed = set(_strong_collapse(closed, common))
     core = [v for v in range(n) if v not in removed]
-    return _vr_filtration(dist[np.ix_(core, core)], grid, md, budget)
+    return _filtration(dist[np.ix_(core, core)], np.asarray(grid), False, grid, md, budget)
 
 
 def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
@@ -554,7 +547,6 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
     grid = check_grid(grid, positive=True)
     md = _normalize_max_dim(max_dim)
     positions = s.points.tolist()
-    doubled = 2.0 * np.asarray(grid)
 
     def arc_step(key: int) -> int:
         pts = sorted(positions[v] for v in _iter_bits(key))
@@ -564,8 +556,6 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
         return bisect_right(grid, (1.0 - gmax) / 2.0)
 
     # open: two arcs of radius t meet iff the distance is < 2t
-    dist = pairwise_distances(s)
-    return _filtration(dist, dist < doubled[-1],
-                       lambda d: np.searchsorted(doubled, d, side="right"),
-                       grid, md, budget, simplex_step=arc_step)
+    return _filtration(pairwise_distances(s), 2.0 * np.asarray(grid), True, grid, md, budget,
+                       simplex_step=arc_step)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import reduce
 from itertools import accumulate
 from operator import and_
 
@@ -209,7 +209,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
             cleared.add(p)
             negative[1][edge_steps[p]] += 1
 
-    coboundary = cache(partial(_coboundary, filtration))  # made with the first column
+    coboundary = _coboundary(filtration) if i else None
     for dim in range(1, i + 1):
         ends = list(accumulate(filtration.counts[dim + 1]))  # of each step's indices
         owner: dict[int, int] = {}  # pivot -> the column reduced onto it
@@ -222,7 +222,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
                 owner[filtration.offsets[p]] = p
                 negative[2][edge_steps[p]] += 1
                 continue
-            col, low = coboundary()(dim, p), -1
+            col, low = coboundary(dim, p), -1
             while col:
                 last, low = low, (col & -col).bit_length() - 1
                 if low <= last:  # the column just added lacked pivot `last`; it would loop
@@ -236,7 +236,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
                     negative[dim + 1][bisect_right(ends, low)] += 1
                     break
                 if other not in reduced:
-                    reduced[other] = coboundary()(dim, other)
+                    reduced[other] = coboundary(dim, other)
                 col ^= reduced[other]
         cleared = owner
 

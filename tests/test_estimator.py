@@ -9,7 +9,7 @@ import pytest
 from betticurve import estimator
 from betticurve.circle_oracle import circle_homotopy_prob
 from betticurve.estimator import (CECH, VR, convergence_study, estimate_curve,
-                                  max_discrete_slope)
+                                  max_discrete_slope, sample_curve)
 from betticurve.homology import betti, betti_invariant, euler_invariant
 from betticurve.manifolds import circle, flat_torus, sample, sphere2
 from betticurve.complexes import vr_complex
@@ -126,6 +126,57 @@ class TestKnownCurves:
     def test_torus_smoke(self):
         est = estimate_curve(flat_torus(2), VR, B0, 10, [0.05, 0.4], 50, 21)
         assert est.mean[0] >= est.mean[1] >= 1.0
+
+
+class TestExactCircleMoments:
+    """Exact circle moments for the Euler characteristic, b0 and Cech b1.
+
+    Let G be the number of the n circular gaps longer than t.  For
+    Vietoris-Rips at t < 1/3 the complex is a circle when G = 0 and G
+    contractible pieces otherwise, so chi = G, b0 = G + [G = 0] and
+    b1 = [G = 0].  One gap exceeds t with probability (1 - t)^(n-1), two
+    with (1 - 2t)^(n-1).  A circle Cech complex at t < 1/4 is a good cover's
+    nerve, so it has the homotopy type of the union of the open arcs: a
+    circle iff every gap is below 2t.  A mean is checked at 4 standard
+    errors of the exact variance, and a variance at 4 standard errors of
+    the per-trial squared deviations from the exact mean.
+    """
+
+    TRIALS = 4000
+    SEED = 1604
+
+    @classmethod
+    def values(cls, complex_kind, invariant, n, grid):
+        """Each trial's curve, as estimate_curve evaluates it."""
+        return np.array([sample_curve(sample(circle(), n, cls.SEED, j), complex_kind, invariant,
+                                      grid) for j in range(cls.TRIALS)], dtype=float)
+
+    @staticmethod
+    def check(values, mean, variance):
+        deviations = (values - mean) ** 2
+        assert abs(values.mean() - mean) <= 4 * math.sqrt(variance / len(values)) + 1e-12
+        assert abs(deviations.mean() - variance) <= \
+            4 * deviations.std(ddof=1) / math.sqrt(len(values)) + 1e-12
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_vietoris_rips_euler_and_b0(self, n):
+        grid = [0.05, 0.12, 0.2, 0.32]
+        chi, b0 = (self.values(VR, invariant, n, grid) for invariant in (EULER, B0))
+        for step, t in enumerate(grid):
+            m = n * (1 - t) ** (n - 1)
+            p = circle_homotopy_prob(n, t)
+            var_chi = m + n * (n - 1) * (1 - 2 * t) ** (n - 1) - m * m
+            self.check(chi[:, step], m, var_chi)
+            self.check(b0[:, step], m + p, var_chi + p * (1 - p) - 2 * p * m)
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_cech_b1(self, n):
+        grid = [0.05, 0.1, 0.15]
+        b1 = self.values(CECH, B1, n, grid)
+        for step, t in enumerate(grid):
+            p = circle_homotopy_prob(n, 2 * t)
+            stderr = math.sqrt(p * (1 - p) / self.TRIALS)
+            assert abs(b1[:, step].mean() - p) <= 4 * stderr + 1e-12
 
 
 class TestDeterminism:

@@ -209,6 +209,27 @@ class TestVietorisRipsEquivalence:
             assert len(f.steps[dim]) == sum(f.counts[dim])
 
 
+class TestLipschitz:
+    # The paper's first theorem, per sample: adding one d-simplex changes
+    # b_d or b_(d-1) by one and no other Betti number, so from one grid step
+    # to the next b_k moves by at most the k- and (k+1)-simplices entering.
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["vr", "cech"]), st.integers(0, 2), st.data())
+    def test_steps_bounded_by_entering_simplices(self, kind, k, data):
+        s, grid = data.draw(cases(kinds=("circle",) if kind == "cech" else tuple(MANIFOLDS),
+                                  max_n=14))
+        if kind == "vr":
+            f = vr_filtration(s, grid, k + 1)
+        else:
+            f = cech_filtration_circle(s, [t for t in grid if t > 0] or [0.1], k + 1)
+        curve = betti_curve(f, k)
+        entering = [a + b for a, b in zip(f.counts[k], f.counts[k + 1])]
+        assert 0 <= curve[0] <= f.counts[k][0]
+        for step in range(1, len(curve)):
+            assert abs(curve[step] - curve[step - 1]) <= entering[step]
+
+
 def cross_polytope(m):
     """The full filtration, at the one scale 1, of 2m vertices with every pair
     adjacent except v and v + m: the boundary of the m-dimensional
@@ -217,8 +238,7 @@ def cross_polytope(m):
     np.fill_diagonal(dist, 0.0)
     for v in range(m):
         dist[v, v + m] = dist[v + m, v] = 2.0
-    return _filtration(dist, dist <= 1.0, lambda d: np.searchsorted([1.0], d, side="left"),
-                       (1.0,), -1, DEFAULT_SIMPLEX_BUDGET)
+    return _filtration(dist, np.array([1.0]), False, (1.0,), -1, DEFAULT_SIMPLEX_BUDGET)
 
 
 class TestCliqueCounts:

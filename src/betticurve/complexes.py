@@ -192,9 +192,11 @@ class Filtration:
     Counted simplices are never listed (see :func:`_filtration`); the budget
     counts them all.  Kept simplices are in filtration order (nondecreasing
     step, so every prefix ending at a step boundary is a per-scale complex):
-    ``edges[p]`` is the p-th edge, ``keys[d][p]`` the vertex bitmask of the
-    p-th d-simplex, ``steps[d][p]`` its step and ``neighbours[v]`` v's
-    neighbours at max(grid).  Only a Vietoris-Rips build to dimension 2 has
+    ``edges[p]`` is the p-th edge, ``edge_steps[p]`` its step, ``keys[d][p]``
+    the vertex bitmask of the p-th d-simplex and ``neighbours[v]`` v's
+    neighbours at max(grid).  No other step is stored: ``keys[d][a:b]``, for
+    a and b the sums of ``counts[d][:s]`` and ``counts[d][:s + 1]``, are the
+    d-simplices of step s.  Only a Vietoris-Rips build to dimension 2 has
     ``first`` and ``offsets``, one entry per edge: block p is the triangles
     whose longest edge is the p-th, ``first[p]`` (its ends' common
     neighbourhood on arrival) has their third vertices, and ``offsets[p]``
@@ -208,7 +210,7 @@ class Filtration:
     counts: list[list[int]]
     edges: list[tuple[int, int]]
     keys: list[list[int]]
-    steps: list[list[int]]
+    edge_steps: list[int]
     neighbours: list[int]
     first: list[int]
     offsets: list[int]
@@ -294,8 +296,11 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
     are the vertices of ``cand`` (its popcount), and its d-simplices for
     d >= 3 the cliques of d - 1 vertices of ``cand``, counted for every d at
     once by :func:`_clique_polynomial`.  Every other build walks the cliques
-    of ``cand`` depth first and lists them; a Vietoris-Rips walk meets the
-    blocks in edge order, so its simplices are in step order as they come.
+    of ``cand`` depth first and files each kept simplex under its step as it
+    finds it; the lists are joined in step order at the end.  A
+    Vietoris-Rips walk meets the blocks in edge order, so its simplices keep
+    the order it finds them in; a circle Cech simplex may enter after its
+    longest edge, and lands under its own step, with no re-sort.
 
     Raises when the complex at max(grid) has more than ``budget`` simplices,
     which is when some per-scale build on the grid would.  The total is
@@ -330,10 +335,7 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
         counts[1][s] += 1
 
     keys = [[1 << v for v in range(n)], [(1 << i) | (1 << j) for i, j in edges]]
-    steps = [[0] * n, edge_steps]
-    for _ in range(2, kept_dim + 1):
-        keys.append([])
-        steps.append([])
+    by_step = [[[] for _ in grid] for _ in range(2, kept_dim + 1)]  # kept keys of each step
     first, offsets = [], []
     triangles = 0  # in the blocks so far, when indexed
     nbr = [0] * n
@@ -389,8 +391,7 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
                     raise SimplexBudgetError(budget)
                 counts[dim][s] += 1
                 if dim <= kept_dim:
-                    keys[dim].append(new)
-                    steps[dim].append(s)
+                    by_step[dim - 2][s].append(new)
                 if dim < top:
                     sub = cand & nbr[low.bit_length() - 1]
                     if sub:
@@ -398,13 +399,8 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
 
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
-    if simplex_step is not None:
-        # a simplex may enter after its longest edge: restore filtration order
-        for dim in range(2, kept_dim + 1):
-            order = sorted(range(len(steps[dim])), key=steps[dim].__getitem__)
-            keys[dim] = [keys[dim][p] for p in order]
-            steps[dim] = [steps[dim][p] for p in order]
-    return Filtration(n, grid, max_dim, counts, edges, keys, steps, nbr, first, offsets)
+    keys += [[key for found in dim_by_step for key in found] for dim_by_step in by_step]
+    return Filtration(n, grid, max_dim, counts, edges, keys, edge_steps, nbr, first, offsets)
 
 
 def vr_filtration(s: PointSample, grid, max_dim=-1, *,

@@ -150,7 +150,10 @@ def _run_trials(manifold, complex_kind, invariant, n_values, grid, trials, maste
         return [_moments(list(islice(values, trials))) for _ in n_values]
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        values = pool.map(trial, jobs, chunksize=math.ceil(len(jobs) / (4 * workers)))
+        # after a failure the running and queued chunks (2 * workers + 1) still
+        # run: 16 chunks per worker keeps that small, where one job per chunk
+        # would make the pool's overhead the bulk of short jobs' time
+        values = pool.map(trial, jobs, chunksize=math.ceil(len(jobs) / (16 * workers)))
         return [_moments(list(islice(values, trials))) for _ in n_values]
 
 

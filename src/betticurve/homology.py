@@ -199,7 +199,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
         return x
 
     cleared = set()  # the negative simplices of the dimension below
-    edge_steps = filtration.steps[1]
+    edge_steps = filtration.edge_steps
     for p, (a, b) in enumerate(filtration.edges):
         if len(cleared) == filtration.num_vertices - 1:
             break  # one component is left

@@ -53,14 +53,6 @@ class ManifoldModel:
         if self.kind == FLAT_TORUS and self.torus_dim < 1:
             raise ValueError("flat torus dimension must be >= 1")
 
-    @property
-    def diameter(self) -> float:
-        if self.kind == CIRCLE:
-            return 0.5
-        if self.kind == FLAT_TORUS:
-            return math.sqrt(self.torus_dim) / 2
-        return math.pi
-
 
 def circle() -> ManifoldModel:
     return ManifoldModel(CIRCLE)

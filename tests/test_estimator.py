@@ -371,11 +371,11 @@ class TestBudgetPropagation:
         estimate_curve(circle(), VR, B1, 5, [0.3], 4, 0, budget=200)
 
     def test_convergence_overrun_cancels_the_larger_n(self, tmp_path, monkeypatch):
-        # one pool runs the whole study, 60 jobs in 8 chunks of 8; the first
-        # (n=5 and n=30) overruns, and the chunks not yet handed to a worker
-        # are cancelled: the other worker's, the one the first worker takes
-        # next and the three in the pool's call queue (max_workers + 1) still
-        # run, so chunks 7 and 8 (n >= 41) never start
+        # one pool runs the whole study, 60 jobs in 30 chunks of 2 (16 per
+        # worker); the third and fourth (n=30) overrun, and the chunks not yet
+        # handed to a worker are cancelled: the two the workers take next and
+        # the three in the pool's call queue (max_workers + 1) still run, and
+        # jobs with n > 30 sleep, so no chunk after the ninth (n = 33) starts
         from betticurve.errors import SimplexBudgetError
         monkeypatch.setenv(RAN_DIR, str(tmp_path))
         monkeypatch.setattr(estimator, "_trial_values", recording_trial)
@@ -386,7 +386,7 @@ class TestBudgetPropagation:
         assert (info.value.master_seed, info.value.trial_index, info.value.n) == (0, 0, 30)
         ran = {int(name.split("-")[0]) for name in os.listdir(tmp_path)}
         assert {5, 30} <= ran
-        assert max(ran) <= 40
+        assert max(ran) <= 33
 
     def test_one_scale_betti_reduces_the_core(self, monkeypatch):
         # a Vietoris-Rips Betti number at one scale is read off the

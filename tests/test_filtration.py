@@ -7,7 +7,7 @@ grid scale, which ``betti`` and ``euler_characteristic`` then evaluate.
 
 import dataclasses
 import math
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from betticurve.homology import (betti_curve, betti_invariant, betti_oracle_brut
 from betticurve.manifolds import circle, flat_torus, pairwise_distances, sample, sphere2
 
 MANIFOLDS = {"circle": circle(), "torus": flat_torus(2), "sphere": sphere2()}
+DIAMETERS = {"circle": 0.5, "torus": math.sqrt(2) / 2, "sphere": math.pi}
 INVARIANTS = [betti_invariant(0), betti_invariant(1), betti_invariant(2), euler_invariant()]
 
 
@@ -64,13 +65,14 @@ def arc_scales(s):
 def cases(draw, kinds=("circle", "torus", "sphere"), max_n=8):
     """A sample and a grid mixing random scales with exact boundary scales:
     pairwise distances, where the closed VR condition d <= t flips."""
-    manifold = MANIFOLDS[draw(st.sampled_from(kinds))]
+    kind = draw(st.sampled_from(kinds))
+    manifold = MANIFOLDS[kind]
     n = draw(st.integers(1, max_n))
     s = sample(manifold, n, draw(st.integers(0, 2**32 - 1)), 0)
     dist = pairwise_distances(s)
     exact = sorted(set(dist[np.triu_indices(n, k=1)].tolist()))
     picked = draw(st.lists(st.sampled_from(exact), max_size=4)) if exact else []
-    free = draw(st.lists(st.floats(0.0, manifold.diameter), min_size=1, max_size=5))
+    free = draw(st.lists(st.floats(0.0, DIAMETERS[kind]), min_size=1, max_size=5))
     if draw(st.booleans()):
         free.append(0.0)
     return s, sorted(set(picked + free))
@@ -204,9 +206,18 @@ class TestVietorisRipsEquivalence:
         assert len(vr_filtration(s, grid, 2).keys) == 2  # triangles are only counted
         f = vr_filtration(s, grid, 3)
         assert len(f.keys) == 4 and sum(f.counts[3]) > 0  # dimension 3 is stored
-        for dim in (1, 2, 3):
-            assert f.steps[dim] == sorted(f.steps[dim])
-            assert len(f.steps[dim]) == sum(f.counts[dim])
+        assert f.edge_steps == sorted(f.edge_steps)
+        assert [f.edge_steps.count(step) for step in range(len(grid))] == f.counts[1]
+        circle_sample = sample(circle(), 12, 5, 0)
+        for built, per_scale in ((f, lambda t: vr_complex(s, t, 3)),
+                                 (cech_filtration_circle(circle_sample, grid, 3),
+                                  lambda t: cech_complex_circle(circle_sample, t, 3))):
+            for dim in (1, 2, 3):
+                assert len(built.keys[dim]) == sum(built.counts[dim])
+                # the kept keys up to each step's end, by counts, are that step's complex
+                for step, end in enumerate(accumulate(built.counts[dim])):
+                    want = [sum(1 << v for v in x) for x in per_scale(grid[step]).simplices(dim)]
+                    assert sorted(built.keys[dim][:end]) == sorted(want)
 
 
 class TestLipschitz:

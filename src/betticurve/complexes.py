@@ -192,16 +192,16 @@ class Filtration:
     Counted simplices are never listed (see :func:`_filtration`); the budget
     counts them all.  Kept simplices are in filtration order (nondecreasing
     step, so every prefix ending at a step boundary is a per-scale complex):
-    ``edges[p]`` is the p-th edge, ``edge_steps[p]`` its step, ``keys[d][p]``
-    the vertex bitmask of the p-th d-simplex and ``neighbours[v]`` v's
-    neighbours at max(grid).  No other step is stored: ``keys[d][a:b]``, for
-    a and b the sums of ``counts[d][:s]`` and ``counts[d][:s + 1]``, are the
-    d-simplices of step s.  Only a Vietoris-Rips build to dimension 2 has
-    ``first`` and ``offsets``, one entry per edge: block p is the triangles
-    whose longest edge is the p-th, ``first[p]`` (its ends' common
-    neighbourhood on arrival) has their third vertices, and ``offsets[p]``
-    counts the triangles in earlier blocks.  A triangle's index is its
-    block's offset plus the rank of its third vertex in ``first[p]``.
+    ``edges[p]`` is the p-th edge, ``keys[d][p]`` the vertex bitmask of the
+    p-th d-simplex and ``neighbours[v]`` v's neighbours at max(grid).  No
+    step is stored: for every d, kept or counted, the d-simplices of step s
+    are rows ``sum(counts[d][:s])`` to ``sum(counts[d][:s + 1])``.  Only a
+    Vietoris-Rips build to dimension 2 has ``first`` and ``offsets``, one
+    entry per edge: block p is the triangles whose longest edge is the p-th,
+    ``first[p]`` (its ends' common neighbourhood on arrival) has their third
+    vertices, and ``offsets[p]`` counts the triangles in earlier blocks.  A
+    triangle's index is its block's offset plus the rank of its third vertex
+    in ``first[p]``.
     """
 
     num_vertices: int
@@ -210,7 +210,6 @@ class Filtration:
     counts: list[list[int]]
     edges: list[tuple[int, int]]
     keys: list[list[int]]
-    edge_steps: list[int]
     neighbours: list[int]
     first: list[int]
     offsets: list[int]
@@ -286,10 +285,11 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
     added (its block) are the cliques of ``cand``, the common neighbourhood
     of its endpoints in the graph built so far, so every simplex is found
     exactly once, when its longest edge arrives.  Its step is that edge's
-    step, or later where
-    ``simplex_step(vertex_bits)`` (applied from dimension 2, downward closed
-    like ``accept`` in :func:`_expand_cliques`) says so.  What is kept is as
-    in :class:`Filtration`.
+    step, or later where ``simplex_step(vertex_bits)`` (applied from
+    dimension 2, downward closed like ``accept`` in :func:`_expand_cliques`)
+    says so.  The edges' steps give ``counts[1]`` and each block's step and
+    are then dropped: ``counts`` places every row.  What is kept is as in
+    :class:`Filtration`.
 
     A Vietoris-Rips build that keeps nothing above its edges (full, or to
     dimension 2 for b1) lists no simplex of a block: the block's triangles
@@ -400,7 +400,7 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
     keys += [[key for found in dim_by_step for key in found] for dim_by_step in by_step]
-    return Filtration(n, grid, max_dim, counts, edges, keys, edge_steps, nbr, first, offsets)
+    return Filtration(n, grid, max_dim, counts, edges, keys, nbr, first, offsets)
 
 
 def vr_filtration(s: PointSample, grid, max_dim=-1, *,

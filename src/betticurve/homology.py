@@ -11,7 +11,7 @@ ones on spaces with 2-torsion; the model manifolds used here have none.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -143,9 +143,10 @@ def _coboundary(f: Filtration):
     pos = [[len(f.edges)] * len(nbr) for _ in nbr]  # the edge count where there is none
     for p, (a, b) in enumerate(f.edges):
         pos[a][b] = pos[b][a] = p
+    width = sum(f.counts[2]) + 7 >> 3
 
     def triangles(dim: int, p: int) -> int:  # dim is 1: edges are all this build keeps
-        key, cand, column = keys[1][p], common(keys[1][p]), 0
+        key, cand, rows = keys[1][p], common(keys[1][p]), bytearray(width)
         pa, pb = (pos[v] for v in f.edges[p])
         while cand:  # a triangle's rank in its block is that of its third vertex
             low = cand & -cand
@@ -154,8 +155,9 @@ def _coboundary(f: Filtration):
             ra, rb = pa[v], pb[v]  # the longest edge, by comparisons: max() is slower
             r = p if p > ra and p > rb else ra if ra > rb else rb
             third = (key | low) ^ keys[1][r]
-            column |= 1 << (offsets[r] + (first[r] & (third - 1)).bit_count())
-        return column
+            q = offsets[r] + (first[r] & (third - 1)).bit_count()
+            rows[q >> 3] |= 1 << (q & 7)
+        return int.from_bytes(rows, "little")
 
     return triangles
 
@@ -167,17 +169,19 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     i-simplices with step <= s and R_d(s), the rank of the boundary map on
     the d-simplices with step <= s, counts the negative d-simplices (those
     that kill a class) among them.  Filtration prefixes ending at a step
-    boundary are the per-scale complexes, so these are their ranks.  Negative
-    edges come from union-find in edge order; higher ones are the pivots of a
-    coboundary reduction (persistent cohomology, whose pairs are those of
-    homology) over dimensions 1..i, taking columns in reverse filtration order
-    and skipping, by clearing, the columns of simplices already known to be
-    negative, whose reduced coboundaries are zero.  Rows are cofacet indices,
-    in step order.  In a Vietoris-Rips filtration for b1, an edge p with
-    ``first[p]`` nonzero pairs with triangle ``offsets[p]``, its earliest
-    cofacet, whose latest facet it is, and its column is built only if
-    another is reduced against it.  Each step of a reduction must move the
-    pivot later; if a column lacks the pivot it is recorded under, the
+    boundary are the per-scale complexes, so these are their ranks.  Rows
+    are in step order, so N_d(s) is the end of step s, a sum of
+    ``counts[d]``, and R_d(s) the number of negative d-rows before it.
+    Negative edges come from union-find in edge order; higher ones are the
+    pivots (cofacet indices) of a coboundary reduction (persistent
+    cohomology, whose pairs are those of homology) over dimensions 1..i,
+    taking columns in reverse filtration order and skipping, by clearing,
+    the columns of simplices already known to be negative, whose reduced
+    coboundaries are zero.  In a Vietoris-Rips filtration for b1, an edge p
+    with ``first[p]`` nonzero pairs with triangle ``offsets[p]``, its
+    earliest cofacet, whose latest facet it is, and its column is built only
+    if another is reduced against it.  Each step of a reduction must move
+    the pivot later; if a column lacks the pivot it is recorded under, the
     cofacet index is faulty and RuntimeError is raised rather than reducing
     forever.
     """
@@ -187,9 +191,6 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
         raise ValueError(
             f"betti_curve({i}) needs a filtration built to dimension >= {i + 1} "
             f"(a full one keeps only its edges), got max_dim={filtration.max_dim}")
-    num_steps = len(filtration.grid)
-    negative = [[0] * num_steps for _ in range(i + 2)]
-
     parent = list(range(filtration.num_vertices))
 
     def find(x: int) -> int:
@@ -199,7 +200,6 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
         return x
 
     cleared = set()  # the negative simplices of the dimension below
-    edge_steps = filtration.edge_steps
     for p, (a, b) in enumerate(filtration.edges):
         if len(cleared) == filtration.num_vertices - 1:
             break  # one component is left
@@ -207,11 +207,10 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
         if ra != rb:
             parent[ra] = rb
             cleared.add(p)
-            negative[1][edge_steps[p]] += 1
+    negative = [(), cleared]  # the rows that kill a class, by dimension
 
     coboundary = _coboundary(filtration) if i else None
     for dim in range(1, i + 1):
-        ends = list(accumulate(filtration.counts[dim + 1]))  # of each step's indices
         owner: dict[int, int] = {}  # pivot -> the column reduced onto it
         reduced: dict[int, int] = {}  # columns built so far, by position
         for p in range(len(filtration.keys[dim]) - 1, -1, -1):
@@ -220,7 +219,6 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
             if filtration.offsets and filtration.first[p]:
                 # its unreduced coboundary has a pivot no later column shares
                 owner[filtration.offsets[p]] = p
-                negative[2][edge_steps[p]] += 1
                 continue
             col, low = coboundary(dim, p), -1
             while col:
@@ -233,16 +231,17 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
                 if other is None:
                     owner[low] = p
                     reduced[p] = col
-                    negative[dim + 1][bisect_right(ends, low)] += 1
                     break
                 if other not in reduced:
                     reduced[other] = coboundary(dim, other)
                 col ^= reduced[other]
+        negative.append(owner)
         cleared = owner
 
-    return [c - r - r_up for c, r, r_up in zip(accumulate(filtration.counts[i]),
-                                               accumulate(negative[i]),
-                                               accumulate(negative[i + 1]))]
+    rows, rows_up = sorted(negative[i]), sorted(negative[i + 1])
+    return [end - bisect_left(rows, end) - bisect_left(rows_up, end_up)
+            for end, end_up in zip(accumulate(filtration.counts[i]),
+                                   accumulate(filtration.counts[i + 1]))]
 
 
 def euler_curve(filtration: Filtration) -> list[int]:

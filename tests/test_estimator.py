@@ -128,6 +128,12 @@ class TestKnownCurves:
         assert est.mean[0] >= est.mean[1] >= 1.0
 
 
+def circle_trial_curves(complex_kind, invariant, n, grid, seed, trials):
+    """Each trial's curve on the circle, as estimate_curve evaluates it."""
+    return np.array([sample_curve(sample(circle(), n, seed, j), complex_kind, invariant, grid)
+                     for j in range(trials)], dtype=float)
+
+
 class TestExactCircleMoments:
     """Exact circle moments for the Euler characteristic, b0 and Cech b1.
 
@@ -147,9 +153,7 @@ class TestExactCircleMoments:
 
     @classmethod
     def values(cls, complex_kind, invariant, n, grid):
-        """Each trial's curve, as estimate_curve evaluates it."""
-        return np.array([sample_curve(sample(circle(), n, cls.SEED, j), complex_kind, invariant,
-                                      grid) for j in range(cls.TRIALS)], dtype=float)
+        return circle_trial_curves(complex_kind, invariant, n, grid, cls.SEED, cls.TRIALS)
 
     @staticmethod
     def check(values, mean, variance):
@@ -177,6 +181,53 @@ class TestExactCircleMoments:
             p = circle_homotopy_prob(n, 2 * t)
             stderr = math.sqrt(p * (1 - p) / self.TRIALS)
             assert abs(b1[:, step].mean() - p) <= 4 * stderr + 1e-12
+
+
+class TestLipschitzInExpectation:
+    """The paper's first theorem in expectation, on the circle at t < 1/3.
+
+    k + 1 points span a Vietoris-Rips simplex at scale t with probability
+    (k + 1) t^k, so E[N_d(t)] = C(n, d + 1)(d + 1) t^d for the d-simplex
+    count N_d.  An entering d-simplex moves b_d or b_(d-1) by one, so on
+    [0, T] E[b_k] is Lipschitz with constant L_k = C(n, k + 1)(k + 1)k
+    T^(k-1) + C(n, k + 2)(k + 2)(k + 1) T^k, the slopes of E[N_k] and
+    E[N_(k+1)] at T.  E[chi] = m = n(1 - t)^(n-1) has the exact slope
+    -n(n - 1)(1 - t)^(n-2).  The increments between consecutive scales are
+    taken per trial, on one sample (common random numbers).  Their mean is
+    checked against the exact difference of m, m + p or p (p the circle
+    oracle's probability) within 4 standard errors, and its slope against
+    the bound with the same allowance.  An integer increment with mean mu
+    has variance at least {mu}(1 - {mu}), {mu} its fractional part, which is
+    the floor of the variance used: at n = 12 and t <= 0.1, p is about 1e-8
+    and no trial sees b1 change.
+    """
+
+    TRIALS = 4000
+    SEED = 1805
+    GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.32]
+
+    @pytest.mark.parametrize("n", [5, 12])
+    @pytest.mark.parametrize("invariant", [EULER, B0, B1], ids=["euler", "b0", "b1"])
+    def test_mean_increments(self, invariant, n):
+        grid, top, k = self.GRID, self.GRID[-1], invariant.dim
+        m = lambda t: n * (1 - t) ** (n - 1)
+        p = lambda t: circle_homotopy_prob(n, t)
+        if invariant.kind == "euler":
+            mean = m
+            slope = lambda a: n * (n - 1) * (1 - a) ** (n - 2)  # |m'| falls with t
+        else:
+            mean = (lambda t: m(t) + p(t)) if k == 0 else p
+            lipschitz = (math.comb(n, k + 1) * (k + 1) * k * top ** (k - 1)
+                         + math.comb(n, k + 2) * (k + 2) * (k + 1) * top ** k)
+            slope = lambda a: lipschitz
+        values = circle_trial_curves(VR, invariant, n, grid, self.SEED, self.TRIALS)
+        for step in range(1, len(grid)):
+            a, b = grid[step - 1], grid[step]
+            increments, exact = values[:, step] - values[:, step - 1], mean(b) - mean(a)
+            frac = exact - math.floor(exact)
+            stderr = math.sqrt(max(increments.var(ddof=1), frac * (1 - frac)) / self.TRIALS)
+            assert abs(increments.mean() - exact) <= 4 * stderr + 1e-12
+            assert abs(increments.mean()) / (b - a) <= slope(a) + 4 * stderr / (b - a)
 
 
 class TestDeterminism:

@@ -444,26 +444,28 @@ def _count_cliques(nbr: list[int], depth: int, limit: int) -> int:
     return total
 
 
-def _strong_collapse(closed: list[int], common: np.ndarray) -> list[int]:
+def _strong_collapse(closed: list[int], common: np.ndarray | None = None) -> list[int]:
     """The vertices a strong collapse removes, in order: each is dominated
     when it goes (some other vertex w left has N[v] & left <= N[w], for the
     closed neighbourhoods ``closed``), and none of those left is.
 
-    ``common`` is A @ A for the closed adjacency matrix A, so N[v] <= N[w]
-    iff common[v, w] = |N[v]| = common[v, v]; such a w dominates v for as
-    long as w is left.  One sweep removes every v that such a w still
-    dominates.  A removal can make only the removed vertex's neighbours
-    dominated, so the vertices left are then checked again, each against its
-    neighbours, and a removal queues its neighbours.
+    ``common``, if given, is A @ A for the closed adjacency matrix A, so
+    N[v] <= N[w] iff common[v, w] = |N[v]| = common[v, v]; such a w
+    dominates v for as long as w is left, and one sweep first removes every
+    v that such a w still dominates.  A removal can make only the removed
+    vertex's neighbours dominated, so the vertices left (all of them, without
+    ``common``) are then checked, each against its neighbours, and a removal
+    queues its neighbours.
     """
-    dominates = common == common.diagonal()[:, None]
-    np.fill_diagonal(dominates, False)
     left = (1 << len(closed)) - 1
     removed = []
-    for v, above in enumerate(_bitmask_rows(dominates)):
-        if above & left:
-            left ^= 1 << v
-            removed.append(v)
+    if common is not None:
+        dominates = common == common.diagonal()[:, None]
+        np.fill_diagonal(dominates, False)
+        for v, above in enumerate(_bitmask_rows(dominates)):
+            if above & left:
+                left ^= 1 << v
+                removed.append(v)
     todo = left
     while todo:
         low = todo & -todo
@@ -480,6 +482,20 @@ def _strong_collapse(closed: list[int], common: np.ndarray) -> list[int]:
                 todo |= near ^ low
                 break
     return removed
+
+
+def _core_filtration(dist: np.ndarray, closed: list[int], grid: tuple[float, ...],
+                     max_dim: int, budget: int, common: np.ndarray | None = None) -> Filtration:
+    """The filtration, at the one-scale grid (t,), of the core that a strong
+    collapse (:func:`_strong_collapse`, with ``common`` if given) leaves of
+    the graph whose closed neighbourhoods ``closed`` are those of
+    ``dist <= t``.  It is built from ``dist``, sliced, so its edges are
+    those of the graph between core vertices.  The budget counts the core's
+    simplices only: a caller that must count the whole complex counts it
+    first."""
+    removed = set(_strong_collapse(closed, common))
+    core = [v for v in range(len(closed)) if v not in removed]
+    return _filtration(dist[np.ix_(core, core)], np.asarray(grid), False, grid, max_dim, budget)
 
 
 def vr_core_filtration(s: PointSample, grid, max_dim, *,
@@ -523,9 +539,7 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
         size = _count_cliques(nbr, n if md == -1 else md + 1, budget)
     if size > budget:
         raise SimplexBudgetError(budget)
-    removed = set(_strong_collapse(closed, common))
-    core = [v for v in range(n) if v not in removed]
-    return _filtration(dist[np.ix_(core, core)], np.asarray(grid), False, grid, md, budget)
+    return _core_filtration(dist, closed, grid, md, budget, common)
 
 
 def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,

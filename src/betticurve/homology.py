@@ -162,7 +162,7 @@ def _coboundary(f: Filtration):
     return triangles
 
 
-def betti_curve(filtration: Filtration, i: int) -> list[int]:
+def betti_curve(filtration: Filtration, i: int, last_step=None) -> list[int]:
     """dim H_i over GF(2) of the complex at every grid step of the filtration.
 
     b_i(s) = N_i(s) - R_i(s) - R_{i+1}(s), where N_i(s) counts the
@@ -184,6 +184,14 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     the pivot later; if a column lacks the pivot it is recorded under, the
     cofacet index is faulty and RuntimeError is raised rather than reducing
     forever.
+
+    The columns left in dimension i are positive i-simplices, and those of
+    the b_i(last step) essential classes are among them.  So when exactly
+    one is left and ``last_step`` is given, ``last_step()`` is asked for
+    b_i at the last grid step, by any route that does not reduce this
+    filtration: 1 means the column is essential and has no pivot, so it is
+    skipped; 0 means it is paired and is reduced; any other answer raises
+    RuntimeError.
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
@@ -209,17 +217,32 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
             cleared.add(p)
     negative = [(), cleared]  # the rows that kill a class, by dimension
 
-    coboundary = _coboundary(filtration) if i else None
+    coboundary = None  # built for the first column that is reduced
     for dim in range(1, i + 1):
         owner: dict[int, int] = {}  # pivot -> the column reduced onto it
         reduced: dict[int, int] = {}  # columns built so far, by position
+        columns = []  # to reduce, in reverse filtration order
         for p in range(len(filtration.keys[dim]) - 1, -1, -1):
             if p in cleared:
                 continue
             if filtration.offsets and filtration.first[p]:
-                # its unreduced coboundary has a pivot no later column shares
+                # its unreduced coboundary has a pivot no later column shares;
+                # no later edge is a facet of that triangle, so no column
+                # reduced before p would have reached it
                 owner[filtration.offsets[p]] = p
-                continue
+            else:
+                columns.append(p)
+        if dim == i and len(columns) == 1 and last_step is not None:
+            essential = last_step()
+            if essential not in (0, 1):
+                raise RuntimeError(
+                    f"b{i} at the last step is {essential!r} with one {i}-simplex "
+                    f"{tuple(_iter_bits(filtration.keys[i][columns[0]]))} left to reduce")
+            if essential:
+                columns = []
+        if columns and coboundary is None:
+            coboundary = _coboundary(filtration)
+        for p in columns:
             col, low = coboundary(dim, p), -1
             while col:
                 last, low = low, (col & -col).bit_length() - 1

@@ -66,6 +66,16 @@ class TestVietorisRips:
                 # it takes seconds above t=0.2, so keep t n <= 40
                 check_curves(vr_filtration(s, [t for t in GRID if t * n <= 40], 2), s, vr_gaps)
 
+    def test_sample_curve_b1(self):
+        # the estimator's route, on the whole grid at every n: where the
+        # reduction leaves one column, the last step's strong-collapse core
+        # says whether it is essential
+        for n in SIZES:
+            for trial in range(2):
+                s = sample(circle(), n, SEED, trial)
+                assert sample_curve(s, VR, betti_invariant(1), GRID) == \
+                    [bettis(vr_gaps(s, t), 2)[1] for t in GRID]
+
     def test_euler_curve(self):
         # the full complex, as far up the grid as the default budget allows
         for n, t_max in ((1, 0.32), (2, 0.32), (3, 0.32), (20, 0.32), (40, 0.32), (60, 0.26),

@@ -442,17 +442,20 @@ class TestBudgetPropagation:
     def test_one_scale_betti_reduces_the_core(self, monkeypatch):
         # a Vietoris-Rips Betti number at one scale is read off the
         # strong-collapse core; on a longer grid, or for the Euler
-        # characteristic, off the whole complex's filtration
+        # characteristic, off the whole complex's filtration, and a longer
+        # grid whose reduction leaves one column (circle b1 at n=30 here)
+        # also builds the last step's core
         built = []
-        for name in ("vr_filtration", "vr_core_filtration"):
+        for name in ("vr_filtration", "vr_core_filtration", "_core_filtration"):
             def record(*args, name=name, build=getattr(estimator, name), **kwargs):
                 built.append(name)
                 return build(*args, **kwargs)
             monkeypatch.setattr(estimator, name, record)
-        for invariant, grid in ((B1, [0.2]), (B1, [0.1, 0.2]), (EULER, [0.2]), (B2, [0.2])):
-            estimate_curve(circle(), VR, invariant, 6, grid, 2, 0)
+        for invariant, grid, n in ((B1, [0.2], 6), (B1, [0.1, 0.2], 6), (EULER, [0.2], 6),
+                                   (B2, [0.2], 6), (B1, [0.2, 0.3], 30)):
+            estimate_curve(circle(), VR, invariant, n, grid, 2, 0)
         assert built == ["vr_core_filtration"] * 2 + ["vr_filtration"] * 4 + \
-            ["vr_core_filtration"] * 2
+            ["vr_core_filtration"] * 2 + ["vr_filtration", "_core_filtration"] * 2
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

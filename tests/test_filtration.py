@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_polynomial, _filtration,
-                                  _strong_collapse, cech_complex_circle,
+from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_polynomial, _core_filtration,
+                                  _filtration, _strong_collapse, cech_complex_circle,
                                   cech_filtration_circle, vr_complex, vr_core_filtration,
                                   vr_filtration)
 from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
@@ -418,6 +418,70 @@ class TestOneScaleCore:
     def test_one_scale_only(self):
         with pytest.raises(ValueError, match="one-scale"):
             vr_core_filtration(sample(circle(), 5, 0, 0), [0.1, 0.2], 2)
+
+
+class TestLastStepCore:
+    # When a multi-scale Vietoris-Rips Betti reduction leaves one column in
+    # its top dimension, sample_curve asks the strong-collapse core of the
+    # last step's complex for b_k there, which says whether that column is
+    # essential (no pivot, skipped) or paired (reduced).
+
+    @staticmethod
+    def last_step_core(s, f):
+        closed = [nbr | 1 << v for v, nbr in enumerate(f.neighbours)]
+        return _core_filtration(pairwise_distances(s), closed, f.grid[-1:], f.max_dim,
+                                DEFAULT_SIMPLEX_BUDGET)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("circle", 0.02, 0.32), ("torus", 0.05, 0.4), ("sphere", 0.2, 1.2)]),
+           st.integers(10, 40), st.integers(0, 2**32 - 1), st.integers(1, 2),
+           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+    def test_equals_the_unhinted_curve(self, scales, n, seed, k, fractions):
+        kind, lo, hi = scales
+        s = sample(MANIFOLDS[kind], n, seed, 0)
+        grid = sorted({lo + (hi - lo) * x for x in fractions})
+        f = vr_filtration(s, grid, k + 1)
+        curve = betti_curve(f, k)
+        assert sample_curve(s, VR, betti_invariant(k), grid) == curve
+        assert betti_curve(self.last_step_core(s, f), k) == curve[-1:]
+
+    def test_asked_only_for_a_lone_column(self):
+        # circle b1 on the benchmark grid leaves only the essential column;
+        # a torus b2 reduction leaves many, and reduces them all
+        grid = np.linspace(0.02, 0.32, 16).tolist()
+        for seed in range(3):
+            s = sample(circle(), 50, seed, 0)
+            f = vr_filtration(s, grid, 2)
+            asked = []
+
+            def last_step():
+                asked.append(betti_curve(self.last_step_core(s, f), 1)[0])
+                return asked[-1]
+            assert betti_curve(f, 1, last_step) == betti_curve(f, 1)
+            assert asked == [1]
+
+        def never():
+            raise AssertionError("asked with more than one column left")
+        s = sample(flat_torus(2), 60, 0, 0)
+        f = vr_filtration(s, np.linspace(0.1, 0.45, 8).tolist(), 3)
+        assert betti_curve(f, 2, never) == betti_curve(f, 2)
+
+    def test_four_cycle_lone_column_is_paired(self, circle_points):
+        # the fourth cycle edge is the one column left, and a triangle at
+        # 0.5 kills its class: an answer of 1 would keep b1 = 1 there
+        s = circle_points([0, 0.25, 0.5, 0.75])
+        grid = [0.25, 0.5]
+        f = vr_filtration(s, grid, 2)
+        assert betti_curve(self.last_step_core(s, f), 1) == [0]
+        assert sample_curve(s, VR, betti_invariant(1), grid) == betti_curve(f, 1) == [1, 0]
+        assert betti_curve(f, 1, lambda: 1) == [1, 1]
+
+    @pytest.mark.parametrize("answer", [2, -1, None, 0.5])
+    def test_fault_raises(self, circle_points, answer):
+        # an answer that cannot be b1 at the last step raises, and skips nothing
+        f = vr_filtration(circle_points([0, 0.25, 0.5, 0.75]), [0.25, 0.5], 2)
+        with pytest.raises(RuntimeError, match="left to reduce"):
+            betti_curve(f, 1, lambda: answer)
 
 
 class TestCechEquivalence:

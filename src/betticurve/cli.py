@@ -283,6 +283,20 @@ def _selftest_checks(config: RunConfig):
     yield ("vr-one-scale-core", core == per_scale == [[1], [1]],
            f"estimator={core} vr_complex={per_scale} (want [[1], [1]])")
 
+    # a multi-scale Vietoris-Rips b1 curve whose reduction leaves one column
+    # asks the last step's strong-collapse core whether it is essential: the
+    # 4-cycle at (0.25, 0.5), where a triangle at 0.5 pairs it, and a circle
+    # sample at n=50 on the benchmark grid against the per-scale build
+    quad_curve = estimator.sample_curve(quad, "vr", betti_invariant(1), (0.25, 0.5))
+    s = manifolds.sample(circ, 50, seed, 30_000)
+    grid3 = np.linspace(0.02, 0.32, 16).tolist()
+    curve = estimator.sample_curve(s, "vr", betti_invariant(1), grid3)
+    dist = manifolds.pairwise_distances(s)
+    per_scale = [betti(vr_complex(s, t, 2, dist=dist), 1) for t in grid3]
+    yield ("vr-last-step-core", quad_curve == [1, 0] and curve == per_scale,
+           f"4-cycle={quad_curve} (want [1, 0]) circle n=50 estimator={curve} "
+           f"vr_complex={per_scale}")
+
     # Cech/VR interleaving on random samples:
     # Cech(r) <= VR(2r) <= Cech(2r + eps) for every eps > 0
     rng = np.random.Generator(np.random.PCG64(manifolds.mix_seed(seed, 10_000)))

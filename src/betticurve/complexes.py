@@ -452,10 +452,17 @@ def _strong_collapse(closed: list[int], common: np.ndarray | None = None) -> lis
     ``common``, if given, is A @ A for the closed adjacency matrix A, so
     N[v] <= N[w] iff common[v, w] = |N[v]| = common[v, v]; such a w
     dominates v for as long as w is left, and one sweep first removes every
-    v that such a w still dominates.  A removal can make only the removed
-    vertex's neighbours dominated, so the vertices left (all of them, without
-    ``common``) are then checked, each against its neighbours, and a removal
-    queues its neighbours.
+    v that such a w still dominates.  The vertices left (all of them, without
+    ``common``) are then checked in rounds, in index order, each against its
+    neighbours left.  Removing x changes N[u] & left only for x's neighbours
+    u (N[w] is fixed), so only they can become dominated: a removal queues
+    those still left for the next round, not this one, where a lower
+    neighbour would be checked again at once while the round may still
+    remove more of its neighbours.  The rounds stop when one queues no vertex
+    still left.  Every vertex u left was then checked after the last removal
+    among its neighbours (the first round checks them all), so N[u] & left,
+    which holds every vertex that could dominate u and decides whether one
+    does, has not changed since: none is dominated.
     """
     left = (1 << len(closed)) - 1
     removed = []
@@ -468,19 +475,22 @@ def _strong_collapse(closed: list[int], common: np.ndarray | None = None) -> lis
                 removed.append(v)
     todo = left
     while todo:
-        low = todo & -todo
-        todo ^= low
-        v = low.bit_length() - 1
-        near = closed[v] & left
-        others = near ^ low
-        while others:
-            w = others & -others
-            others ^= w
-            if closed[w.bit_length() - 1] & near == near:
-                left ^= low
-                removed.append(v)
-                todo |= near ^ low
-                break
+        again = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            near = closed[v] & left
+            others = near ^ low
+            while others:
+                w = others & -others
+                others ^= w
+                if closed[w.bit_length() - 1] & near == near:
+                    left ^= low
+                    removed.append(v)
+                    again |= near ^ low
+                    break
+        todo = again & left
     return removed
 
 

@@ -411,6 +411,7 @@ class TestSelftest:
         assert out.count("PASS") >= 7
         assert "FAIL" not in out
         assert "PASS vr-one-scale-core: estimator=[[1], [1]] vr_complex=[[1], [1]]" in out
+        assert "PASS vr-last-step-core: 4-cycle=[1, 0] (want [1, 0])" in out
 
     def test_too_few_trials_is_usage_error(self):
         assert cli.main(["selftest", "--trials", "100"]) == EXIT_USAGE

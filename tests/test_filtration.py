@@ -364,12 +364,30 @@ class TestOneScaleCore:
         assert curve == filtration_curve(s, grid, invariant, k + 1) == \
             reference_curve(s, grid, invariant, k + 1)
 
+    @staticmethod
+    def check_collapse(nbhd, removed):
+        """Every removed vertex is dominated when it goes, and none left is,
+        for the closed neighbourhoods ``nbhd`` (sets): the vertices left."""
+        left = set(range(len(nbhd)))
+
+        def dominated(v):
+            near = nbhd[v] & left
+            return any(near <= nbhd[w] for w in left - {v})
+
+        for v in removed:
+            assert v in left and dominated(v)
+            left.remove(v)
+        assert left and not any(map(dominated, left))
+        return left
+
     @settings(max_examples=100, deadline=None)
     @given(cases(max_n=8), st.data())
     def test_collapse_removes_dominated_vertices(self, case, data):
-        # every removed vertex is dominated when it goes, none left is, and
-        # the core's Betti numbers are the brute-force ones of the whole
-        # complex; the inputs are built from the distances by hand
+        # on both routes (after the A @ A sweep, as the one-scale core runs
+        # it, and without, as the last step's core does) the collapse leaves
+        # no dominated vertex, and the core's Betti numbers are the
+        # brute-force ones of the whole complex; the inputs are built from the
+        # distances by hand
         s, grid = case
         t = data.draw(st.sampled_from(grid))
         dist = pairwise_distances(s)
@@ -377,15 +395,10 @@ class TestOneScaleCore:
         nbhd = [{u for u in range(n) if u == v or dist[v, u] <= t} for v in range(n)]
         closed = [sum(1 << u for u in nbhd[v]) for v in range(n)]
         common = np.array([[len(a & b) for b in nbhd] for a in nbhd], dtype=float)
-        left = set(range(n))
-
-        def dominated(v):
-            return any(nbhd[v] & left <= nbhd[w] for w in left - {v})
-
-        for v in _strong_collapse(closed, common):
-            assert v in left and dominated(v)
-            left.remove(v)
-        assert left and not any(map(dominated, left))
+        left = self.check_collapse(nbhd, _strong_collapse(closed, common))
+        # a strong-collapse core is unique up to isomorphism (Barmak & Minian,
+        # 2012), so the routes may remove other vertices but as many
+        assert len(self.check_collapse(nbhd, _strong_collapse(closed))) == len(left)
         for k in range(3):
             f = vr_core_filtration(s, [t], k + 1)
             assert f.num_vertices == len(left)
@@ -414,6 +427,21 @@ class TestOneScaleCore:
         assert f.num_vertices < n
         assert not any(nbhd[v] <= nbhd[w] for v, w in permutations(range(f.num_vertices), 2))
         assert invariant.curve(f) == reference_curve(s, [t], invariant, k + 1)
+
+    @pytest.mark.parametrize("sweep", [True, False], ids=["common", "no-common"])
+    @pytest.mark.parametrize("manifold, n, t", [
+        ("circle", 200, 0.32), ("circle", 2000, math.log(2000) / 2000),
+        ("torus", 150, 0.25), ("sphere", 150, 0.7)])
+    def test_collapse_is_complete_at_scale(self, manifold, n, t, sweep):
+        # sizes where a removal's neighbours wait for later rounds: the
+        # collapse leaves no dominated vertex, after the A @ A sweep (the
+        # one-scale core) and without it (the last step's core)
+        near = pairwise_distances(sample(MANIFOLDS[manifold], n, 0, 0)) <= t
+        nbhd = [set(np.flatnonzero(row).tolist()) for row in near]
+        closed = [sum(1 << u for u in vs) for vs in nbhd]
+        adjacency = near.astype(float)
+        common = adjacency @ adjacency if sweep else None
+        assert len(self.check_collapse(nbhd, _strong_collapse(closed, common))) < n
 
     def test_one_scale_only(self):
         with pytest.raises(ValueError, match="one-scale"):

@@ -23,7 +23,7 @@ import numpy as np
 from . import circle_oracle, estimator, manifolds
 from .complexes import cech_complex_circle, check_grid, vr_complex, vr_filtration
 from .errors import SimplexBudgetError
-from .homology import InvariantSpec, betti, betti_invariant, euler_invariant
+from .homology import InvariantSpec, betti_invariant, euler_invariant
 from .manifolds import ManifoldModel, PointSample
 
 FORMAT_VERSION = "betticurve-1"
@@ -235,6 +235,46 @@ def _selftest_checks(config: RunConfig):
     seed = config.master_seed
     circ = manifolds.circle()
 
+    # every route of the estimator, one row each: (name, complex, sample,
+    # invariant, grid, exact curve or None); a fixed sample's curve must
+    # equal its per-scale build, and the exact curve where a row gives one
+    quad = PointSample(circ, np.array([0.0, 0.25, 0.5, 0.75]))  # edges at d = 0.25 and 0.5
+    # the six points +-e_i of the sphere: at t = pi/2, an octahedron (a 2-sphere)
+    octahedron = PointSample(manifolds.sphere2(), np.vstack([np.eye(3), -np.eye(3)]))
+    bench = np.linspace(0.02, 0.32, 16).tolist()
+    circle_at = lambda n: manifolds.sample(circ, n, seed, 30_000)
+    torus_at = lambda n: manifolds.sample(manifolds.flat_torus(2), n, seed, 30_001)
+    b1, b2 = betti_invariant(1), betti_invariant(2)
+    rows = [
+        # one scale, the strong-collapse core: the closed rule d <= t makes the cycle
+        ("vr-b1 4-cycle t=0.25", "vr", quad, b1, [0.25], [1]),
+        # a lone column, which the triangles at 0.5 pair (the last step's core)
+        ("vr-b1 4-cycle t=0.25,0.5", "vr", quad, b1, [0.25, 0.5], [1, 0]),
+        ("vr-b2 octahedron", "vr", octahedron, b2, [math.pi / 2], [1]),
+        ("vr-euler octahedron", "vr", octahedron, euler_invariant(), [math.pi / 2], [2]),
+        ("vr-b1 circle n=50", "vr", circle_at(50), b1, bench, None),  # an essential lone column
+        ("cech-b1 circle n=20", "cech", circle_at(20), b1, bench, None),
+        # many columns: the b1 coboundary's triangle index, then b2's stored positions
+        ("vr-b1 torus n=30", "vr", torus_at(30), b1, [0.1, 0.2, 0.3], None),
+        ("vr-b2 torus n=40", "vr", torus_at(40), b2, [0.2, 0.26, 0.32], None),
+    ]
+    builds = {"vr": vr_complex, "cech": cech_complex_circle}
+    for name, kind, s, invariant, grid, exact in rows:
+        try:
+            curve = estimator.sample_curve(s, kind, invariant, grid)
+        except Exception as exc:  # a route that raises fails its row, not the whole run
+            curve = f"{type(exc).__name__}: {exc}"
+        per_scale = [invariant.evaluate(builds[kind](s, t, invariant.max_dim)) for t in grid]
+        yield (name, curve == per_scale and exact in (None, curve),
+               f"estimator={curve} per-scale={per_scale} exact={exact}")
+
+    # full VR counts on the octahedron: the counted build against the per-scale one
+    counts = vr_filtration(octahedron, [math.pi / 2]).counts
+    per_scale = vr_complex(octahedron, math.pi / 2)
+    listed = [[len(per_scale.simplices(d))] for d in range(per_scale.dimension + 1)]
+    yield ("vr-full-counts", counts == listed == [[6], [12], [8]],
+           f"filtration counts={counts} vr_complex={listed} (want [[6], [12], [8]])")
+
     # exact closed-form oracle vs Monte Carlo first Betti number
     grid = (0.15, 0.22, 0.3)
     est = estimator.estimate_curve(circ, "vr", betti_invariant(1), 10, grid,
@@ -254,48 +294,6 @@ def _selftest_checks(config: RunConfig):
         band = 4.0 * float(est2.stderr[k]) + 1e-12
         yield (f"euler-two-points t={t}", abs(float(est2.mean[k]) - expect) <= band,
                f"mean={est2.mean[k]:.4f} exact={expect:.4f} band={band:.4f}")
-
-    # closed VR edge convention: edges at exactly d == t must be present, in
-    # the estimator's build and in the per-scale one
-    quad = PointSample(circ, np.array([0.0, 0.25, 0.5, 0.75]))
-    built = vr_filtration(quad, [0.25]).counts[1]
-    listed = len(vr_complex(quad, 0.25, 1).simplices(1))
-    yield ("vr-closed-convention", built == [4] and listed == 4,
-           f"filtration edges={built} vr_complex edges={listed} (want [4] and 4)")
-
-    # full VR counts on the octahedron, the six points +-e_i of the sphere at
-    # t = pi/2 (a 2-sphere): the counted build against the per-scale one
-    octahedron = PointSample(manifolds.sphere2(), np.vstack([np.eye(3), -np.eye(3)]))
-    full = vr_filtration(octahedron, [math.pi / 2])
-    per_scale = vr_complex(octahedron, math.pi / 2)
-    listed = [[len(per_scale.simplices(d))] for d in range(per_scale.dimension + 1)]
-    chi = euler_invariant().curve(full)
-    yield ("vr-full-counts", full.counts == listed == [[6], [12], [8]] and chi == [2],
-           f"filtration counts={full.counts} vr_complex={listed} euler={chi} "
-           f"(want [[6], [12], [8]] and [2])")
-
-    # one-scale Vietoris-Rips Betti numbers, which the estimator reads off a
-    # strong-collapse core, against the per-scale build: the octahedron at
-    # pi/2 (b2 = 1) and the 4-cycle at 0.25 (b1 = 1)
-    cases = ((octahedron, math.pi / 2, 2), (quad, 0.25, 1))
-    core = [estimator.sample_curve(s, "vr", betti_invariant(k), (t,)) for s, t, k in cases]
-    per_scale = [[betti(vr_complex(s, t, k + 1), k)] for s, t, k in cases]
-    yield ("vr-one-scale-core", core == per_scale == [[1], [1]],
-           f"estimator={core} vr_complex={per_scale} (want [[1], [1]])")
-
-    # a multi-scale Vietoris-Rips b1 curve whose reduction leaves one column
-    # asks the last step's strong-collapse core whether it is essential: the
-    # 4-cycle at (0.25, 0.5), where a triangle at 0.5 pairs it, and a circle
-    # sample at n=50 on the benchmark grid against the per-scale build
-    quad_curve = estimator.sample_curve(quad, "vr", betti_invariant(1), (0.25, 0.5))
-    s = manifolds.sample(circ, 50, seed, 30_000)
-    grid3 = np.linspace(0.02, 0.32, 16).tolist()
-    curve = estimator.sample_curve(s, "vr", betti_invariant(1), grid3)
-    dist = manifolds.pairwise_distances(s)
-    per_scale = [betti(vr_complex(s, t, 2, dist=dist), 1) for t in grid3]
-    yield ("vr-last-step-core", quad_curve == [1, 0] and curve == per_scale,
-           f"4-cycle={quad_curve} (want [1, 0]) circle n=50 estimator={curve} "
-           f"vr_complex={per_scale}")
 
     # Cech/VR interleaving on random samples:
     # Cech(r) <= VR(2r) <= Cech(2r + eps) for every eps > 0

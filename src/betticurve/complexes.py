@@ -530,6 +530,8 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
     grid = check_grid(grid)
     if len(grid) != 1:
         raise ValueError(f"vr_core_filtration takes a one-scale grid, got {len(grid)} scales")
+    if max_dim == -1:  # a core is built for a Betti number, to a finite depth
+        raise ValueError("vr_core_filtration takes a positive max_dim, got -1")
     md = _normalize_max_dim(max_dim)
     n = len(s)
     dist = pairwise_distances(s)
@@ -546,7 +548,7 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
             size += (ordered - 4 * edges) // 6
     else:
         nbr = [mask ^ (1 << v) for v, mask in enumerate(closed)]
-        size = _count_cliques(nbr, n if md == -1 else md + 1, budget)
+        size = _count_cliques(nbr, md + 1, budget)
     if size > budget:
         raise SimplexBudgetError(budget)
     return _core_filtration(dist, closed, grid, md, budget, common)

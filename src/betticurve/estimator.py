@@ -82,6 +82,11 @@ class ConvergenceTable:
         return np.abs(self.mean - self.target)
 
 
+def _check_complex_kind(complex_kind: str) -> None:
+    if complex_kind not in (VR, CECH):
+        raise ValueError(f"complex_kind must be '{VR}' or '{CECH}', got {complex_kind!r}")
+
+
 def sample_curve(s: PointSample, complex_kind: str, invariant: InvariantSpec, grid,
                  budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[int]:
     """The invariant of the sample's complex at every grid scale, read off one
@@ -91,6 +96,7 @@ def sample_curve(s: PointSample, complex_kind: str, invariant: InvariantSpec, gr
     if its reduction leaves one column in the top dimension, b_k at the last
     step (which says whether that column is essential) comes from the
     strong-collapse core of the last step's complex."""
+    _check_complex_kind(complex_kind)
     if complex_kind == CECH:
         return invariant.curve(cech_filtration_circle(s, grid, invariant.max_dim, budget=budget))
     if invariant.kind != "betti":
@@ -123,8 +129,7 @@ def _trial_values(manifold, complex_kind, invariant, grid, master_seed, budget,
 def _check_run(manifold, complex_kind, n_values, grid, trials, workers) -> tuple[float, ...]:
     """The grid as :func:`check_grid` returns it, once every argument of the
     run is valid (``n_values`` is a tuple of ints)."""
-    if complex_kind not in (VR, CECH):
-        raise ValueError(f"complex_kind must be '{VR}' or '{CECH}', got {complex_kind!r}")
+    _check_complex_kind(complex_kind)
     if complex_kind == CECH and manifold.kind != CIRCLE:
         raise ValueError("Cech estimation is supported on the circle only")
     if trials < 2:

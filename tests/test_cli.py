@@ -410,8 +410,9 @@ class TestSelftest:
         assert "all checks passed" in out
         assert out.count("PASS") >= 7
         assert "FAIL" not in out
-        assert "PASS vr-one-scale-core: estimator=[[1], [1]] vr_complex=[[1], [1]]" in out
-        assert "PASS vr-last-step-core: 4-cycle=[1, 0] (want [1, 0])" in out
+        assert "PASS vr-b1 4-cycle t=0.25: estimator=[1] per-scale=[1] exact=[1]" in out
+        assert ("PASS vr-b1 4-cycle t=0.25,0.5: estimator=[1, 0] per-scale=[1, 0] "
+                "exact=[1, 0]") in out
 
     def test_too_few_trials_is_usage_error(self):
         assert cli.main(["selftest", "--trials", "100"]) == EXIT_USAGE

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import time
@@ -12,7 +13,7 @@ from betticurve.estimator import (CECH, VR, convergence_study, estimate_curve,
                                   max_discrete_slope, sample_curve)
 from betticurve.homology import betti, betti_invariant, euler_invariant
 from betticurve.manifolds import circle, flat_torus, sample, sphere2
-from betticurve.complexes import vr_complex
+from betticurve.complexes import vr_complex, vr_filtration
 
 B0 = betti_invariant(0)
 B1 = betti_invariant(1)
@@ -68,6 +69,8 @@ class TestValidation:
     def test_bad_complex_kind(self):
         with pytest.raises(ValueError):
             estimate_curve(circle(), "alpha", B1, 5, [0.1], 10, 0)
+        with pytest.raises(ValueError, match="complex_kind must be 'vr' or 'cech'"):
+            sample_curve(sample(circle(), 5, 0, 0), "alpha", B1, [0.1])  # not silently VR
 
     def test_cech_off_circle_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +137,16 @@ def circle_trial_curves(complex_kind, invariant, n, grid, seed, trials):
                      for j in range(trials)], dtype=float)
 
 
+def check_moments(values, mean, variance):
+    """A sample's mean at 4 standard errors of the exact variance, and its
+    variance at 4 standard errors of the squared deviations from the exact
+    mean."""
+    deviations = (values - mean) ** 2
+    assert abs(values.mean() - mean) <= 4 * math.sqrt(variance / len(values)) + 1e-12
+    assert abs(deviations.mean() - variance) <= \
+        4 * deviations.std(ddof=1) / math.sqrt(len(values)) + 1e-12
+
+
 class TestExactCircleMoments:
     """Exact circle moments for the Euler characteristic, b0 and Cech b1.
 
@@ -155,13 +168,6 @@ class TestExactCircleMoments:
     def values(cls, complex_kind, invariant, n, grid):
         return circle_trial_curves(complex_kind, invariant, n, grid, cls.SEED, cls.TRIALS)
 
-    @staticmethod
-    def check(values, mean, variance):
-        deviations = (values - mean) ** 2
-        assert abs(values.mean() - mean) <= 4 * math.sqrt(variance / len(values)) + 1e-12
-        assert abs(deviations.mean() - variance) <= \
-            4 * deviations.std(ddof=1) / math.sqrt(len(values)) + 1e-12
-
     @pytest.mark.parametrize("n", [5, 12])
     def test_vietoris_rips_euler_and_b0(self, n):
         grid = [0.05, 0.12, 0.2, 0.32]
@@ -170,8 +176,8 @@ class TestExactCircleMoments:
             m = n * (1 - t) ** (n - 1)
             p = circle_homotopy_prob(n, t)
             var_chi = m + n * (n - 1) * (1 - 2 * t) ** (n - 1) - m * m
-            self.check(chi[:, step], m, var_chi)
-            self.check(b0[:, step], m + p, var_chi + p * (1 - p) - 2 * p * m)
+            check_moments(chi[:, step], m, var_chi)
+            check_moments(b0[:, step], m + p, var_chi + p * (1 - p) - 2 * p * m)
 
     @pytest.mark.parametrize("n", [5, 12])
     def test_cech_b1(self, n):
@@ -181,6 +187,74 @@ class TestExactCircleMoments:
             p = circle_homotopy_prob(n, 2 * t)
             stderr = math.sqrt(p * (1 - p) / self.TRIALS)
             assert abs(b1[:, step].mean() - p) <= 4 * stderr + 1e-12
+
+
+# Off the circle: (manifold, probability that two points are within t,
+# probability that three span a triangle or None, grid).  On the flat 2-torus
+# a disc of radius t <= 1/2 has area pi t^2, and for t <= 1/4 three points
+# are pairwise within t with probability pi (pi - 3 sqrt(3) / 4) t^4, the
+# integral over 0 <= u <= t of 2 pi u lens(u, t), lens(u, t) the area common
+# to two discs of radius t at distance u.  On the unit sphere a geodesic cap
+# of radius t has area fraction (1 - cos t) / 2.
+OFF_CIRCLE = {
+    "torus": (flat_torus(2), lambda t: math.pi * t ** 2,
+              lambda t: math.pi * (math.pi - 3 * math.sqrt(3) / 4) * t ** 4,
+              [0.05, 0.1, 0.15, 0.2, 0.25]),
+    "sphere": (sphere2(), lambda t: (1 - math.cos(t)) / 2, None, [0.2, 0.4, 0.6, 0.8, 1.0]),
+}
+OFF_CIRCLE_N, OFF_CIRCLE_TRIALS, OFF_CIRCLE_SEED = 20, 3000, 2101
+
+
+@functools.cache
+def off_circle_trials(name):
+    """Per trial on the named manifold, each an array of shape (trials,
+    len(grid)): the edge and triangle counts N_1 and N_2 at every grid
+    scale, and the b0 and b1 curves."""
+    manifold, _, _, grid = OFF_CIRCLE[name]
+    n1, n2, b0, b1 = [], [], [], []
+    for j in range(OFF_CIRCLE_TRIALS):
+        s = sample(manifold, OFF_CIRCLE_N, OFF_CIRCLE_SEED, j)
+        counts = vr_filtration(s, grid, 2).counts
+        n1.append(np.cumsum(counts[1]))
+        n2.append(np.cumsum(counts[2]))
+        b0.append(sample_curve(s, VR, B0, grid))
+        b1.append(sample_curve(s, VR, B1, grid))
+    return tuple(np.array(x, dtype=float) for x in (n1, n2, b0, b1))
+
+
+class TestSimplexCountMoments:
+    """Exact simplex-count moments off the circle, at n = 20.
+
+    On a homogeneous space the indicators of two edges are independent even
+    when they share a vertex (given the shared point, the other two are
+    uniform and independent), so with p(t) the probability that two points
+    are within t, the edge count N_1 has mean C(n, 2) p and variance
+    C(n, 2) p (1 - p).  The triangle count N_2 on the torus has mean C(n, 3)
+    times the triangle probability; its mean is checked at 4 standard errors
+    of the trials' own spread.
+    """
+
+    @pytest.mark.parametrize("name", sorted(OFF_CIRCLE))
+    def test_edge_count(self, name):
+        _, edge, _, grid = OFF_CIRCLE[name]
+        n1 = off_circle_trials(name)[0]
+        pairs = math.comb(OFF_CIRCLE_N, 2)
+        for step, t in enumerate(grid):
+            check_moments(n1[:, step], pairs * edge(t), pairs * edge(t) * (1 - edge(t)))
+
+    def test_torus_triangle_count(self):
+        _, _, triangle, grid = OFF_CIRCLE["torus"]
+        n2 = off_circle_trials("torus")[1]
+        for step, t in enumerate(grid):
+            mean = math.comb(OFF_CIRCLE_N, 3) * triangle(t)
+            stderr = n2[:, step].std(ddof=1) / math.sqrt(OFF_CIRCLE_TRIALS)
+            assert abs(n2[:, step].mean() - mean) <= 4 * stderr + 1e-12
+
+    @pytest.mark.parametrize("name", sorted(OFF_CIRCLE))
+    def test_components_at_least_vertices_minus_edges(self, name):
+        # each edge joins at most two components, per sample
+        n1, _, b0, _ = off_circle_trials(name)
+        assert np.all(b0 >= OFF_CIRCLE_N - n1)
 
 
 class TestLipschitzInExpectation:
@@ -228,6 +302,21 @@ class TestLipschitzInExpectation:
             stderr = math.sqrt(max(increments.var(ddof=1), frac * (1 - frac)) / self.TRIALS)
             assert abs(increments.mean() - exact) <= 4 * stderr + 1e-12
             assert abs(increments.mean()) / (b - a) <= slope(a) + 4 * stderr / (b - a)
+
+    @pytest.mark.parametrize("name, k", [("torus", 0), ("torus", 1), ("sphere", 0)])
+    def test_mean_increments_off_circle(self, name, k):
+        # b_k moves by at most the k- and (k+1)-simplices entering, so its mean
+        # increment by at most the increment of E[N_1] (b0), or of
+        # E[N_1] + E[N_2] (b1, on the torus, where E[N_2] is exact)
+        _, edge, triangle, grid = OFF_CIRCLE[name]
+        n = OFF_CIRCLE_N
+        bound = lambda t: math.comb(n, 2) * edge(t) + (k and math.comb(n, 3) * triangle(t))
+        values = off_circle_trials(name)[2 + k]
+        for step in range(1, len(grid)):
+            increments = values[:, step] - values[:, step - 1]
+            stderr = increments.std(ddof=1) / math.sqrt(OFF_CIRCLE_TRIALS)
+            assert abs(increments.mean()) <= \
+                bound(grid[step]) - bound(grid[step - 1]) + 4 * stderr
 
 
 class TestDeterminism:

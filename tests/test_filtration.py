@@ -117,8 +117,10 @@ class TestVietorisRipsEquivalence:
             return False
 
         assert raises(filtration_curve) == raises(reference_curve) == (size > budget)
-        # the core's budget counts the whole complex
-        assert raises(core_curve, [grid[-1]]) == (size > budget)
+        # the core's budget counts the whole complex; a core is built for a
+        # Betti number only
+        if invariant.kind == "betti":
+            assert raises(core_curve, [grid[-1]]) == (size > budget)
 
     @pytest.mark.parametrize("invariant", INVARIANTS, ids=["betti0", "betti1", "betti2", "euler"])
     def test_budget_boundary(self, invariant):
@@ -569,6 +571,8 @@ class TestValidation:
                 vr_complex(s, 0.1, max_dim)
             with pytest.raises(ValueError):
                 cech_complex_circle(s, 0.1, max_dim)
+        with pytest.raises(ValueError):  # a core is built for a Betti number only
+            vr_core_filtration(s, [0.1], -1)
 
     def test_curves_need_enough_kept(self):
         s = sample(circle(), 6, 0, 0)

@@ -201,7 +201,7 @@ class Filtration:
     ``first[p]`` (its ends' common neighbourhood on arrival) has their third
     vertices, and ``offsets[p]`` counts the triangles in earlier blocks.  A
     triangle's index is its block's offset plus the rank of its third vertex
-    in ``first[p]``.
+    in ``first[p]``.  ``flag`` is true for a Vietoris-Rips (clique) build.
     """
 
     num_vertices: int
@@ -213,6 +213,7 @@ class Filtration:
     neighbours: list[int]
     first: list[int]
     offsets: list[int]
+    flag: bool
 
 
 def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
@@ -274,14 +275,25 @@ def _clique_polynomial(cand: int, nbr: list[int], x: int, limit: int) -> int:
     return total
 
 
-def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[float, ...],
-                max_dim: int, budget: int, simplex_step=None) -> Filtration:
-    """Incremental clique expansion in sorted edge order up to max(grid).
+def _sorted_pairs(dist: np.ndarray, scales: np.ndarray, strict: bool):
+    """The pairs (i, j), i < j, within max(scales), sorted by distance d (ties
+    in row order), and the step of each: the first s with d <= scales[s]
+    (d < scales[s] when ``strict``), for increasing ``scales``."""
+    near = dist < scales[-1] if strict else dist <= scales[-1]
+    iu, ju = np.nonzero(np.triu(near, 1))  # row by row, so ties keep that order
+    pair_dist = dist[iu, ju]
+    order = np.argsort(pair_dist, kind="stable")
+    steps = np.searchsorted(scales, pair_dist[order], side="right" if strict else "left")
+    return list(zip(iu[order].tolist(), ju[order].tolist())), steps.tolist()
 
-    A pair at distance d enters at the first step s with d <= scales[s]
-    (d < scales[s] when ``strict``), and is no edge if there is none;
-    ``scales`` is increasing, one entry per grid step.  Edges are added in
-    order of distance, and the simplices whose longest edge is the edge just
+
+def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], grid: tuple,
+                max_dim: int, budget: int, simplex_step=None) -> Filtration:
+    """Incremental clique expansion, on n vertices, of the graph whose edges
+    are ``edges``, added in that order, the p-th at step ``edge_steps[p]``
+    (nondecreasing, as :func:`_sorted_pairs` gives them).
+
+    The simplices whose longest edge (the last to arrive) is the edge just
     added (its block) are the cliques of ``cand``, the common neighbourhood
     of its endpoints in the graph built so far, so every simplex is found
     exactly once, when its longest edge arrives.  Its step is that edge's
@@ -309,19 +321,11 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
     the cliques it has found exceed the budget, so the work stays bounded by
     the budget.
     """
-    n = dist.shape[0]
     num_steps = len(grid)
     counted = simplex_step is None and max_dim <= 2  # Vietoris-Rips, full or for b0/b1
     indexed = simplex_step is None and max_dim == 2  # has first/offsets (see Filtration)
     top = max(n - 1, 1) if max_dim == -1 else max_dim
     kept_dim = 1 if counted or max_dim == -1 else max_dim
-    near = dist < scales[-1] if strict else dist <= scales[-1]
-    iu, ju = np.nonzero(np.triu(near, 1))  # row by row, so ties keep that order
-    pair_dist = dist[iu, ju]
-    order = np.argsort(pair_dist, kind="stable")
-    edges = list(zip(iu[order].tolist(), ju[order].tolist()))
-    edge_steps = np.searchsorted(scales, pair_dist[order],
-                                 side="right" if strict else "left").tolist()
 
     counts = [[0] * num_steps for _ in range(top + 1)]
     counts[0][0] = n
@@ -400,7 +404,8 @@ def _filtration(dist: np.ndarray, scales: np.ndarray, strict: bool, grid: tuple[
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
     keys += [[key for found in dim_by_step for key in found] for dim_by_step in by_step]
-    return Filtration(n, grid, max_dim, counts, edges, keys, nbr, first, offsets)
+    return Filtration(n, grid, max_dim, counts, edges, keys, nbr, first, offsets,
+                      simplex_step is None)
 
 
 def vr_filtration(s: PointSample, grid, max_dim=-1, *,
@@ -414,7 +419,8 @@ def vr_filtration(s: PointSample, grid, max_dim=-1, *,
     """
     grid = check_grid(grid)
     md = _normalize_max_dim(max_dim)
-    return _filtration(pairwise_distances(s), np.asarray(grid), False, grid, md, budget)
+    return _filtration(len(s), *_sorted_pairs(pairwise_distances(s), np.asarray(grid), False),
+                       grid, md, budget)
 
 
 def _bitmask_rows(matrix: np.ndarray) -> list[int]:
@@ -494,18 +500,19 @@ def _strong_collapse(closed: list[int], common: np.ndarray | None = None) -> lis
     return removed
 
 
-def _core_filtration(dist: np.ndarray, closed: list[int], grid: tuple[float, ...],
-                     max_dim: int, budget: int, common: np.ndarray | None = None) -> Filtration:
+def _core_filtration(closed: list[int], grid: tuple[float, ...], max_dim: int,
+                     common: np.ndarray | None = None) -> Filtration:
     """The filtration, at the one-scale grid (t,), of the core that a strong
     collapse (:func:`_strong_collapse`, with ``common`` if given) leaves of
-    the graph whose closed neighbourhoods ``closed`` are those of
-    ``dist <= t``.  It is built from ``dist``, sliced, so its edges are
-    those of the graph between core vertices.  The budget counts the core's
-    simplices only: a caller that must count the whole complex counts it
-    first."""
-    removed = set(_strong_collapse(closed, common))
-    core = [v for v in range(len(closed)) if v not in removed]
-    return _filtration(dist[np.ix_(core, core)], np.asarray(grid), False, grid, max_dim, budget)
+    the graph with closed neighbourhoods ``closed``: its edges between core
+    vertices, relabelled in vertex order and listed in row order (at one
+    step no order changes a Betti number).  It counts no budget: a core is
+    a subcomplex of a complex that its caller has counted."""
+    left = (1 << len(closed)) - 1 - sum(1 << v for v in _strong_collapse(closed, common))
+    label = {v: a for a, v in enumerate(_iter_bits(left))}
+    edges = [(a, label[w]) for v, a in label.items()
+             for w in _iter_bits(closed[v] & left & -(2 << v))]
+    return _filtration(len(label), edges, [0] * len(edges), grid, max_dim, math.inf)
 
 
 def vr_core_filtration(s: PointSample, grid, max_dim, *,
@@ -517,8 +524,8 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
     vertices left) is removed until none is left.  Each removal is a
     deformation retraction of the flag complex (Boissonnat & Pritam, SoCG
     2020), so the core has the Betti numbers of the whole complex, in every
-    dimension.  Its filtration is built from the same distances, sliced, so
-    its edges are those of the whole complex between core vertices.
+    dimension.  Its edges are those of the whole complex between core
+    vertices (:func:`_core_filtration`).
 
     The budget counts the whole complex through ``max_dim`` without listing
     it, and raises as :func:`vr_filtration` would.  Through the triangles the
@@ -551,7 +558,7 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
         size = _count_cliques(nbr, md + 1, budget)
     if size > budget:
         raise SimplexBudgetError(budget)
-    return _core_filtration(dist, closed, grid, md, budget, common)
+    return _core_filtration(closed, grid, md, common)
 
 
 def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
@@ -578,6 +585,6 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
         return bisect_right(grid, (1.0 - gmax) / 2.0)
 
     # open: two arcs of radius t meet iff the distance is < 2t
-    return _filtration(pairwise_distances(s), 2.0 * np.asarray(grid), True, grid, md, budget,
-                       simplex_step=arc_step)
+    return _filtration(len(s), *_sorted_pairs(pairwise_distances(s), 2.0 * np.asarray(grid), True),
+                       grid, md, budget, simplex_step=arc_step)
 

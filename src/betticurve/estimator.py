@@ -14,16 +14,10 @@ has no other scale to share the filtration with: it is read off the
 filtration of the complex's strong-collapse core instead
 (``vr_core_filtration``), which is homotopy equivalent to the whole complex
 and so has the same Betti numbers, while the budget still counts the whole
-complex.  A multi-scale Vietoris-Rips Betti curve takes every step from
-the whole filtration, but when its reduction leaves exactly one column in
-the top dimension k, b_k at the last step (which says whether that column is
-essential) comes from the strong-collapse core of the last step's complex,
-built from the filtration's neighbourhoods at max(grid) with no second
-budget count (the ``last_step`` of ``homology.betti_curve``).  The per-scale
-functions ``vr_complex`` and ``cech_complex_circle`` with ``betti`` and
-``euler_characteristic`` stay as the independent reference path both are
-tested against, value for value.  A trial's sample depends only on
-(master_seed, trial_index) and its size n.
+complex.  The per-scale functions ``vr_complex`` and ``cech_complex_circle``
+with ``betti`` and ``euler_characteristic`` stay as the independent
+reference path both are tested against, value for value.  A trial's sample
+depends only on (master_seed, trial_index) and its size n.
 
 A run is a list of (n, trial_index) jobs: one n for a curve, every n of a
 convergence study.  With one worker they run in this process; with more, one
@@ -42,11 +36,11 @@ from itertools import islice
 
 import numpy as np
 
-from .complexes import (DEFAULT_SIMPLEX_BUDGET, _core_filtration, cech_filtration_circle,
-                        check_grid, vr_core_filtration, vr_filtration)
+from .complexes import (DEFAULT_SIMPLEX_BUDGET, cech_filtration_circle, check_grid,
+                        vr_core_filtration, vr_filtration)
 from .errors import SimplexBudgetError
-from .homology import InvariantSpec, betti_curve
-from .manifolds import CIRCLE, ManifoldModel, PointSample, pairwise_distances, sample
+from .homology import InvariantSpec
+from .manifolds import CIRCLE, ManifoldModel, PointSample, sample
 
 VR = "vr"
 CECH = "cech"
@@ -91,28 +85,15 @@ def sample_curve(s: PointSample, complex_kind: str, invariant: InvariantSpec, gr
                  budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[int]:
     """The invariant of the sample's complex at every grid scale, read off one
     filtration: of the strong-collapse core for a Vietoris-Rips Betti number
-    at one scale, of the whole complex otherwise.  A multi-scale
-    Vietoris-Rips Betti curve reads every step off the whole filtration, but
-    if its reduction leaves one column in the top dimension, b_k at the last
-    step (which says whether that column is essential) comes from the
-    strong-collapse core of the last step's complex."""
+    at one scale, of the whole complex otherwise."""
     _check_complex_kind(complex_kind)
     if complex_kind == CECH:
-        return invariant.curve(cech_filtration_circle(s, grid, invariant.max_dim, budget=budget))
-    if invariant.kind != "betti":
-        return invariant.curve(vr_filtration(s, grid, invariant.max_dim, budget=budget))
-    if len(grid) == 1:
-        return betti_curve(vr_core_filtration(s, grid, invariant.max_dim, budget=budget),
-                           invariant.dim)
-    f = vr_filtration(s, grid, invariant.max_dim, budget=budget)
-
-    def last_step() -> int:
-        # the whole filtration counted the budget; the core is a subcomplex of it
-        closed = [nbr | 1 << v for v, nbr in enumerate(f.neighbours)]
-        core = _core_filtration(pairwise_distances(s), closed, f.grid[-1:], f.max_dim, budget)
-        return betti_curve(core, invariant.dim)[0]
-
-    return betti_curve(f, invariant.dim, last_step)
+        f = cech_filtration_circle(s, grid, invariant.max_dim, budget=budget)
+    elif invariant.kind == "betti" and len(grid) == 1:
+        f = vr_core_filtration(s, grid, invariant.max_dim, budget=budget)
+    else:
+        f = vr_filtration(s, grid, invariant.max_dim, budget=budget)
+    return invariant.curve(f)
 
 
 def _trial_values(manifold, complex_kind, invariant, grid, master_seed, budget,

@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import and_
 
 from .errors import SimplexBudgetError
-from .complexes import Filtration, SimplicialComplex, _iter_bits
+from .complexes import Filtration, SimplicialComplex, _core_filtration, _iter_bits
 
 BRUTEFORCE_SIMPLEX_LIMIT = 1 << 14
 
@@ -148,6 +148,7 @@ def _coboundary(f: Filtration):
     def triangles(dim: int, p: int) -> int:  # dim is 1: edges are all this build keeps
         key, cand, rows = keys[1][p], common(keys[1][p]), bytearray(width)
         pa, pb = (pos[v] for v in f.edges[p])
+        cofacets = cand.bit_count()
         while cand:  # a triangle's rank in its block is that of its third vertex
             low = cand & -cand
             cand ^= low
@@ -157,12 +158,16 @@ def _coboundary(f: Filtration):
             third = (key | low) ^ keys[1][r]
             q = offsets[r] + (first[r] & (third - 1)).bit_count()
             rows[q >> 3] |= 1 << (q & 7)
-        return int.from_bytes(rows, "little")
+        col = int.from_bytes(rows, "little")
+        if col.bit_count() != cofacets:  # two cofacets were given one row
+            raise RuntimeError(f"cofacet index fault: the {cofacets} cofacets of edge {p} "
+                               f"{f.edges[p]} fill {col.bit_count()} rows")
+        return col
 
     return triangles
 
 
-def betti_curve(filtration: Filtration, i: int, last_step=None) -> list[int]:
+def betti_curve(filtration: Filtration, i: int) -> list[int]:
     """dim H_i over GF(2) of the complex at every grid step of the filtration.
 
     b_i(s) = N_i(s) - R_i(s) - R_{i+1}(s), where N_i(s) counts the
@@ -187,11 +192,11 @@ def betti_curve(filtration: Filtration, i: int, last_step=None) -> list[int]:
 
     The columns left in dimension i are positive i-simplices, and those of
     the b_i(last step) essential classes are among them.  So when exactly
-    one is left and ``last_step`` is given, ``last_step()`` is asked for
-    b_i at the last grid step, by any route that does not reduce this
-    filtration: 1 means the column is essential and has no pivot, so it is
-    skipped; 0 means it is paired and is reduced; any other answer raises
-    RuntimeError.
+    one is left in a ``flag`` filtration of more than one step, b_i at the
+    last step is read off the strong-collapse core of that step's graph
+    (``neighbours``), which has that complex's Betti numbers: 1 means the
+    column is essential and has no pivot, so it is skipped; 0 means it is
+    paired and is reduced; any other answer raises RuntimeError.
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
@@ -232,8 +237,9 @@ def betti_curve(filtration: Filtration, i: int, last_step=None) -> list[int]:
                 owner[filtration.offsets[p]] = p
             else:
                 columns.append(p)
-        if dim == i and len(columns) == 1 and last_step is not None:
-            essential = last_step()
+        if dim == i and len(columns) == 1 and filtration.flag and len(filtration.grid) > 1:
+            closed = [nbr | 1 << v for v, nbr in enumerate(filtration.neighbours)]
+            essential = betti_curve(_core_filtration(closed, filtration.grid[-1:], i + 1), i)[0]
             if essential not in (0, 1):
                 raise RuntimeError(
                     f"b{i} at the last step is {essential!r} with one {i}-simplex "

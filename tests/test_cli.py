@@ -427,6 +427,21 @@ class TestSelftest:
         assert "FAIL doomed" in capsys.readouterr().out
 
 
+    def test_a_raising_check_fails_alone(self, monkeypatch, capsys):
+        # a check outside the route rows that raises prints its FAIL line,
+        # and the checks after it still run: exit 1 from the summary, not 2
+        def broken(*args, **kwargs):
+            raise ValueError("broken build")
+
+        monkeypatch.setattr(cli, "vr_filtration", broken)
+        code = cli.main(["selftest", "--trials", "500"])
+        out = capsys.readouterr().out
+        assert code == EXIT_SELFTEST_FAIL
+        assert "FAIL vr-full-counts: ValueError: broken build" in out
+        assert "PASS cech-vr-interleaving" in out
+        assert "selftest: 1 check(s) failed" in out
+
+
 class TestWorkers:
     def test_environment_is_not_read(self, tmp_path, monkeypatch):
         # the command line alone sets a run's configuration

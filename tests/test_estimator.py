@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betticurve import estimator
+from betticurve import estimator, homology
 from betticurve.circle_oracle import circle_homotopy_prob
 from betticurve.estimator import (CECH, VR, convergence_study, estimate_curve,
                                   max_discrete_slope, sample_curve)
@@ -533,13 +533,14 @@ class TestBudgetPropagation:
         # strong-collapse core; on a longer grid, or for the Euler
         # characteristic, off the whole complex's filtration, and a longer
         # grid whose reduction leaves one column (circle b1 at n=30 here)
-        # also builds the last step's core
+        # also builds the last step's core, in betti_curve
         built = []
-        for name in ("vr_filtration", "vr_core_filtration", "_core_filtration"):
-            def record(*args, name=name, build=getattr(estimator, name), **kwargs):
+        for module, name in ((estimator, "vr_filtration"), (estimator, "vr_core_filtration"),
+                             (homology, "_core_filtration")):
+            def record(*args, name=name, build=getattr(module, name), **kwargs):
                 built.append(name)
                 return build(*args, **kwargs)
-            monkeypatch.setattr(estimator, name, record)
+            monkeypatch.setattr(module, name, record)
         for invariant, grid, n in ((B1, [0.2], 6), (B1, [0.1, 0.2], 6), (EULER, [0.2], 6),
                                    (B2, [0.2], 6), (B1, [0.2, 0.3], 30)):
             estimate_curve(circle(), VR, invariant, n, grid, 2, 0)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betticurve import homology
 from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_polynomial, _core_filtration,
                                   _filtration, _strong_collapse, cech_complex_circle,
                                   cech_filtration_circle, vr_complex, vr_core_filtration,
@@ -244,12 +245,10 @@ class TestLipschitz:
 def cross_polytope(m):
     """The full filtration, at the one scale 1, of 2m vertices with every pair
     adjacent except v and v + m: the boundary of the m-dimensional
-    cross-polytope, a sphere S^(m-1)."""
-    dist = np.ones((2 * m, 2 * m))
-    np.fill_diagonal(dist, 0.0)
-    for v in range(m):
-        dist[v, v + m] = dist[v + m, v] = 2.0
-    return _filtration(dist, np.array([1.0]), False, (1.0,), -1, DEFAULT_SIMPLEX_BUDGET)
+    cross-polytope, a sphere S^(m-1).  Its edges are listed in
+    lexicographic order, all at step 0."""
+    edges = [(a, b) for a, b in combinations(range(2 * m), 2) if b != a + m]
+    return _filtration(2 * m, edges, [0] * len(edges), (1.0,), -1, DEFAULT_SIMPLEX_BUDGET)
 
 
 class TestCliqueCounts:
@@ -342,11 +341,21 @@ class TestChainedReductions:
     def test_index_fault_raises(self):
         # a phantom third vertex below each block's earliest shifts its ranks
         # up by one, so apparent edges are paired with pivots their columns
-        # lack: reducing against such a column would never end
-        s = sample(circle(), 50, 0, 0)
-        f = vr_filtration(s, np.linspace(0.02, 0.32, 16).tolist(), 2)
+        # lack: reducing against such a column would never end (a torus b1
+        # reduction reduces many columns; a circle one skips its lone column)
+        s = sample(flat_torus(2), 60, 0, 0)
+        f = vr_filtration(s, np.linspace(0.05, 0.25, 9).tolist(), 2)
         bad = dataclasses.replace(f, first=[x | (x & -x) >> 1 for x in f.first])
         with pytest.raises(RuntimeError, match="cofacet index fault"):
+            betti_curve(bad, 1)
+
+    def test_merged_cofacets_raise(self):
+        # with every block's offset 0, cofacets of one edge from different
+        # blocks share a row, where they would cancel
+        s = sample(flat_torus(2), 60, 0, 0)
+        f = vr_filtration(s, np.linspace(0.05, 0.25, 9).tolist(), 2)
+        bad = dataclasses.replace(f, offsets=[0] * len(f.offsets))
+        with pytest.raises(RuntimeError, match=r"cofacet index fault: the \d+ cofacets of edge"):
             betti_curve(bad, 1)
 
 
@@ -445,22 +454,60 @@ class TestOneScaleCore:
         common = adjacency @ adjacency if sweep else None
         assert len(self.check_collapse(nbhd, _strong_collapse(closed, common))) < n
 
+    @settings(max_examples=100, deadline=None)
+    @given(cases(max_n=12), st.data())
+    def test_core_edges_are_the_complexes(self, case, data):
+        # the core is built from the closed neighbourhoods alone, with no
+        # distances: its edges are vr_complex's between core vertices, in
+        # row order
+        s, grid = case
+        t = data.draw(st.sampled_from(grid))
+        near = pairwise_distances(s) <= t
+        np.fill_diagonal(near, True)
+        closed = [sum(1 << u for u in np.flatnonzero(row).tolist()) for row in near]
+        adjacency = near.astype(float)
+        removed = _strong_collapse(closed, adjacency @ adjacency)
+        core = [v for v in range(len(s)) if v not in removed]
+        f = vr_core_filtration(s, [t], 1)
+        assert [(core[a], core[b]) for a, b in f.edges] == \
+            [e for e in vr_complex(s, t, 1).simplices(1) if set(e) <= set(core)]
+
     def test_one_scale_only(self):
         with pytest.raises(ValueError, match="one-scale"):
             vr_core_filtration(sample(circle(), 5, 0, 0), [0.1, 0.2], 2)
 
 
+def last_step_core(f):
+    """The core that betti_curve reads b_k at the last step off."""
+    closed = [nbr | 1 << v for v, nbr in enumerate(f.neighbours)]
+    return _core_filtration(closed, f.grid[-1:], f.max_dim)
+
+
+def record_cores(monkeypatch):
+    """The cores that betti_curve builds from now on, in order."""
+    cores = []
+
+    def build(*args, **kwargs):
+        cores.append(_core_filtration(*args, **kwargs))
+        return cores[-1]
+    monkeypatch.setattr(homology, "_core_filtration", build)
+    return cores
+
+
+def cycles_core(m):
+    """A core builder that ignores its graph and builds m disjoint 4-cycles,
+    whose b1 is m."""
+    closed = [1 << v | 1 << (v & ~3 | (v + 1) & 3) | 1 << (v & ~3 | (v - 1) & 3)
+              for v in range(4 * m)]
+    return lambda *args, **kwargs: _core_filtration(closed, (1.0,), 2)
+
+
 class TestLastStepCore:
     # When a multi-scale Vietoris-Rips Betti reduction leaves one column in
-    # its top dimension, sample_curve asks the strong-collapse core of the
-    # last step's complex for b_k there, which says whether that column is
-    # essential (no pivot, skipped) or paired (reduced).
-
-    @staticmethod
-    def last_step_core(s, f):
-        closed = [nbr | 1 << v for v, nbr in enumerate(f.neighbours)]
-        return _core_filtration(pairwise_distances(s), closed, f.grid[-1:], f.max_dim,
-                                DEFAULT_SIMPLEX_BUDGET)
+    # its top dimension, betti_curve asks the strong-collapse core of the
+    # last step's graph for b_k there, which says whether that column is
+    # essential (no pivot, skipped) or paired (reduced).  With ``flag``
+    # false the same filtration reduces every column.
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([("circle", 0.02, 0.32), ("torus", 0.05, 0.4), ("sphere", 0.2, 1.2)]),
@@ -471,47 +518,57 @@ class TestLastStepCore:
         s = sample(MANIFOLDS[kind], n, seed, 0)
         grid = sorted({lo + (hi - lo) * x for x in fractions})
         f = vr_filtration(s, grid, k + 1)
-        curve = betti_curve(f, k)
-        assert sample_curve(s, VR, betti_invariant(k), grid) == curve
-        assert betti_curve(self.last_step_core(s, f), k) == curve[-1:]
+        curve = betti_curve(dataclasses.replace(f, flag=False), k)
+        assert sample_curve(s, VR, betti_invariant(k), grid) == betti_curve(f, k) == curve
+        assert betti_curve(last_step_core(f), k) == curve[-1:]
 
-    def test_asked_only_for_a_lone_column(self):
+    def test_asked_only_for_a_lone_column(self, monkeypatch):
         # circle b1 on the benchmark grid leaves only the essential column;
         # a torus b2 reduction leaves many, and reduces them all
         grid = np.linspace(0.02, 0.32, 16).tolist()
+        cores = record_cores(monkeypatch)
         for seed in range(3):
-            s = sample(circle(), 50, seed, 0)
-            f = vr_filtration(s, grid, 2)
-            asked = []
+            f = vr_filtration(sample(circle(), 50, seed, 0), grid, 2)
+            assert betti_curve(f, 1) == betti_curve(dataclasses.replace(f, flag=False), 1)
+            assert [betti_curve(core, 1) for core in cores] == [[1]]
+            cores.clear()
+        f = vr_filtration(sample(flat_torus(2), 60, 0, 0), np.linspace(0.1, 0.45, 8).tolist(), 3)
+        betti_curve(f, 2)
+        assert cores == []
 
-            def last_step():
-                asked.append(betti_curve(self.last_step_core(s, f), 1)[0])
-                return asked[-1]
-            assert betti_curve(f, 1, last_step) == betti_curve(f, 1)
-            assert asked == [1]
+    def test_cech_never_asks(self, monkeypatch, circle_points):
+        # a circle Cech complex is no flag complex, so the core of its graph
+        # says nothing of it: on the benchmark grid, and on a 4-cycle whose
+        # reduction leaves one column, the core builder is never called
+        monkeypatch.setattr(homology, "_core_filtration", cycles_core(2))
+        grid = np.linspace(0.02, 0.32, 16).tolist()
+        for seed in range(3):
+            s = sample(circle(), 20, seed, 0)
+            assert filtration_curve(s, grid, betti_invariant(1), 2, "cech") == \
+                reference_curve(s, grid, betti_invariant(1), 2, "cech")
+        quad = circle_points([0, 0.25, 0.5, 0.75])  # a 4-cycle from t = 0.125 to 0.25
+        assert betti_curve(cech_filtration_circle(quad, [0.13, 0.2], 2), 1) == [1, 1]
 
-        def never():
-            raise AssertionError("asked with more than one column left")
-        s = sample(flat_torus(2), 60, 0, 0)
-        f = vr_filtration(s, np.linspace(0.1, 0.45, 8).tolist(), 3)
-        assert betti_curve(f, 2, never) == betti_curve(f, 2)
-
-    def test_four_cycle_lone_column_is_paired(self, circle_points):
+    def test_four_cycle_lone_column_is_paired(self, monkeypatch, circle_points):
         # the fourth cycle edge is the one column left, and a triangle at
-        # 0.5 kills its class: an answer of 1 would keep b1 = 1 there
+        # 0.5 kills its class: a core with b1 = 1 would keep b1 = 1 there
         s = circle_points([0, 0.25, 0.5, 0.75])
         grid = [0.25, 0.5]
         f = vr_filtration(s, grid, 2)
-        assert betti_curve(self.last_step_core(s, f), 1) == [0]
+        cores = record_cores(monkeypatch)
         assert sample_curve(s, VR, betti_invariant(1), grid) == betti_curve(f, 1) == [1, 0]
-        assert betti_curve(f, 1, lambda: 1) == [1, 1]
+        assert [betti_curve(core, 1) for core in cores] == [[0], [0]]
+        monkeypatch.setattr(homology, "_core_filtration", cycles_core(1))
+        assert betti_curve(f, 1) == [1, 1]
 
-    @pytest.mark.parametrize("answer", [2, -1, None, 0.5])
-    def test_fault_raises(self, circle_points, answer):
-        # an answer that cannot be b1 at the last step raises, and skips nothing
+    @pytest.mark.parametrize("answer", [2, 3])
+    def test_fault_raises(self, monkeypatch, circle_points, answer):
+        # a core whose b1 cannot be that of a complex with one column left
+        # raises, and skips nothing
         f = vr_filtration(circle_points([0, 0.25, 0.5, 0.75]), [0.25, 0.5], 2)
-        with pytest.raises(RuntimeError, match="left to reduce"):
-            betti_curve(f, 1, lambda: answer)
+        monkeypatch.setattr(homology, "_core_filtration", cycles_core(answer))
+        with pytest.raises(RuntimeError, match=f"b1 at the last step is {answer} .* to reduce"):
+            betti_curve(f, 1)
 
 
 class TestCechEquivalence:

@@ -450,16 +450,12 @@ def _count_cliques(nbr: list[int], depth: int, limit: int) -> int:
     return total
 
 
-def _strong_collapse(closed: list[int], common: np.ndarray | None = None) -> list[int]:
+def _strong_collapse(closed: list[int]) -> list[int]:
     """The vertices a strong collapse removes, in order: each is dominated
     when it goes (some other vertex w left has N[v] & left <= N[w], for the
     closed neighbourhoods ``closed``), and none of those left is.
 
-    ``common``, if given, is A @ A for the closed adjacency matrix A, so
-    N[v] <= N[w] iff common[v, w] = |N[v]| = common[v, v]; such a w
-    dominates v for as long as w is left, and one sweep first removes every
-    v that such a w still dominates.  The vertices left (all of them, without
-    ``common``) are then checked in rounds, in index order, each against its
+    The vertices are checked in rounds, in index order, each against its
     neighbours left.  Removing x changes N[u] & left only for x's neighbours
     u (N[w] is fixed), so only they can become dominated: a removal queues
     those still left for the next round, not this one, where a lower
@@ -470,16 +466,8 @@ def _strong_collapse(closed: list[int], common: np.ndarray | None = None) -> lis
     which holds every vertex that could dominate u and decides whether one
     does, has not changed since: none is dominated.
     """
-    left = (1 << len(closed)) - 1
+    left = todo = (1 << len(closed)) - 1
     removed = []
-    if common is not None:
-        dominates = common == common.diagonal()[:, None]
-        np.fill_diagonal(dominates, False)
-        for v, above in enumerate(_bitmask_rows(dominates)):
-            if above & left:
-                left ^= 1 << v
-                removed.append(v)
-    todo = left
     while todo:
         again = 0
         while todo:
@@ -500,15 +488,14 @@ def _strong_collapse(closed: list[int], common: np.ndarray | None = None) -> lis
     return removed
 
 
-def _core_filtration(closed: list[int], grid: tuple[float, ...], max_dim: int,
-                     common: np.ndarray | None = None) -> Filtration:
+def _core_filtration(closed: list[int], grid: tuple[float, ...], max_dim: int) -> Filtration:
     """The filtration, at the one-scale grid (t,), of the core that a strong
-    collapse (:func:`_strong_collapse`, with ``common`` if given) leaves of
-    the graph with closed neighbourhoods ``closed``: its edges between core
-    vertices, relabelled in vertex order and listed in row order (at one
-    step no order changes a Betti number).  It counts no budget: a core is
-    a subcomplex of a complex that its caller has counted."""
-    left = (1 << len(closed)) - 1 - sum(1 << v for v in _strong_collapse(closed, common))
+    collapse (:func:`_strong_collapse`) leaves of the graph with closed
+    neighbourhoods ``closed``: its edges between core vertices, relabelled
+    in vertex order and listed in row order (at one step no order changes a
+    Betti number).  It counts no budget: a core is a subcomplex of a complex
+    that its caller has counted."""
+    left = (1 << len(closed)) - 1 - sum(1 << v for v in _strong_collapse(closed))
     label = {v: a for a, v in enumerate(_iter_bits(left))}
     edges = [(a, label[w]) for v, a in label.items()
              for w in _iter_bits(closed[v] & left & -(2 << v))]
@@ -531,8 +518,17 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
     it, and raises as :func:`vr_filtration` would.  Through the triangles the
     count comes from C = A @ A, for the closed adjacency matrix A, whose
     entry C[v, w] is |N[v] & N[w]|: an edge vw is in C[v, w] - 2 triangles.
-    The same C gives the first dominations.  Deeper, a walk over the cliques
-    counts them (:func:`_count_cliques`).
+    Deeper, a walk over the cliques counts them (:func:`_count_cliques`).
+
+    The same C gives the first removals, by one rule: v goes if some w has
+    N[v] <= N[w] (C[v, w] = C[v, v]) and ranks above v by (|N[w]|, w).  That
+    is the sweep that checks the vertices once in index order, each against
+    the vertices still left: domination is transitive, so a dominator of v
+    with a maximal neighbourhood and the highest index among its twins
+    (equal closed neighbourhoods) is never removed, and the sweep removes v
+    exactly when v has a strict dominator or a twin with a higher index.
+    The rounds of :func:`_strong_collapse` then run on the graph the
+    survivors induce, relabelled in vertex order.
     """
     grid = check_grid(grid)
     if len(grid) != 1:
@@ -544,7 +540,6 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
     dist = pairwise_distances(s)
     near = dist <= grid[0]
     np.fill_diagonal(near, True)  # closed neighbourhoods
-    closed = _bitmask_rows(near)
     adjacency = near.astype(np.float64)  # exact: every sum below is an integer < 2**53
     common = adjacency @ adjacency
     if md in (1, 2):
@@ -554,11 +549,14 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
             ordered = round(float(np.sum(common * adjacency) - np.trace(common)))
             size += (ordered - 4 * edges) // 6
     else:
-        nbr = [mask ^ (1 << v) for v, mask in enumerate(closed)]
+        nbr = [mask ^ (1 << v) for v, mask in enumerate(_bitmask_rows(near))]
         size = _count_cliques(nbr, md + 1, budget)
     if size > budget:
         raise SimplexBudgetError(budget)
-    return _core_filtration(closed, grid, md, common)
+    degree = common.diagonal()  # |N[v]|
+    rank = degree * n + np.arange(n)  # by |N[v]|, then by index
+    kept = np.flatnonzero(~((common == degree[:, None]) & (rank > rank[:, None])).any(axis=1))
+    return _core_filtration(_bitmask_rows(near[np.ix_(kept, kept)]), grid, md)
 
 
 def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,

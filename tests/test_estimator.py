@@ -195,11 +195,14 @@ class TestExactCircleMoments:
 # are pairwise within t with probability pi (pi - 3 sqrt(3) / 4) t^4, the
 # integral over 0 <= u <= t of 2 pi u lens(u, t), lens(u, t) the area common
 # to two discs of radius t at distance u.  On the unit sphere a geodesic cap
-# of radius t has area fraction (1 - cos t) / 2.
+# of radius t has area fraction (1 - cos t) / 2.  On the flat 3-torus a ball
+# of radius t <= 1/2 has volume 4 pi t^3 / 3.
 OFF_CIRCLE = {
     "torus": (flat_torus(2), lambda t: math.pi * t ** 2,
               lambda t: math.pi * (math.pi - 3 * math.sqrt(3) / 4) * t ** 4,
               [0.05, 0.1, 0.15, 0.2, 0.25]),
+    "torus3": (flat_torus(3), lambda t: 4 * math.pi * t ** 3 / 3, None,
+               [0.1, 0.2, 0.3, 0.4, 0.5]),
     "sphere": (sphere2(), lambda t: (1 - math.cos(t)) / 2, None, [0.2, 0.4, 0.6, 0.8, 1.0]),
 }
 OFF_CIRCLE_N, OFF_CIRCLE_TRIALS, OFF_CIRCLE_SEED = 20, 3000, 2101
@@ -303,7 +306,8 @@ class TestLipschitzInExpectation:
             assert abs(increments.mean() - exact) <= 4 * stderr + 1e-12
             assert abs(increments.mean()) / (b - a) <= slope(a) + 4 * stderr / (b - a)
 
-    @pytest.mark.parametrize("name, k", [("torus", 0), ("torus", 1), ("sphere", 0)])
+    @pytest.mark.parametrize("name, k", [("torus", 0), ("torus", 1), ("torus3", 0),
+                                         ("sphere", 0)])
     def test_mean_increments_off_circle(self, name, k):
         # b_k moves by at most the k- and (k+1)-simplices entering, so its mean
         # increment by at most the increment of E[N_1] (b0), or of

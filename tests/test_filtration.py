@@ -14,16 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve import homology
+from betticurve import complexes, homology
 from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_polynomial, _core_filtration,
-                                  _filtration, _strong_collapse, cech_complex_circle,
+                                  _filtration, _iter_bits, _strong_collapse, cech_complex_circle,
                                   cech_filtration_circle, vr_complex, vr_core_filtration,
                                   vr_filtration)
 from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
 from betticurve.estimator import CECH, VR, estimate_curve, sample_curve
 from betticurve.homology import (betti_curve, betti_invariant, betti_oracle_bruteforce,
                                  euler_curve, euler_invariant)
-from betticurve.manifolds import circle, flat_torus, pairwise_distances, sample, sphere2
+from betticurve.manifolds import (PointSample, circle, flat_torus, pairwise_distances, sample,
+                                  sphere2)
 
 MANIFOLDS = {"circle": circle(), "torus": flat_torus(2), "sphere": sphere2()}
 DIAMETERS = {"circle": 0.5, "torus": math.sqrt(2) / 2, "sphere": math.pi}
@@ -359,6 +360,47 @@ class TestChainedReductions:
             betti_curve(bad, 1)
 
 
+def reference_sweep(closed):
+    """The one-scale core's first removals as a sweep: each vertex in index
+    order goes if a vertex still left has a closed neighbourhood holding its
+    own (``closed``, bitmasks).  Such a vertex is a neighbour, so only
+    neighbours are checked."""
+    left, removed = (1 << len(closed)) - 1, []
+    for v, near in enumerate(closed):
+        if any(closed[w] & near == near for w in _iter_bits(near & left) if w != v):
+            left ^= 1 << v
+            removed.append(v)
+    return removed
+
+
+def induced(closed, kept):
+    """The closed neighbourhoods of the graph that the vertices ``kept``
+    (increasing) induce, relabelled in vertex order."""
+    label = {v: a for a, v in enumerate(kept)}
+    return [sum(1 << label[w] for w in _iter_bits(closed[v]) if w in label) for v in kept]
+
+
+def survivors(closed):
+    """The vertices that the sweep leaves, in increasing order."""
+    removed = set(reference_sweep(closed))
+    return [v for v in range(len(closed)) if v not in removed]
+
+
+def sweep_then_rounds(closed):
+    """The vertices that the one-scale core removes, in order: the sweep's,
+    then those that _strong_collapse's rounds remove from the graph the
+    survivors induce, mapped back to their labels."""
+    kept = survivors(closed)
+    return reference_sweep(closed) + [kept[a] for a in _strong_collapse(induced(closed, kept))]
+
+
+def closed_rows(s, t):
+    """The closed neighbourhoods of the sample's graph at scale t, as bitmasks."""
+    near = pairwise_distances(s) <= t
+    return [sum(1 << u for u in np.flatnonzero(row).tolist()) | 1 << v
+            for v, row in enumerate(near)]
+
+
 class TestOneScaleCore:
     # At one scale a Vietoris-Rips Betti number is read off the core that a
     # strong collapse leaves; Betti numbers are homotopy invariants, so it
@@ -394,19 +436,18 @@ class TestOneScaleCore:
     @settings(max_examples=100, deadline=None)
     @given(cases(max_n=8), st.data())
     def test_collapse_removes_dominated_vertices(self, case, data):
-        # on both routes (after the A @ A sweep, as the one-scale core runs
-        # it, and without, as the last step's core does) the collapse leaves
-        # no dominated vertex, and the core's Betti numbers are the
-        # brute-force ones of the whole complex; the inputs are built from the
-        # distances by hand
+        # on both routes (the sweep and then rounds on the survivors, as the
+        # one-scale core runs it, and rounds alone, as the last step's core
+        # does) the collapse leaves no dominated vertex, and the core's Betti
+        # numbers are the brute-force ones of the whole complex; the inputs
+        # are built from the distances by hand
         s, grid = case
         t = data.draw(st.sampled_from(grid))
         dist = pairwise_distances(s)
         n = len(s)
         nbhd = [{u for u in range(n) if u == v or dist[v, u] <= t} for v in range(n)]
         closed = [sum(1 << u for u in nbhd[v]) for v in range(n)]
-        common = np.array([[len(a & b) for b in nbhd] for a in nbhd], dtype=float)
-        left = self.check_collapse(nbhd, _strong_collapse(closed, common))
+        left = self.check_collapse(nbhd, sweep_then_rounds(closed))
         # a strong-collapse core is unique up to isomorphism (Barmak & Minian,
         # 2012), so the routes may remove other vertices but as many
         assert len(self.check_collapse(nbhd, _strong_collapse(closed))) == len(left)
@@ -445,32 +486,57 @@ class TestOneScaleCore:
         ("torus", 150, 0.25), ("sphere", 150, 0.7)])
     def test_collapse_is_complete_at_scale(self, manifold, n, t, sweep):
         # sizes where a removal's neighbours wait for later rounds: the
-        # collapse leaves no dominated vertex, after the A @ A sweep (the
-        # one-scale core) and without it (the last step's core)
-        near = pairwise_distances(sample(MANIFOLDS[manifold], n, 0, 0)) <= t
-        nbhd = [set(np.flatnonzero(row).tolist()) for row in near]
-        closed = [sum(1 << u for u in vs) for vs in nbhd]
-        adjacency = near.astype(float)
-        common = adjacency @ adjacency if sweep else None
-        assert len(self.check_collapse(nbhd, _strong_collapse(closed, common))) < n
+        # collapse leaves no dominated vertex, after the sweep that the
+        # one-scale core's A @ A rule stands for, and without it (the last
+        # step's core)
+        closed = closed_rows(sample(MANIFOLDS[manifold], n, 0, 0), t)
+        nbhd = [set(_iter_bits(row)) for row in closed]
+        removed = sweep_then_rounds(closed) if sweep else _strong_collapse(closed)
+        assert len(self.check_collapse(nbhd, removed)) < n
+
+    @staticmethod
+    def check_core(s, t, max_dim=1):
+        # the rounds get the graph that the sweep's survivors induce (a rule
+        # that keeps other vertices hands them another graph, or one of
+        # another size), the core's vertices are those that the sweep and the
+        # rounds leave, and its edges are vr_complex's between them, in row
+        # order
+        closed = closed_rows(s, t)
+        graphs = []
+
+        def build(rows, *args):
+            graphs.append(rows)
+            return _core_filtration(rows, *args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complexes, "_core_filtration", build)
+            f = vr_core_filtration(s, [t], max_dim)
+        assert graphs == [induced(closed, survivors(closed))]
+        removed = set(sweep_then_rounds(closed))
+        core = [v for v in range(len(s)) if v not in removed]
+        assert f.num_vertices == len(core)
+        assert [(core[a], core[b]) for a, b in f.edges] == \
+            [e for e in vr_complex(s, t, 1).simplices(1) if set(e) <= set(core)]
 
     @settings(max_examples=100, deadline=None)
     @given(cases(max_n=12), st.data())
     def test_core_edges_are_the_complexes(self, case, data):
         # the core is built from the closed neighbourhoods alone, with no
-        # distances: its edges are vr_complex's between core vertices, in
-        # row order
+        # distances
         s, grid = case
-        t = data.draw(st.sampled_from(grid))
-        near = pairwise_distances(s) <= t
-        np.fill_diagonal(near, True)
-        closed = [sum(1 << u for u in np.flatnonzero(row).tolist()) for row in near]
-        adjacency = near.astype(float)
-        removed = _strong_collapse(closed, adjacency @ adjacency)
-        core = [v for v in range(len(s)) if v not in removed]
-        f = vr_core_filtration(s, [t], 1)
-        assert [(core[a], core[b]) for a, b in f.edges] == \
-            [e for e in vr_complex(s, t, 1).simplices(1) if set(e) <= set(core)]
+        self.check_core(s, data.draw(st.sampled_from(grid)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases(max_n=12), st.data())
+    def test_rule_is_the_sweep(self, case, data):
+        # the one-scale core's A @ A rule removes what the sweep removes, on
+        # samples with coincident points appended (twins, whose lower labels
+        # go) and at every depth
+        s, grid = case
+        twins = data.draw(st.lists(st.integers(0, len(s) - 1), max_size=4))
+        points = np.concatenate([s.points, s.points[twins]])
+        points.setflags(write=False)
+        self.check_core(PointSample(s.manifold, points), data.draw(st.sampled_from(grid)),
+                        data.draw(st.integers(1, 4)))
 
     def test_one_scale_only(self):
         with pytest.raises(ValueError, match="one-scale"):

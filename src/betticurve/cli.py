@@ -318,9 +318,10 @@ def _selftest_checks(config: RunConfig):
 
 def run_selftest(config: RunConfig) -> int:
     if config.trials < SELFTEST_MIN_TRIALS:
-        raise ValueError(
-            f"selftest needs at least {SELFTEST_MIN_TRIALS} trials for its "
-            f"statistical bands, got {config.trials}")
+        raise ValueError(f"selftest needs at least {SELFTEST_MIN_TRIALS} trials for its "
+                         f"statistical bands, got {config.trials}")
+    if config.workers < 1:  # refused before any check runs, as curve and converge refuse it
+        raise ValueError("workers must be >= 1")
     failures = 0
     for name, ok, detail in _selftest_checks(config):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

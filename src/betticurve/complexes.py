@@ -195,16 +195,15 @@ class Filtration:
     ``edges[p]`` is the p-th edge, ``keys[d][p]`` the vertex bitmask of the
     p-th d-simplex and ``neighbours[v]`` v's neighbours at max(grid).  No
     step is stored: for every d, kept or counted, the d-simplices of step s
-    are rows ``sum(counts[d][:s])`` to ``sum(counts[d][:s + 1])``.  Only a
-    Vietoris-Rips build to dimension 2 has ``first`` and ``offsets``, one
-    entry per edge: block p is the triangles whose longest edge is the p-th,
-    ``first[p]`` (its ends' common neighbourhood on arrival) has their third
-    vertices, and ``offsets[p]`` counts the triangles in earlier blocks.  A
-    triangle's index is its block's offset plus the rank of its third vertex
-    in ``first[p]``.  ``flag`` is true for a Vietoris-Rips (clique) build.
+    are rows ``sum(counts[d][:s])`` to ``sum(counts[d][:s + 1])``.  A
+    Vietoris-Rips build to a finite dimension >= 2 has ``first`` and
+    ``offsets`` (the block index), one entry per edge: block p is the
+    triangles whose longest edge is the p-th, ``first[p]`` (its ends' common
+    neighbourhood on arrival) has their third vertices, and ``offsets[p]``
+    counts the triangles in earlier blocks.  A triangle's index (stored or
+    not) is its block's offset plus its third vertex's rank in ``first[p]``.
     """
 
-    num_vertices: int
     grid: tuple[float, ...]
     max_dim: int
     counts: list[list[int]]
@@ -213,7 +212,6 @@ class Filtration:
     neighbours: list[int]
     first: list[int]
     offsets: list[int]
-    flag: bool
 
 
 def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
@@ -310,9 +308,10 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
     once by :func:`_clique_polynomial`.  Every other build walks the cliques
     of ``cand`` depth first and files each kept simplex under its step as it
     finds it; the lists are joined in step order at the end.  A
-    Vietoris-Rips walk meets the blocks in edge order, so its simplices keep
-    the order it finds them in; a circle Cech simplex may enter after its
-    longest edge, and lands under its own step, with no re-sort.
+    Vietoris-Rips walk meets the blocks in edge order, and a block's
+    triangles first, by rising third vertex: it keeps the order it finds
+    them in (block p's triangles are rows ``offsets[p]`` on).  A circle Cech
+    simplex may enter after its longest edge, and lands under its own step.
 
     Raises when the complex at max(grid) has more than ``budget`` simplices,
     which is when some per-scale build on the grid would.  The total is
@@ -323,7 +322,7 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
     """
     num_steps = len(grid)
     counted = simplex_step is None and max_dim <= 2  # Vietoris-Rips, full or for b0/b1
-    indexed = simplex_step is None and max_dim == 2  # has first/offsets (see Filtration)
+    indexed = simplex_step is None and max_dim >= 2  # has first/offsets (see Filtration)
     top = max(n - 1, 1) if max_dim == -1 else max_dim
     kept_dim = 1 if counted or max_dim == -1 else max_dim
 
@@ -404,8 +403,7 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
     keys += [[key for found in dim_by_step for key in found] for dim_by_step in by_step]
-    return Filtration(n, grid, max_dim, counts, edges, keys, nbr, first, offsets,
-                      simplex_step is None)
+    return Filtration(grid, max_dim, counts, edges, keys, nbr, first, offsets)
 
 
 def vr_filtration(s: PointSample, grid, max_dim=-1, *,

@@ -122,13 +122,13 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
 
 def _coboundary(f: Filtration):
     """The coboundary of the p-th dim-simplex over its cofacets' indices (see
-    :class:`~betticurve.complexes.Filtration`): their stored positions, or,
-    in a Vietoris-Rips filtration for b1, which stores no triangle, the index
-    of a triangle from the block of its longest edge, found in an n x n
-    table of edge positions."""
+    :class:`~betticurve.complexes.Filtration`): their stored positions
+    wherever the triangles are stored, or, in a Vietoris-Rips filtration for
+    b1, which stores none, the index of a triangle from the block of its
+    longest edge, found in an n x n table of edge positions."""
     keys, nbr, first, offsets = f.keys, f.neighbours, f.first, f.offsets
     common = lambda key: reduce(and_, map(nbr.__getitem__, _iter_bits(key)))
-    if not offsets:  # stored positions; some circle Cech cliques are missing
+    if len(keys) > 2:  # stored positions; some circle Cech cliques are missing
         position = {key: q for group in keys for q, key in enumerate(group)}
 
         def stored(dim: int, p: int) -> int:
@@ -182,21 +182,22 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
     cohomology, whose pairs are those of homology) over dimensions 1..i,
     taking columns in reverse filtration order and skipping, by clearing,
     the columns of simplices already known to be negative, whose reduced
-    coboundaries are zero.  In a Vietoris-Rips filtration for b1, an edge p
-    with ``first[p]`` nonzero pairs with triangle ``offsets[p]``, its
-    earliest cofacet, whose latest facet it is, and its column is built only
-    if another is reduced against it.  Each step of a reduction must move
-    the pivot later; if a column lacks the pivot it is recorded under, the
-    cofacet index is faulty and RuntimeError is raised rather than reducing
-    forever.
+    coboundaries are zero.  With the block index (in every Vietoris-Rips
+    filtration for b_k, k >= 1), an edge p with ``first[p]`` nonzero pairs
+    with triangle ``offsets[p]``, its earliest cofacet, whose latest facet it
+    is, and its column is built only if another is reduced against it.  Each
+    step of a reduction must move the pivot later; if a column lacks the
+    pivot it is recorded under, the cofacet index is faulty and RuntimeError
+    is raised rather than reducing forever.
 
     The columns left in dimension i are positive i-simplices, and those of
     the b_i(last step) essential classes are among them.  So when exactly
-    one is left in a ``flag`` filtration of more than one step, b_i at the
-    last step is read off the strong-collapse core of that step's graph
-    (``neighbours``), which has that complex's Betti numbers: 1 means the
-    column is essential and has no pivot, so it is skipped; 0 means it is
-    paired and is reduced; any other answer raises RuntimeError.
+    one is left in a filtration of more than one step with the block index
+    (a flag complex's: a circle Cech one has none), b_i at the last step is
+    read off the strong-collapse core of that step's graph (``neighbours``),
+    which has that complex's Betti numbers: 1 means the column is essential
+    and has no pivot, so it is skipped; 0 means it is paired and is reduced;
+    any other answer raises RuntimeError.
     """
     if i < 0:
         raise ValueError("Betti dimension must be nonnegative")
@@ -204,7 +205,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
         raise ValueError(
             f"betti_curve({i}) needs a filtration built to dimension >= {i + 1} "
             f"(a full one keeps only its edges), got max_dim={filtration.max_dim}")
-    parent = list(range(filtration.num_vertices))
+    parent = list(range(len(filtration.neighbours)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -214,7 +215,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
 
     cleared = set()  # the negative simplices of the dimension below
     for p, (a, b) in enumerate(filtration.edges):
-        if len(cleared) == filtration.num_vertices - 1:
+        if len(cleared) == len(parent) - 1:
             break  # one component is left
         ra, rb = find(a), find(b)
         if ra != rb:
@@ -230,14 +231,14 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
         for p in range(len(filtration.keys[dim]) - 1, -1, -1):
             if p in cleared:
                 continue
-            if filtration.offsets and filtration.first[p]:
+            if dim == 1 and filtration.offsets and filtration.first[p]:
                 # its unreduced coboundary has a pivot no later column shares;
                 # no later edge is a facet of that triangle, so no column
                 # reduced before p would have reached it
                 owner[filtration.offsets[p]] = p
             else:
                 columns.append(p)
-        if dim == i and len(columns) == 1 and filtration.flag and len(filtration.grid) > 1:
+        if dim == i and len(columns) == 1 and filtration.offsets and len(filtration.grid) > 1:
             closed = [nbr | 1 << v for v, nbr in enumerate(filtration.neighbours)]
             essential = betti_curve(_core_filtration(closed, filtration.grid[-1:], i + 1), i)[0]
             if essential not in (0, 1):

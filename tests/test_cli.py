@@ -417,6 +417,15 @@ class TestSelftest:
     def test_too_few_trials_is_usage_error(self):
         assert cli.main(["selftest", "--trials", "100"]) == EXIT_USAGE
 
+    def test_zero_workers_is_usage_error(self, capsys):
+        # refused up front, as curve and converge refuse it, not as a FAIL
+        # line of each pooled check after the route rows have run
+        code = cli.main(["selftest", "--workers", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == "error: workers must be >= 1\n"
+        assert captured.out == ""  # no check ran
+
     def test_failure_exit_code(self, monkeypatch, capsys):
         def fake_checks(config):
             yield ("doomed", False, "forced failure")

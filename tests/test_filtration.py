@@ -166,10 +166,11 @@ class TestVietorisRipsEquivalence:
             return f.offsets[r] + (f.first[r] & (third - 1)).bit_count()
         assert len(f.keys) == 2 and [index(t) for t in triangles] == [0, 1, 2, 3]
         assert f.first[4:] == [0b1010, 0b0101] and f.offsets == [0, 0, 0, 0, 0, 2]
-        # a deeper build stores its triangles in that order, and has no index
+        # a deeper build stores its triangles in that order, with the same
+        # index; a circle Cech build has none
         deep = vr_filtration(s, grid, 3)
         assert deep.keys[2] == [sum(1 << v for v in t) for t in triangles]
-        assert deep.keys[3] == [0b1111] and deep.first == deep.offsets == []
+        assert deep.keys[3] == [0b1111] and (deep.first, deep.offsets) == (f.first, f.offsets)
         cech = cech_filtration_circle(s, grid, 3)
         assert cech.first == cech.offsets == []
         assert betti_curve(f, 0) == [4, 1, 1]
@@ -203,6 +204,25 @@ class TestVietorisRipsEquivalence:
             if block:
                 q = f.offsets[p]
                 assert q == min(cofacets) and triangles[q][0] == p
+
+    @settings(max_examples=80, deadline=None)
+    @given(cases(max_n=12))
+    def test_one_index_at_every_depth(self, case):
+        # the Vietoris-Rips builds to depths 2, 3 and 4, and the one-scale
+        # cores, have the block index, the same at every depth; a stored build
+        # files the earliest triangle of block p at row offsets[p].  The full
+        # and b0 builds have none.
+        s, grid = case
+        builds = [vr_filtration(s, grid, depth) for depth in (2, 3, 4)]
+        for f in builds + [vr_core_filtration(s, grid[-1:], depth) for depth in (2, 3)]:
+            assert len(f.first) == len(f.offsets) == len(f.edges)
+        for f in builds[1:]:
+            assert (f.first, f.offsets) == (builds[0].first, builds[0].offsets)
+            for p, third in enumerate(f.first):
+                if third:
+                    assert f.keys[2][f.offsets[p]] == f.keys[1][p] | (third & -third)
+        for f in (vr_filtration(s, grid), vr_filtration(s, grid, 1)):
+            assert f.first == f.offsets == []
 
     def test_steps_are_filtration_order(self):
         s = sample(flat_torus(2), 12, 5, 0)
@@ -453,7 +473,7 @@ class TestOneScaleCore:
         assert len(self.check_collapse(nbhd, _strong_collapse(closed))) == len(left)
         for k in range(3):
             f = vr_core_filtration(s, [t], k + 1)
-            assert f.num_vertices == len(left)
+            assert len(f.neighbours) == len(left)
             assert betti_curve(f, k) == [betti_oracle_bruteforce(vr_complex(s, t, k + 1), k)]
 
     def test_coincident_points(self, circle_points):
@@ -461,7 +481,7 @@ class TestOneScaleCore:
         s = circle_points([0.1, 0.1, 0.1, 0.6])
         for t, b0 in ((0.0, 2), (0.5, 1)):
             f = vr_core_filtration(s, [t], 1)
-            assert f.num_vertices == 1 + (t == 0.0) and betti_curve(f, 0) == [b0]
+            assert len(f.neighbours) == 1 + (t == 0.0) and betti_curve(f, 0) == [b0]
 
     @pytest.mark.parametrize("manifold, n, t, k", [
         ("circle", 100, 0.1, 1), ("circle", 60, 0.1, 2),
@@ -472,12 +492,12 @@ class TestOneScaleCore:
         s = sample(MANIFOLDS[manifold], n, 0, 0)
         invariant = betti_invariant(k)
         f = vr_core_filtration(s, [t], k + 1)
-        nbhd = [{v} for v in range(f.num_vertices)]
+        nbhd = [{v} for v in range(len(f.neighbours))]
         for a, b in f.edges:
             nbhd[a].add(b)
             nbhd[b].add(a)
-        assert f.num_vertices < n
-        assert not any(nbhd[v] <= nbhd[w] for v, w in permutations(range(f.num_vertices), 2))
+        assert len(nbhd) < n
+        assert not any(nbhd[v] <= nbhd[w] for v, w in permutations(range(len(nbhd)), 2))
         assert invariant.curve(f) == reference_curve(s, [t], invariant, k + 1)
 
     @pytest.mark.parametrize("sweep", [True, False], ids=["common", "no-common"])
@@ -513,7 +533,7 @@ class TestOneScaleCore:
         assert graphs == [induced(closed, survivors(closed))]
         removed = set(sweep_then_rounds(closed))
         core = [v for v in range(len(s)) if v not in removed]
-        assert f.num_vertices == len(core)
+        assert len(f.neighbours) == len(core)
         assert [(core[a], core[b]) for a, b in f.edges] == \
             [e for e in vr_complex(s, t, 1).simplices(1) if set(e) <= set(core)]
 
@@ -572,8 +592,8 @@ class TestLastStepCore:
     # When a multi-scale Vietoris-Rips Betti reduction leaves one column in
     # its top dimension, betti_curve asks the strong-collapse core of the
     # last step's graph for b_k there, which says whether that column is
-    # essential (no pivot, skipped) or paired (reduced).  With ``flag``
-    # false the same filtration reduces every column.
+    # essential (no pivot, skipped) or paired (reduced).  Each curve is
+    # checked against the per-scale reference, which reduces every column.
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([("circle", 0.02, 0.32), ("torus", 0.05, 0.4), ("sphere", 0.2, 1.2)]),
@@ -584,7 +604,7 @@ class TestLastStepCore:
         s = sample(MANIFOLDS[kind], n, seed, 0)
         grid = sorted({lo + (hi - lo) * x for x in fractions})
         f = vr_filtration(s, grid, k + 1)
-        curve = betti_curve(dataclasses.replace(f, flag=False), k)
+        curve = reference_curve(s, grid, betti_invariant(k), k + 1)
         assert sample_curve(s, VR, betti_invariant(k), grid) == betti_curve(f, k) == curve
         assert betti_curve(last_step_core(f), k) == curve[-1:]
 
@@ -594,8 +614,9 @@ class TestLastStepCore:
         grid = np.linspace(0.02, 0.32, 16).tolist()
         cores = record_cores(monkeypatch)
         for seed in range(3):
-            f = vr_filtration(sample(circle(), 50, seed, 0), grid, 2)
-            assert betti_curve(f, 1) == betti_curve(dataclasses.replace(f, flag=False), 1)
+            s = sample(circle(), 50, seed, 0)
+            assert betti_curve(vr_filtration(s, grid, 2), 1) == \
+                reference_curve(s, grid, betti_invariant(1), 2)
             assert [betti_curve(core, 1) for core in cores] == [[1]]
             cores.clear()
         f = vr_filtration(sample(flat_torus(2), 60, 0, 0), np.linspace(0.1, 0.45, 8).tolist(), 3)
@@ -604,8 +625,9 @@ class TestLastStepCore:
 
     def test_cech_never_asks(self, monkeypatch, circle_points):
         # a circle Cech complex is no flag complex, so the core of its graph
-        # says nothing of it: on the benchmark grid, and on a 4-cycle whose
-        # reduction leaves one column, the core builder is never called
+        # says nothing of it, and its build has no block index: on the
+        # benchmark grid, and on a 4-cycle whose reduction leaves one column,
+        # the core builder is never called
         monkeypatch.setattr(homology, "_core_filtration", cycles_core(2))
         grid = np.linspace(0.02, 0.32, 16).tolist()
         for seed in range(3):

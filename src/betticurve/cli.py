@@ -252,6 +252,9 @@ def _selftest_checks(config: RunConfig):
         ("vr-b1 4-cycle t=0.25,0.5", "vr", quad, b1, [0.25, 0.5], [1, 0]),
         ("vr-b2 octahedron", "vr", octahedron, b2, [math.pi / 2], [1]),
         ("vr-euler octahedron", "vr", octahedron, euler_invariant(), [math.pi / 2], [2]),
+        # past pi every pair is joined, the antipodes too: the 5-simplex
+        ("vr-euler octahedron past pi", "vr", octahedron, euler_invariant(), [math.pi / 2, 3.5],
+         [2, 1]),
         ("vr-b1 circle n=50", "vr", circle_at(50), b1, bench, None),  # an essential lone column
         ("cech-b1 circle n=20", "cech", circle_at(20), b1, bench, None),
         # many columns: the b1 coboundary's triangle index, then b2's stored positions

@@ -3,9 +3,14 @@
 A filtration (:func:`vr_filtration`, :func:`cech_filtration_circle`) builds
 the complex once at the largest grid scale and tags every simplex with the
 grid step at which it enters; :func:`vr_core_filtration` builds, for one
-scale, that of the Vietoris-Rips complex's strong-collapse core.  The
-per-scale functions (:func:`vr_complex`, :func:`cech_complex_circle`) are the
-independent reference they are tested against.
+scale, that of the Vietoris-Rips complex's strong-collapse core.  A
+filtration's edges come from a pair search over the sample
+(:func:`_sorted_pairs`), which computes the distances of the pairs that the
+largest scale can join only, bit-equal to those of the n x n matrix
+(``pairwise_distances``).  The per-scale functions (:func:`vr_complex`,
+:func:`cech_complex_circle`) and :func:`vr_core_filtration` take that
+matrix; the per-scale functions are the independent reference the
+filtrations are tested against.
 
 VR uses the closed condition (pairwise distance <= t, matching "diameter of
 the simplex <= t"); Cech uses open balls (simplex present iff the open balls
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimplexBudgetError, UnsupportedDomainError
-from .manifolds import CIRCLE, PointSample, pairwise_distances
+from .manifolds import CIRCLE, SPHERE2, PointSample, pair_distances, pairwise_distances
 
 DEFAULT_SIMPLEX_BUDGET = 10_000_000
 
@@ -273,16 +278,47 @@ def _clique_polynomial(cand: int, nbr: list[int], x: int, limit: int) -> int:
     return total
 
 
-def _sorted_pairs(dist: np.ndarray, scales: np.ndarray, strict: bool):
-    """The pairs (i, j), i < j, within max(scales), sorted by distance d (ties
-    in row order), and the step of each: the first s with d <= scales[s]
-    (d < scales[s] when ``strict``), for increasing ``scales``."""
-    near = dist < scales[-1] if strict else dist <= scales[-1]
-    iu, ju = np.nonzero(np.triu(near, 1))  # row by row, so ties keep that order
-    pair_dist = dist[iu, ju]
-    order = np.argsort(pair_dist, kind="stable")
-    steps = np.searchsorted(scales, pair_dist[order], side="right" if strict else "left")
-    return list(zip(iu[order].tolist(), ju[order].tolist())), steps.tolist()
+# Slack of the sphere's Gram prefilter: a pair whose computed distance d
+# (pair_distances) is <= T < pi has a Gram entry g >= cos(T) - 2e-15, so
+# cutting at cos(T) - 1e-12 drops no such pair.  In absolute errors, with
+# unit vectors stored within 4e-16 of norm 1, g within 4e-16 of p.q (a
+# 3-term dot product) and arccos, arcsin and cos within 4 ulp (at most
+# 2e-15 for values below 4):
+# - g <= 0.99, d = arccos(max(g, -1)): the exact arccos is <= T + 2e-15, so
+#   max(g, -1) >= cos(T) - 2e-15 (cos is 1-Lipschitz), and g >= -1 - 2e-15
+#   anyway, which covers g < -1 (then d is pi within 2e-15 and cos(T) is -1
+#   within 1e-29);
+# - g > 0.99 (T < 0.15 matters only): d = 2 arcsin(c / 2) for the computed
+#   chord c, so the exact |p - q| <= 2 sin(T / 2) + 3e-16, and 2 p.q =
+#   |p|^2 + |q|^2 - |p - q|^2 >= 2 - 4 sin(T / 2)^2 - 2e-15 = 2 cos(T) - 2e-15.
+# cos decreases on [0, pi] only: once T >= pi every pair is a candidate.
+_GRAM_SLACK = 1e-12
+
+
+def _sorted_pairs(s: PointSample, scales: np.ndarray, strict: bool):
+    """The pairs (i, j), i < j, of the sample within max(scales), sorted by
+    distance d (ties in row order), and the step of each: the first s with
+    d <= scales[s] (d < scales[s] when ``strict``), for increasing ``scales``.
+
+    Each pair's d is the float of ``pairwise_distances(s)[i, j]``
+    (:func:`~betticurve.manifolds.pair_distances` computes both), but only
+    candidate pairs are computed: on the sphere those whose Gram entry can
+    be within max(scales) (see ``_GRAM_SLACK``), on the circle and the torus
+    every i < j pair.  The candidates are listed in row order, so the stable
+    sort keeps the ties of the whole matrix.
+    """
+    top = float(scales[-1])
+    index = np.arange(len(s))
+    candidate = index[:, None] < index
+    gram = s.points @ s.points.T if s.manifold.kind == SPHERE2 else None
+    if gram is not None and top < math.pi:
+        candidate &= gram >= math.cos(top) - _GRAM_SLACK
+    i, j = np.divmod(np.flatnonzero(candidate), len(s))  # row by row; 2-d np.nonzero is slower
+    d = pair_distances(s, i, j, None if gram is None else gram[i, j])
+    near = np.flatnonzero(d < top if strict else d <= top)
+    order = near[np.argsort(d[near], kind="stable")]
+    steps = np.searchsorted(scales, d[order], side="right" if strict else "left")
+    return list(zip(i[order].tolist(), j[order].tolist())), steps.tolist()
 
 
 def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], grid: tuple,
@@ -413,11 +449,13 @@ def vr_filtration(s: PointSample, grid, max_dim=-1, *,
     Its step-s prefix is ``vr_complex(s, grid[s], max_dim)`` simplex for
     simplex: an edge enters at the first scale t with distance <= t, and a
     simplex with its longest edge.  Built to a finite ``max_dim`` it keeps
-    the dimensions below it; built full it keeps the edges.
+    the dimensions below it; built full it keeps the edges.  The edges are
+    the pairs within max(grid) that :func:`_sorted_pairs` finds, with the
+    distances of ``pairwise_distances(s)`` but without that matrix.
     """
     grid = check_grid(grid)
     md = _normalize_max_dim(max_dim)
-    return _filtration(len(s), *_sorted_pairs(pairwise_distances(s), np.asarray(grid), False),
+    return _filtration(len(s), *_sorted_pairs(s, np.asarray(grid), False),
                        grid, md, budget)
 
 
@@ -565,7 +603,9 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
     enters at the first scale t with distance < 2t, and a larger simplex at
     the later of its longest edge's step and the first t above the minimax
     distance (1 - largest gap) / 2, computed as :func:`_circle_arcs_intersect`
-    does.  Built to a finite ``max_dim`` it keeps every simplex.
+    does.  Built to a finite ``max_dim`` it keeps every simplex.  The edges
+    are the pairs at distance < 2 max(grid) that :func:`_sorted_pairs` finds,
+    with the distances of ``pairwise_distances(s)`` but without that matrix.
     """
     if s.manifold.kind != CIRCLE:
         raise UnsupportedDomainError("cech_filtration_circle requires a circle sample")
@@ -581,6 +621,6 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
         return bisect_right(grid, (1.0 - gmax) / 2.0)
 
     # open: two arcs of radius t meet iff the distance is < 2t
-    return _filtration(len(s), *_sorted_pairs(pairwise_distances(s), 2.0 * np.asarray(grid), True),
+    return _filtration(len(s), *_sorted_pairs(s, 2.0 * np.asarray(grid), True),
                        grid, md, budget, simplex_step=arc_step)
 

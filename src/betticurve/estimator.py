@@ -190,8 +190,6 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
     a budget overrun names the first failing (master_seed, trial_index, n)
     in that order.
     """
-    if not t > 0:  # false for NaN too
-        raise ValueError("scale t must be positive")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     n_values = tuple(int(n) for n in n_values)

@@ -99,24 +99,35 @@ def sample(manifold: ManifoldModel, n: int, master_seed: int,
     return PointSample(manifold, pts)
 
 
-def pairwise_distances(s: PointSample) -> np.ndarray:
-    """Full n x n geodesic distance matrix (vectorized)."""
+def pair_distances(s: PointSample, i: np.ndarray, j: np.ndarray,
+                   g: np.ndarray | None = None) -> np.ndarray:
+    """The geodesic distance of each pair (i, j) of sample points, for index
+    arrays that broadcast together; on the sphere, from the pairs' entries
+    ``g`` of the Gram matrix ``points @ points.T``.
+
+    This is the one place that writes each manifold's distance, so a pair's
+    distance is the same float whichever pairs are asked for with it.
+    """
     pts = s.points
-    if s.manifold.kind == CIRCLE:
-        d = np.abs(pts[:, None] - pts[None, :])
-        return np.minimum(d, 1.0 - d)
-    if s.manifold.kind == FLAT_TORUS:
-        d = np.abs(pts[:, None, :] - pts[None, :, :])
+    if s.manifold.kind != SPHERE2:
+        d = np.abs(pts[i] - pts[j])
         d = np.minimum(d, 1.0 - d)
-        return np.sqrt(np.sum(d * d, axis=2))
-    g = pts @ pts.T
+        return d if s.manifold.kind == CIRCLE else np.sqrt(np.sum(d * d, axis=-1))
     d = np.arccos(np.clip(g, -1.0, 1.0))
     # arccos loses half the digits of a small angle (points 1e-9 apart would
-    # be at distance 0): take the close pairs, the diagonal among them, from
-    # their chord instead
-    i, j = np.divmod(np.flatnonzero(g > 0.99), len(pts))  # 2-d np.nonzero is slower
-    d[i, j] = 2.0 * np.arcsin(np.linalg.norm(pts[i] - pts[j], axis=1) / 2.0)
+    # be at distance 0): take the close pairs, a point and itself among them,
+    # from their chord instead
+    close = np.unravel_index(np.flatnonzero(g > 0.99), g.shape)  # a boolean mask is slower
+    i, j = (np.broadcast_to(index, g.shape)[close] for index in (i, j))
+    d[close] = 2.0 * np.arcsin(np.linalg.norm(pts[i] - pts[j], axis=-1) / 2.0)
     return d
+
+
+def pairwise_distances(s: PointSample) -> np.ndarray:
+    """Full n x n geodesic distance matrix (vectorized)."""
+    index = np.arange(len(s))
+    g = s.points @ s.points.T if s.manifold.kind == SPHERE2 else None
+    return pair_distances(s, index[:, None], index, g)
 
 
 def _circle_gaps(points: np.ndarray) -> np.ndarray:

@@ -358,7 +358,23 @@ class TestExitCodes:
         code = run_cli(tmp_path, "converge", "--t", "nan", "--n-values", "4,8",
                        "--trials", "2", "--target", "0.5", "--output", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: scale t must be positive\n"
+        assert capsys.readouterr().err == "error: grid scales must be nonnegative\n"
+
+    def test_zero_scale_converge(self, tmp_path, capsys):
+        # converge checks its scale as curve checks its grid: t = 0 is a
+        # Vietoris-Rips scale (coincident points join), and no Cech one
+        out = tmp_path / "x.csv"
+        code = run_cli(tmp_path, "converge", "--t", "0", "--n-values", "4,8",
+                       "--trials", "2", "--target", "0.5", "--output", str(out))
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[-2:] == ["4,0.0,2,0.0,0.0,0.0,0.5,0.5",
+                                                     "8,0.0,2,0.0,0.0,0.0,0.5,0.5"]
+        capsys.readouterr()
+        code = run_cli(tmp_path, "converge", "--complex", "cech", "--t", "0",
+                       "--n-values", "4,8", "--trials", "2", "--target", "0.5",
+                       "--output", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: grid scales must be positive\n"
 
     def test_non_finite_target_converge_usage(self, tmp_path, monkeypatch, capsys):
         # refused before any trial runs
@@ -413,6 +429,9 @@ class TestSelftest:
         assert "PASS vr-b1 4-cycle t=0.25: estimator=[1] per-scale=[1] exact=[1]" in out
         assert ("PASS vr-b1 4-cycle t=0.25,0.5: estimator=[1, 0] per-scale=[1, 0] "
                 "exact=[1, 0]") in out
+        # past pi every pair of the sphere is joined: the octahedron's antipodes too
+        assert ("PASS vr-euler octahedron past pi: estimator=[2, 1] per-scale=[2, 1] "
+                "exact=[2, 1]") in out
 
     def test_too_few_trials_is_usage_error(self):
         assert cli.main(["selftest", "--trials", "100"]) == EXIT_USAGE

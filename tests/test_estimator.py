@@ -396,8 +396,11 @@ class TestConvergenceStudy:
     def test_validation(self):
         with pytest.raises(ValueError):
             convergence_study(circle(), VR, B1, 0.1, [0, 8], 100, 0, target=0.5)
-        with pytest.raises(ValueError):
-            convergence_study(circle(), VR, B1, 0.0, [4, 8], 100, 0, target=0.5)
+        # the scale goes through check_grid: t = 0 is a Vietoris-Rips scale, no Cech one
+        with pytest.raises(ValueError, match="grid scales must be positive"):
+            convergence_study(circle(), CECH, B1, 0.0, [4, 8], 100, 0, target=0.5)
+        with pytest.raises(ValueError, match="grid scales must be nonnegative"):
+            convergence_study(circle(), VR, B1, float("nan"), [4, 8], 100, 0, target=0.5)
         with pytest.raises(ValueError):
             convergence_study(circle(), VR, B1, 0.1, [8, 4], 100, 0, target=0.5)
         with pytest.raises(ValueError):

@@ -23,8 +23,8 @@ from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
 from betticurve.estimator import CECH, VR, estimate_curve, sample_curve
 from betticurve.homology import (betti_curve, betti_invariant, betti_oracle_bruteforce,
                                  euler_curve, euler_invariant)
-from betticurve.manifolds import (PointSample, circle, flat_torus, pairwise_distances, sample,
-                                  sphere2)
+from betticurve.manifolds import (PointSample, circle, flat_torus, pair_distances,
+                                  pairwise_distances, sample, sphere2)
 
 MANIFOLDS = {"circle": circle(), "torus": flat_torus(2), "sphere": sphere2()}
 DIAMETERS = {"circle": 0.5, "torus": math.sqrt(2) / 2, "sphere": math.pi}
@@ -65,8 +65,9 @@ def arc_scales(s):
 
 @st.composite
 def cases(draw, kinds=("circle", "torus", "sphere"), max_n=8):
-    """A sample and a grid mixing random scales with exact boundary scales:
-    pairwise distances, where the closed VR condition d <= t flips."""
+    """A sample and a grid mixing random scales, up to past the diameter,
+    with exact boundary scales: pairwise distances, where the closed VR
+    condition d <= t flips."""
     kind = draw(st.sampled_from(kinds))
     manifold = MANIFOLDS[kind]
     n = draw(st.integers(1, max_n))
@@ -74,7 +75,7 @@ def cases(draw, kinds=("circle", "torus", "sphere"), max_n=8):
     dist = pairwise_distances(s)
     exact = sorted(set(dist[np.triu_indices(n, k=1)].tolist()))
     picked = draw(st.lists(st.sampled_from(exact), max_size=4)) if exact else []
-    free = draw(st.lists(st.floats(0.0, DIAMETERS[kind]), min_size=1, max_size=5))
+    free = draw(st.lists(st.floats(0.0, 1.5 * DIAMETERS[kind]), min_size=1, max_size=5))
     if draw(st.booleans()):
         free.append(0.0)
     return s, sorted(set(picked + free))
@@ -240,6 +241,67 @@ class TestVietorisRipsEquivalence:
                 for step, end in enumerate(accumulate(built.counts[dim])):
                     want = [sum(1 << v for v in x) for x in per_scale(grid[step]).simplices(dim)]
                     assert sorted(built.keys[dim][:end]) == sorted(want)
+
+
+def dense_sorted_pairs(dist, scales, strict):
+    """The pair search from the n x n distance matrix: every i < j pair
+    within max(scales), by distance (ties in row order), and its step."""
+    near = dist < scales[-1] if strict else dist <= scales[-1]
+    iu, ju = np.nonzero(np.triu(near, 1))
+    pair_dist = dist[iu, ju]
+    order = np.argsort(pair_dist, kind="stable")
+    steps = np.searchsorted(scales, pair_dist[order], side="right" if strict else "left")
+    return list(zip(iu[order].tolist(), ju[order].tolist())), steps.tolist()
+
+
+PAIR_MANIFOLDS = {"circle": (circle(), 0.5), "torus2": (flat_torus(2), math.sqrt(2) / 2),
+                  "torus3": (flat_torus(3), math.sqrt(3) / 2), "sphere": (sphere2(), math.pi)}
+
+
+@st.composite
+def pair_cases(draw):
+    """A sample with coincident points and, on the sphere, a pair at Gram
+    entry about 0.99 (either side of the chord patch), and a grid of random
+    and exact scales that may end at an exact distance or, on the sphere,
+    in (pi, 4]."""
+    kind = draw(st.sampled_from(sorted(PAIR_MANIFOLDS)))
+    manifold, diameter = PAIR_MANIFOLDS[kind]
+    pts = sample(manifold, draw(st.integers(1, 10)), draw(st.integers(0, 2**32 - 1)), 0).points
+    parts = [pts, pts[draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))]]
+    if kind == "sphere" and draw(st.booleans()):
+        p = pts[0]
+        u = np.cross(p, np.eye(3)[np.argmin(np.abs(p))])  # orthogonal to p, not 0
+        g = 0.99 + draw(st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9, -1e-9]))
+        q = g * p + math.sqrt(1.0 - g * g) * u / np.linalg.norm(u)
+        parts.append(np.array([q / np.linalg.norm(q)]))
+    s = PointSample(manifold, np.concatenate(parts))
+    dist = pairwise_distances(s)
+    exact = sorted(set(dist[np.triu_indices(len(s), k=1)].tolist()))
+    grid = draw(st.lists(st.sampled_from(exact), max_size=3)) if exact else []
+    grid += draw(st.lists(st.floats(0.0, 1.5 * diameter), min_size=1, max_size=4))
+    if kind == "sphere" and draw(st.booleans()):
+        grid.append(draw(st.floats(math.pi, 4.0, exclude_min=True)))
+    grid = sorted(set(grid))
+    if exact and draw(st.booleans()):
+        end = draw(st.sampled_from(exact))
+        grid = [t for t in grid if t < end] + [end]
+    return s, dist, np.asarray(grid)
+
+
+class TestPairSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_cases())
+    def test_equals_the_dense_search(self, case):
+        # the same pairs in the same order with the same steps, for both
+        # entry rules, and every i < j pair's distance the matrix's float
+        s, dist, scales = case
+        for strict in (False, True):
+            assert complexes._sorted_pairs(s, scales, strict) == \
+                dense_sorted_pairs(dist, scales, strict)
+        i, j = np.triu_indices(len(s), k=1)
+        g = (s.points @ s.points.T)[i, j] if s.manifold == sphere2() else None
+        assert [x.hex() for x in pair_distances(s, i, j, g).tolist()] == \
+            [x.hex() for x in dist[i, j].tolist()]
 
 
 class TestLipschitz:

@@ -63,6 +63,68 @@ about e^(n/e)).  Above the coverage threshold a few terms fix the float;
 just above r = 1/n every term is still needed.  When n r <= 1 the n gaps,
 which sum to 1, cannot all be shorter than r: p is exactly 0, which no
 bracket can confirm, so it is returned before any power.
+
+The other side of the identity.  The sum has J + 1 terms, J = b//a, but an
+n-th difference of a polynomial of degree below n vanishes: with the shift
+E f(j) = f(j + 1), Delta = E - 1 lowers the degree by one, so
+
+    sum_{j=0..n} (-1)^(n-j) C(n, j) f(j) = ((E - 1)^n f)(0) = 0,
+
+and f(j) = (b - j a)^(n-1) gives sum_{j=0..n} (-1)^j C(n, j) (b - j a)^(n-1)
+= 0.  For j <= J, b - j a >= 0 and (.)_+ changes nothing, so the numerator
+N = p B is
+
+    N = sum_{j=0..J} (-1)^j t_j = - sum_{j=J+1..n} (-1)^j C(n, j) (b - j a)^(n-1),
+
+n - J terms instead of J + 1: one term just above r = 1/n, where J = n - 1.
+Put i = n - j and c = n a - b.  Then b - j a = -(c - i a), c - i a = j a - b
+> 0 for j > J, and (-1)^j (-1)^(n-1) = -(-1)^i, so the complement is
+
+    N = sum_{i=0..n-J-1} (-1)^i C(n, i) (c - i a)_+^(n-1),
+
+Stevens' sum with 1 replaced by n r - 1.  Each side, with base c = b or
+c = n a - b, has the ratio above with c for b, so on each the magnitudes
+rise and then fall, and a term t_i <= t_(i-1) with i >= 1 is past the peak
+(the ratio is at most 1 from i - 1 on): the alternating tail puts N between
+S_(i-1) and S_i.  On Stevens' side t_j < t_0 implies it.  Below r = 2/n the
+complement is the shorter side, and its bases are below b.
+
+A short-precision pass (Ziv's strategy: ACM TOMS 17(3), 1991).  An exact
+power is e (n-1) bits wide for a base of e bits, while p is one double.
+`_bracket` sums the shorter side's terms t_i / B = C(n, i) ((c - i a)/b)^(n-1)
+as integers at the fixed scale 2^-1100 (`_SCALE`), below the smallest
+subnormal 2^-1074, with an error bound.  Write P for the mantissa bits and
+u = 2^(1-P).
+
+  - `_power` raises x to the e by squaring, cutting every product back to P
+    bits.  A cut floor(m / 2^d) 2^d of an m with P + d bits lies in
+    (m / (1 + u), m]: the dropped part is below 2^d and the kept mantissa
+    is at least 2^(P-1).  So the computed m 2^s never exceeds x^e, and it
+    is short by at most a factor (1 + u)^k, where each squaring doubles k,
+    a multiplication by the base adds the base's cut, and each cut adds 1.
+    After the leading bits e' of e, k <= 2 e' - 1: it holds for e' = 1,
+    and a step to e'' = 2 e' + bit gives k'' <= 2 k + bit + 1
+    <= 4 e' - 1 + bit <= 2 e'' - 1.
+    Hence x^e <= m 2^s (1 + u)^(2e) <= m 2^s e^(2eu) <= m 2^s (1 + e 2^(3-P)),
+    as e^v <= 1 + 2v for 0 <= v <= 1 (2eu <= 1 while e <= 2^(P-2)).
+  - The term at scale 2^-1100 is q = floor(C(n, i) m 2^(s + 1100) / B),
+    with C(n, i) exact, so its true value V lies in
+    [q, (q + 1)(1 + (n-1) 2^(3-P))) and
+    |V - q| < 2 + floor((q + 1) (n-1) / 2^(P-3)) = err_i.
+  - The true partial sums lie within the summed err_i of the computed ones.
+
+The bracket is S_(i-1) to S_i once the terms certainly fall (q_i + err_i <=
+q_(i-1)), or S_J once every term is in, widened by the summed error and
+clamped to [0, 2^1100], since 0 <= p <= 1.  Both ends are integers over
+2^1100 and int/int is correctly rounded, so when they round to the same
+float p rounds to it too: the float the exact sum gives, bit for bit.  The
+clamp keeps the lower end at +0.0, so an underflowing p is +0.0 as well.  If
+the ends differ, the pass runs again at twice the precision, at most 5 times
+(`_PASSES`, 128 to 2048 bits), and then the exact sum of the shorter side
+decides.  A pass costs a few Python operations per squaring, while an exact
+power costs its width, so the pass runs only when the exact terms are wider
+than 24 P = 3072 bits (`_PASS_WIDTH_RATIO`): below that (n up to ~55 at
+r >= 0.02) the exact sum is the faster one.
 """
 
 from __future__ import annotations
@@ -70,7 +132,14 @@ from __future__ import annotations
 import math
 
 # Exact arithmetic has no precision ceiling; this cap only bounds runtime.
+# At n = 1000 the slowest points lie between r = 1/n and 3/n, where the terms
+# of both sides cancel to a tiny p: near r = 2/n the pass needs 1024-bit
+# mantissas and 15-25 ms (the exact sum alone: 0.65-0.91 s just above 1/n).
 MAX_ORACLE_N = 1000
+_SCALE = 1100  # the pass sums at 2^-1100, below the smallest subnormal 2^-1074
+_PRECISION = 128  # mantissa bits of the first pass; each further pass doubles them
+_PASSES = 5  # 128 to 2048 bits, then the exact sum
+_PASS_WIDTH_RATIO = 24  # the pass runs when the exact terms are wider than 24 P bits
 
 
 def in_oracle_domain(r: float) -> bool:
@@ -102,6 +171,79 @@ def _stevens_sum(n: int, a: int, b: int) -> tuple[float, int]:
     return total / denom, k + 1
 
 
+def _complement_sum(n: int, a: int, b: int) -> tuple[int, int]:
+    """The numerator N = p b^(n-1) from the far side of the identity, and
+    its number of terms."""
+    js = range(b // a + 1, n + 1)
+    total = 0
+    binom = math.comb(n, js.start)
+    for j in js:
+        term = binom * (b - j * a) ** (n - 1)
+        total -= -term if j & 1 else term
+        binom = binom * (n - j) // (j + 1)
+    return total, len(js)
+
+
+def _shorter_side(n: int, a: int, b: int) -> int:
+    """The base c of the side with fewer terms: b, or n a - b for the
+    complement (n - b//a terms against b//a + 1)."""
+    return n * a - b if 2 * (b // a) >= n else b
+
+
+def _exact_sum(n: int, a: int, b: int) -> tuple[float, int]:
+    """p(n, a/b) from the exact sum of the shorter side, and its term count."""
+    if _shorter_side(n, a, b) == b:  # also at r = 2/n, where both sides are one sum
+        return _stevens_sum(n, a, b)
+    total, terms = _complement_sum(n, a, b)
+    return total / (1 << (b.bit_length() - 1) * (n - 1)), terms
+
+
+def _power(x: int, e: int, precision: int) -> tuple[int, int]:
+    """(m, s) with m below 2^precision and m 2^s <= x^e <= m 2^s (1 +
+    2^(1-precision))^(2e), for e >= 1."""
+    shift = max(x.bit_length() - precision, 0)
+    base = x >> shift
+    m, s = base, shift
+    for bit in bin(e)[3:]:
+        m *= m
+        s += s
+        if bit == "1":
+            m *= base
+            s += shift
+        cut = m.bit_length() - precision
+        if cut > 0:
+            m >>= cut
+            s += cut
+    return m, s
+
+
+def _bracket(n: int, a: int, b: int, c: int, precision: int) -> tuple[int, int]:
+    """Integers lo <= p(n, a/b) 2^1100 <= hi from the side with base c (b or
+    n a - b) at `precision` mantissa bits; it stops as soon as lo and hi
+    round to one float.  Needs n a > b."""
+    one = 1 << _SCALE
+    shift = _SCALE - (b.bit_length() - 1) * (n - 1)  # divides by B = b^(n-1)
+    total = err = last_q = 0
+    falling = False
+    binom = 1
+    for i in range(min(-(-c // a), n + 1)):  # the terms with c - i a > 0
+        m, s = _power(c - i * a, n - 1, precision)
+        s += shift
+        q = binom * m << s if s >= 0 else binom * m >> -s
+        term_err = 2 + ((q + 1) * (n - 1) >> (precision - 3))
+        last = total
+        total += -q if i & 1 else q
+        err += term_err
+        falling = falling or (i > 0 and q + term_err <= last_q)
+        if falling:
+            lo, hi = max(min(last, total) - err, 0), min(max(last, total) + err, one)
+            if lo / one == hi / one:
+                return lo, hi
+        last_q = q
+        binom = binom * (n - i) // (i + 1)
+    return max(total - err, 0), min(total + err, one)
+
+
 def circle_homotopy_prob(n: int, r: float) -> float:
     """Probability that the VR complex of n uniform circle points at scale r
     is homotopy equivalent to the circle.  Valid for 0 < r < 1/3 only."""
@@ -112,5 +254,14 @@ def circle_homotopy_prob(n: int, r: float) -> float:
     if not in_oracle_domain(r):
         raise ValueError(f"scale r={r} outside the oracle's validity domain (0, 1/3)")
     a, b = float(r).as_integer_ratio()
-    return _stevens_sum(n, a, b)[0]
-
+    if n * a <= b:
+        return 0.0
+    c = _shorter_side(n, a, b)
+    if c.bit_length() * (n - 1) > _PASS_WIDTH_RATIO * _PRECISION:
+        one = 1 << _SCALE
+        for precision in (_PRECISION << k for k in range(_PASSES)):
+            lo, hi = _bracket(n, a, b, c, precision)
+            p = lo / one
+            if p == hi / one:
+                return p
+    return _exact_sum(n, a, b)[0]

@@ -276,6 +276,14 @@ def _selftest_checks(config: RunConfig):
         yield ("vr-full-counts", counts == listed == [[6], [12], [8]],
                f"filtration counts={counts} vr_complex={listed} (want [[6], [12], [8]])")
 
+    def oracle_exact():  # the oracle's certified pass against the exact stopped sum
+        n = 300
+        points = (0.2, math.log(n) / n, 2 / n, 1 / n * (1 + 1e-9))
+        got = [circle_oracle.circle_homotopy_prob(n, r) for r in points]
+        want = [circle_oracle._stevens_sum(n, *r.as_integer_ratio())[0] for r in points]
+        yield (f"oracle-exact n={n}", [p.hex() for p in got] == [p.hex() for p in want],
+               f"oracle={got} exact={want}")
+
     def oracle_vs_mc():  # exact closed-form oracle vs Monte Carlo first Betti number
         grid = (0.15, 0.22, 0.3)
         est = estimator.estimate_curve(circ, "vr", betti_invariant(1), 10, grid,
@@ -310,7 +318,8 @@ def _selftest_checks(config: RunConfig):
         yield ("cech-vr-interleaving", bad == 0, f"{bad}/100 samples violated the inclusions")
 
     checks = [(row[0], route(*row)) for row in rows] + [
-        ("vr-full-counts", full_counts()), ("oracle-vs-mc", oracle_vs_mc()),
+        ("vr-full-counts", full_counts()), ("oracle-exact", oracle_exact()),
+        ("oracle-vs-mc", oracle_vs_mc()),
         ("euler-two-points", euler_two_points()), ("cech-vr-interleaving", interleaving())]
     for name, check in checks:  # generators: each runs only as it is drawn, in the guard
         try:

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from betticurve.circle_oracle import MAX_ORACLE_N, _stevens_sum, circle_homotopy_prob
+from betticurve.circle_oracle import (MAX_ORACLE_N, _PRECISION, _SCALE, _bracket,
+                                      _complement_sum, _exact_sum, _stevens_sum,
+                                      circle_homotopy_prob)
 
 
 # Independent slow path: the closed form of the module docstring evaluated
@@ -136,6 +138,91 @@ class TestHomotopyProbability:
             numeric = n * r ** (n - 1) * (integral - r * g(n - 1, 1 / r - 1))
             exact = circle_homotopy_prob(n, r)
             assert numeric == pytest.approx(exact, rel=1e-7, abs=max(1e-9, 10 * err))
+
+
+def stevens_numerator(n, a, b):
+    """p b^(n-1): Stevens' whole sum over the terms with b - j a >= 0."""
+    return sum((-1) ** j * math.comb(n, j) * (b - j * a) ** (n - 1)
+               for j in range(min(b // a, n) + 1))
+
+
+@st.composite
+def oracle_inputs(draw, max_n):
+    """(n, r) with n r > 1 and r < 1/3, r from one of the regimes where the
+    sum behaves differently: past the coverage threshold, just above 1/n
+    (terms cancel to an underflow), at 1/(n-1) (a complement of a term or
+    two), at 2/n (both sides equally long), in the coverage window, and
+    dyadic (a last term of 0)."""
+    n = draw(st.integers(4, max_n))
+    regime = draw(st.sampled_from(["uniform", "above 1/n", "1/(n-1)", "2/n", "log n/n",
+                                   "dyadic"]))
+    if regime == "uniform":
+        r = draw(st.floats(1 / n, 1 / 3, exclude_min=True, exclude_max=True))
+    elif regime == "above 1/n":
+        r = 1 / n * (1 + draw(st.sampled_from([1e-15, 1e-9, 1e-6, 1e-3, 0.5])))
+    elif regime == "1/(n-1)":
+        r = 1 / (n - 1)
+    elif regime == "2/n":
+        r = 2 / n
+    elif regime == "log n/n":
+        r = math.log(n) / n
+    else:
+        m = draw(st.integers(2, 12))
+        r = draw(st.integers(1, (1 << m) // 3)) / (1 << m)
+    a, b = r.as_integer_ratio()
+    assume(n * a > b and 3 * a < b)
+    return n, r
+
+
+class TestCertifiedPass:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_inputs(200), st.sampled_from([32, 64, _PRECISION]), st.booleans())
+    def test_bracket_holds_the_exact_rational(self, nr, precision, complement):
+        # either side of the identity, at any precision: lo <= p 2^1100 <= hi
+        # inside [0, 2^1100], whether the pass stopped early or summed every term
+        n, r = nr
+        a, b = r.as_integer_ratio()
+        lo, hi = _bracket(n, a, b, n * a - b if complement else b, precision)
+        exact = Fraction(stevens_numerator(n, a, b), b ** (n - 1))
+        assert 0 <= lo <= exact * (1 << _SCALE) <= hi <= 1 << _SCALE, (n, r, precision)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_inputs(300))
+    def test_equals_the_exact_stopped_sum(self, nr):
+        # float.hex, so that a -0.0 for an underflowing p fails too
+        n, r = nr
+        assert circle_homotopy_prob(n, r).hex() == _stevens_sum(
+            n, *r.as_integer_ratio())[0].hex(), (n, r)
+
+    def test_sides_of_the_identity_are_equal(self):
+        # sum_{j=0..n} (-1)^j C(n, j) (b - j a)^(n-1) = 0, an n-th difference of
+        # a polynomial of degree n - 1, with n r <= 1 (both sides empty) included
+        for n in range(1, 41):
+            for m in range(2, 9):
+                for k in range(1, (1 << m) // 3 + 1, 2):
+                    a, b = k, 1 << m
+                    assert _complement_sum(n, a, b)[0] == stevens_numerator(n, a, b), (n, k, m)
+
+    def test_fallback_sums_one_term_just_above_1_over_n(self):
+        # Stevens' side has 1000 terms here, the complement one
+        r = 1 / MAX_ORACLE_N * (1 + 1e-6)
+        p, terms = _exact_sum(MAX_ORACLE_N, *r.as_integer_ratio())
+        assert terms <= 1
+        assert p.hex() == circle_homotopy_prob(MAX_ORACLE_N, r).hex() == (0.0).hex()
+
+    def test_fallback_and_pass_equal_the_exact_stopped_sum_at_cap(self):
+        # the benchmark grid at input sets 0 and 31, the coverage window, and
+        # the cancelling range 1/n < r <= 3/n, where the pass needs several
+        # precisions and the fallback changes side
+        n = MAX_ORACLE_N
+        grid = [float(r) for offset in (0.0, 31e-6)
+                for r in np.linspace(0.02, 0.32 + offset, 6)]
+        grid += [0.0069, 0.01, 3 / n, 2 / n, 1.5 / n, 1.2 / n]
+        for r in grid:
+            a, b = r.as_integer_ratio()
+            want = _stevens_sum(n, a, b)[0].hex()
+            assert circle_homotopy_prob(n, r).hex() == want, r
+            assert _exact_sum(n, a, b)[0].hex() == want, r
 
 
 class TestOracleCurve:

@@ -432,6 +432,8 @@ class TestSelftest:
         # past pi every pair of the sphere is joined: the octahedron's antipodes too
         assert ("PASS vr-euler octahedron past pi: estimator=[2, 1] per-scale=[2, 1] "
                 "exact=[2, 1]") in out
+        # the oracle's certified pass and the exact stopped sum, float for float
+        assert "PASS oracle-exact n=300: oracle=[1.0, " in out
 
     def test_too_few_trials_is_usage_error(self):
         assert cli.main(["selftest", "--trials", "100"]) == EXIT_USAGE

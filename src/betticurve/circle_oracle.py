@@ -62,7 +62,9 @@ where the terms cancel, and none can overflow (near r = 1/n the terms reach
 about e^(n/e)).  Above the coverage threshold a few terms fix the float;
 just above r = 1/n every term is still needed.  When n r <= 1 the n gaps,
 which sum to 1, cannot all be shorter than r: p is exactly 0, which no
-bracket can confirm, so it is returned before any power.
+bracket can confirm, so it is returned before any power.  This stopped
+sum is `_stevens_sum`: the oracle does not call it, and it stays as the
+independent reference that the ladder below is checked against.
 
 The other side of the identity.  The sum has J + 1 terms, J = b//a, but an
 n-th difference of a polynomial of degree below n vanishes: with the shift
@@ -89,12 +91,13 @@ rise and then fall, and a term t_i <= t_(i-1) with i >= 1 is past the peak
 S_(i-1) and S_i.  On Stevens' side t_j < t_0 implies it.  Below r = 2/n the
 complement is the shorter side, and its bases are below b.
 
-A short-precision pass (Ziv's strategy: ACM TOMS 17(3), 1991).  An exact
-power is e (n-1) bits wide for a base of e bits, while p is one double.
-`_bracket` sums the shorter side's terms t_i / B = C(n, i) ((c - i a)/b)^(n-1)
-as integers at the fixed scale 2^-1100 (`_SCALE`), below the smallest
-subnormal 2^-1074, with an error bound.  Write P for the mantissa bits and
-u = 2^(1-P).
+A precision ladder (Ziv's strategy: ACM TOMS 17(3), 1991).  An exact power
+is e (n-1) bits wide for a base of e bits, while p is one double.  Each rung
+of the ladder is one call of `_bracket`, which sums the shorter side's terms
+t_i / B = C(n, i) ((c - i a)/b)^(n-1) as integers over a scale `one`.  A
+rung of P mantissa bits sums at the fixed scale one = 2^1100 (`_SCALE`),
+below the smallest subnormal 2^-1074, with an error bound; the last rung
+sums exact powers over one = B, with no error.  Write u = 2^(1-P).
 
   - `_power` raises x to the e by squaring, cutting every product back to P
     bits.  A cut floor(m / 2^d) 2^d of an m with P + d bits lies in
@@ -115,31 +118,33 @@ u = 2^(1-P).
 
 The bracket is S_(i-1) to S_i once the terms certainly fall (q_i + err_i <=
 q_(i-1)), or S_J once every term is in, widened by the summed error and
-clamped to [0, 2^1100], since 0 <= p <= 1.  Both ends are integers over
-2^1100 and int/int is correctly rounded, so when they round to the same
-float p rounds to it too: the float the exact sum gives, bit for bit.  The
-clamp keeps the lower end at +0.0, so an underflowing p is +0.0 as well.  If
-the ends differ, the pass runs again at twice the precision, at most 5 times
-(`_PASSES`, 128 to 2048 bits), and then the exact sum of the shorter side
-decides.  A pass costs a few Python operations per squaring, while an exact
-power costs its width, so the pass runs only when the exact terms are wider
-than 24 P = 3072 bits (`_PASS_WIDTH_RATIO`): below that (n up to ~55 at
-r >= 0.02) the exact sum is the faster one.
+clamped to [0, one], since 0 <= p <= 1.  Both ends are integers over one
+and int/int is correctly rounded, so when they round to the same float p
+rounds to it too: the float the exact sum gives, bit for bit.  The clamp
+keeps the lower end at +0.0, so an underflowing p is +0.0 as well, and keeps
+every division in range where the exact terms cancel.  If the ends differ,
+the next rung doubles P.  A P-bit rung costs a few Python operations per
+squaring, while an exact power costs its width, so the ladder climbs
+P = 128, 256, ... only while the exact terms are wider than 24 P bits
+(`_PASS_WIDTH_RATIO`), and then takes the exact rung, which always decides:
+its bracket closes on S_J at the latest.  So the ladder grows with n: at
+n = 1000 it may climb from 128 to 2048 bits, while for n up to ~55 at
+r >= 0.02 the exact rung, the faster one there, is the only one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 # Exact arithmetic has no precision ceiling; this cap only bounds runtime.
 # At n = 1000 the slowest points lie between r = 1/n and 3/n, where the terms
-# of both sides cancel to a tiny p: near r = 2/n the pass needs 1024-bit
+# of both sides cancel to a tiny p: near r = 2/n the ladder climbs to 1024-bit
 # mantissas and 15-25 ms (the exact sum alone: 0.65-0.91 s just above 1/n).
 MAX_ORACLE_N = 1000
-_SCALE = 1100  # the pass sums at 2^-1100, below the smallest subnormal 2^-1074
-_PRECISION = 128  # mantissa bits of the first pass; each further pass doubles them
-_PASSES = 5  # 128 to 2048 bits, then the exact sum
-_PASS_WIDTH_RATIO = 24  # the pass runs when the exact terms are wider than 24 P bits
+_SCALE = 1100  # a P-bit rung sums at 2^-1100, below the smallest subnormal 2^-1074
+_PRECISION = 128  # mantissa bits of the first rung; each further rung doubles them
+_PASS_WIDTH_RATIO = 24  # a P-bit rung runs while the exact terms are wider than 24 P bits
 
 
 def in_oracle_domain(r: float) -> bool:
@@ -171,31 +176,10 @@ def _stevens_sum(n: int, a: int, b: int) -> tuple[float, int]:
     return total / denom, k + 1
 
 
-def _complement_sum(n: int, a: int, b: int) -> tuple[int, int]:
-    """The numerator N = p b^(n-1) from the far side of the identity, and
-    its number of terms."""
-    js = range(b // a + 1, n + 1)
-    total = 0
-    binom = math.comb(n, js.start)
-    for j in js:
-        term = binom * (b - j * a) ** (n - 1)
-        total -= -term if j & 1 else term
-        binom = binom * (n - j) // (j + 1)
-    return total, len(js)
-
-
 def _shorter_side(n: int, a: int, b: int) -> int:
     """The base c of the side with fewer terms: b, or n a - b for the
     complement (n - b//a terms against b//a + 1)."""
     return n * a - b if 2 * (b // a) >= n else b
-
-
-def _exact_sum(n: int, a: int, b: int) -> tuple[float, int]:
-    """p(n, a/b) from the exact sum of the shorter side, and its term count."""
-    if _shorter_side(n, a, b) == b:  # also at r = 2/n, where both sides are one sum
-        return _stevens_sum(n, a, b)
-    total, terms = _complement_sum(n, a, b)
-    return total / (1 << (b.bit_length() - 1) * (n - 1)), terms
 
 
 def _power(x: int, e: int, precision: int) -> tuple[int, int]:
@@ -217,20 +201,27 @@ def _power(x: int, e: int, precision: int) -> tuple[int, int]:
     return m, s
 
 
-def _bracket(n: int, a: int, b: int, c: int, precision: int) -> tuple[int, int]:
-    """Integers lo <= p(n, a/b) 2^1100 <= hi from the side with base c (b or
-    n a - b) at `precision` mantissa bits; it stops as soon as lo and hi
-    round to one float.  Needs n a > b."""
-    one = 1 << _SCALE
-    shift = _SCALE - (b.bit_length() - 1) * (n - 1)  # divides by B = b^(n-1)
+def _bracket(n: int, a: int, b: int, c: int,
+             precision: int | None = None) -> tuple[int, int, int]:
+    """Integers lo <= p(n, a/b) one <= hi from the side with base c (b or
+    n a - b), and the scale one: 2^1100 at `precision` mantissa bits, or
+    B = b^(n-1) with exact powers and no error when precision is None.  It
+    stops as soon as lo and hi round to one float.  Needs n a > b."""
+    exact = precision is None
+    bits = (b.bit_length() - 1) * (n - 1)  # B = b^(n-1) = 2^bits: b is a power of two
+    one = 1 << (bits if exact else _SCALE)
+    shift = _SCALE - bits  # a P-bit rung divides by B
     total = err = last_q = 0
     falling = False
     binom = 1
     for i in range(min(-(-c // a), n + 1)):  # the terms with c - i a > 0
-        m, s = _power(c - i * a, n - 1, precision)
-        s += shift
-        q = binom * m << s if s >= 0 else binom * m >> -s
-        term_err = 2 + ((q + 1) * (n - 1) >> (precision - 3))
+        if exact:
+            q, term_err = binom * (c - i * a) ** (n - 1), 0
+        else:
+            m, s = _power(c - i * a, n - 1, precision)
+            s += shift
+            q = binom * m << s if s >= 0 else binom * m >> -s
+            term_err = 2 + ((q + 1) * (n - 1) >> (precision - 3))
         last = total
         total += -q if i & 1 else q
         err += term_err
@@ -238,15 +229,16 @@ def _bracket(n: int, a: int, b: int, c: int, precision: int) -> tuple[int, int]:
         if falling:
             lo, hi = max(min(last, total) - err, 0), min(max(last, total) + err, one)
             if lo / one == hi / one:
-                return lo, hi
+                return lo, hi, one
         last_q = q
         binom = binom * (n - i) // (i + 1)
-    return max(total - err, 0), min(total + err, one)
+    return max(total - err, 0), min(total + err, one), one
 
 
 def circle_homotopy_prob(n: int, r: float) -> float:
     """Probability that the VR complex of n uniform circle points at scale r
     is homotopy equivalent to the circle.  Valid for 0 < r < 1/3 only."""
+    n = operator.index(n)  # a numpy integer would overflow in the products
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_ORACLE_N:
@@ -257,11 +249,11 @@ def circle_homotopy_prob(n: int, r: float) -> float:
     if n * a <= b:
         return 0.0
     c = _shorter_side(n, a, b)
-    if c.bit_length() * (n - 1) > _PASS_WIDTH_RATIO * _PRECISION:
-        one = 1 << _SCALE
-        for precision in (_PRECISION << k for k in range(_PASSES)):
-            lo, hi = _bracket(n, a, b, c, precision)
-            p = lo / one
-            if p == hi / one:
-                return p
-    return _exact_sum(n, a, b)[0]
+    precision = _PRECISION
+    while _PASS_WIDTH_RATIO * precision < c.bit_length() * (n - 1):
+        lo, hi, one = _bracket(n, a, b, c, precision)
+        if lo / one == hi / one:
+            return lo / one
+        precision *= 2
+    lo, _, one = _bracket(n, a, b, c)  # the exact rung: no error, so it always decides
+    return lo / one

@@ -276,7 +276,7 @@ def _selftest_checks(config: RunConfig):
         yield ("vr-full-counts", counts == listed == [[6], [12], [8]],
                f"filtration counts={counts} vr_complex={listed} (want [[6], [12], [8]])")
 
-    def oracle_exact():  # the oracle's certified pass against the exact stopped sum
+    def oracle_exact():  # the oracle's precision ladder against the exact stopped sum
         n = 300
         points = (0.2, math.log(n) / n, 2 / n, 1 / n * (1 + 1e-9))
         got = [circle_oracle.circle_homotopy_prob(n, r) for r in points]

@@ -204,11 +204,15 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
 
 
 def max_discrete_slope(grid, values) -> tuple[float, tuple[float, float]]:
-    """Largest |difference quotient| of a sampled curve and where it occurs."""
+    """Largest |difference quotient| of a sampled curve and where it occurs,
+    on a strictly increasing grid."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.shape != values.shape or grid.size < 2:
         raise ValueError("need matching grids of length >= 2")
-    slopes = np.abs(np.diff(values)) / np.diff(grid)
+    steps = np.diff(grid)
+    if not np.all(steps > 0):  # false for NaN too
+        raise ValueError("grid must be strictly increasing")
+    slopes = np.abs(np.diff(values)) / steps
     k = int(np.argmax(slopes))
     return float(slopes[k]), (float(grid[k]), float(grid[k + 1]))

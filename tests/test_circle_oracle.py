@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from betticurve.circle_oracle import (MAX_ORACLE_N, _PRECISION, _SCALE, _bracket,
-                                      _complement_sum, _exact_sum, _stevens_sum,
+from betticurve import circle_oracle
+from betticurve.circle_oracle import (MAX_ORACLE_N, _PASS_WIDTH_RATIO, _PRECISION, _SCALE,
+                                      _bracket, _shorter_side, _stevens_sum,
                                       circle_homotopy_prob)
 
 
@@ -62,6 +63,15 @@ class TestHomotopyProbability:
         # without a single power, even at the cap
         a, b = (0.0005).as_integer_ratio()
         assert _stevens_sum(MAX_ORACLE_N, a, b) == (0.0, 0)
+
+    def test_numpy_integer_n_equals_python_int_n(self):
+        # int64 products overflow: n is taken as a Python int on entry
+        for n in (5, 20, 50, 100, 1000):
+            for r in (0.05, 0.1, 0.2, 0.3, 2 / n if n > 6 else 0.3):
+                assert circle_homotopy_prob(np.int64(n), r).hex() == \
+                    circle_homotopy_prob(n, r).hex(), (n, r)
+        with pytest.raises(TypeError):
+            circle_homotopy_prob(20.0, 0.1)
 
     def test_monotone_pair(self):
         assert circle_homotopy_prob(50, 0.05) <= circle_homotopy_prob(50, 0.15)
@@ -176,15 +186,19 @@ def oracle_inputs(draw, max_n):
 
 class TestCertifiedPass:
     @settings(max_examples=300, deadline=None)
-    @given(oracle_inputs(200), st.sampled_from([32, 64, _PRECISION]), st.booleans())
+    @given(oracle_inputs(200), st.sampled_from([32, 64, _PRECISION, None]), st.booleans())
     def test_bracket_holds_the_exact_rational(self, nr, precision, complement):
-        # either side of the identity, at any precision: lo <= p 2^1100 <= hi
-        # inside [0, 2^1100], whether the pass stopped early or summed every term
+        # either side of the identity, at any rung, the exact one (None)
+        # included: lo <= p one <= hi inside [0, one], whether the rung stopped
+        # early or summed every term
         n, r = nr
         a, b = r.as_integer_ratio()
-        lo, hi = _bracket(n, a, b, n * a - b if complement else b, precision)
+        lo, hi, one = _bracket(n, a, b, n * a - b if complement else b, precision)
+        assert one == 1 << (_SCALE if precision else (b.bit_length() - 1) * (n - 1))
         exact = Fraction(stevens_numerator(n, a, b), b ** (n - 1))
-        assert 0 <= lo <= exact * (1 << _SCALE) <= hi <= 1 << _SCALE, (n, r, precision)
+        assert 0 <= lo <= exact * one <= hi <= one, (n, r, precision)
+        if precision is None:  # no error: the ends round alike, to the exact float
+            assert (lo / one).hex() == (hi / one).hex() == _stevens_sum(n, a, b)[0].hex()
 
     @settings(max_examples=100, deadline=None)
     @given(oracle_inputs(300))
@@ -196,24 +210,36 @@ class TestCertifiedPass:
 
     def test_sides_of_the_identity_are_equal(self):
         # sum_{j=0..n} (-1)^j C(n, j) (b - j a)^(n-1) = 0, an n-th difference of
-        # a polynomial of degree n - 1, with n r <= 1 (both sides empty) included
+        # a polynomial of degree n - 1, with n r <= 1 (both sides empty)
+        # included: the exact rung on the complement brackets Stevens'
+        # numerator N, and is N itself when it summed every term
         for n in range(1, 41):
             for m in range(2, 9):
                 for k in range(1, (1 << m) // 3 + 1, 2):
                     a, b = k, 1 << m
-                    assert _complement_sum(n, a, b)[0] == stevens_numerator(n, a, b), (n, k, m)
+                    want = stevens_numerator(n, a, b)
+                    lo, hi, one = _bracket(n, a, b, n * a - b)
+                    assert one == b ** (n - 1) and lo <= want <= hi, (n, k, m)
+                    assert lo != hi or lo == want, (n, k, m)
+                    assert (lo / one).hex() == float(Fraction(want, one)).hex(), (n, k, m)
 
     def test_fallback_sums_one_term_just_above_1_over_n(self):
-        # Stevens' side has 1000 terms here, the complement one
-        r = 1 / MAX_ORACLE_N * (1 + 1e-6)
-        p, terms = _exact_sum(MAX_ORACLE_N, *r.as_integer_ratio())
-        assert terms <= 1
-        assert p.hex() == circle_homotopy_prob(MAX_ORACLE_N, r).hex() == (0.0).hex()
+        # the exact rung, the ladder's fallback: Stevens' side has 1000 terms
+        # here, the complement one
+        n = MAX_ORACLE_N
+        r = 1 / n * (1 + 1e-6)
+        a, b = r.as_integer_ratio()
+        c = _shorter_side(n, a, b)
+        assert c == n * a - b
+        assert len(range(min(-(-c // a), n + 1))) == 1  # _bracket's term range
+        lo, hi, one = _bracket(n, a, b, c)
+        assert lo == hi
+        assert (lo / one).hex() == circle_homotopy_prob(n, r).hex() == (0.0).hex()
 
     def test_fallback_and_pass_equal_the_exact_stopped_sum_at_cap(self):
-        # the benchmark grid at input sets 0 and 31, the coverage window, and
-        # the cancelling range 1/n < r <= 3/n, where the pass needs several
-        # precisions and the fallback changes side
+        # the exact rung (the fallback) and the whole ladder: the benchmark grid
+        # at input sets 0 and 31, the coverage window, and the cancelling range
+        # 1/n < r <= 3/n, where the ladder climbs and the shorter side changes
         n = MAX_ORACLE_N
         grid = [float(r) for offset in (0.0, 31e-6)
                 for r in np.linspace(0.02, 0.32 + offset, 6)]
@@ -222,7 +248,48 @@ class TestCertifiedPass:
             a, b = r.as_integer_ratio()
             want = _stevens_sum(n, a, b)[0].hex()
             assert circle_homotopy_prob(n, r).hex() == want, r
-            assert _exact_sum(n, a, b)[0].hex() == want, r
+            lo, _, one = _bracket(n, a, b, _shorter_side(n, a, b))
+            assert (lo / one).hex() == want, r
+
+
+class TestPrecisionLadder:
+    """`circle_homotopy_prob` climbs P = 128, 256, ... while the exact terms
+    are wider than 24 P bits, then takes the exact rung (precision None)."""
+
+    @staticmethod
+    def record_rungs(monkeypatch, undecided=False):
+        rungs = []
+        bracket = circle_oracle._bracket
+
+        def recording(n, a, b, c, precision=None):
+            rungs.append(precision)
+            lo, hi, one = bracket(n, a, b, c, precision)
+            return (0, one, one) if undecided and precision else (lo, hi, one)
+
+        monkeypatch.setattr(circle_oracle, "_bracket", recording)
+        return rungs
+
+    def test_climbs_to_1024_bits_at_2_over_n(self, monkeypatch):
+        rungs = self.record_rungs(monkeypatch)
+        circle_homotopy_prob(MAX_ORACLE_N, 2 / MAX_ORACLE_N)
+        assert rungs == [128, 256, 512, 1024]
+
+    def test_narrow_terms_take_only_the_exact_rung(self, monkeypatch):
+        rungs = self.record_rungs(monkeypatch)
+        circle_homotopy_prob(20, 0.1)
+        assert rungs == [None]
+
+    @pytest.mark.parametrize("n, r", [(1000, 2 / 1000), (1000, 0.02), (1000, 1.2 / 1000),
+                                      (300, math.log(300) / 300), (60, 0.3)])
+    def test_exact_rung_decides_when_no_pass_does(self, monkeypatch, n, r):
+        # every P-bit rung returns the bracket [0, one]: the ladder runs out
+        # at 24 P >= the terms' width and the exact rung must give the float
+        rungs = self.record_rungs(monkeypatch, undecided=True)
+        a, b = r.as_integer_ratio()
+        assert circle_homotopy_prob(n, r).hex() == _stevens_sum(n, a, b)[0].hex()
+        width = _shorter_side(n, a, b).bit_length() * (n - 1)
+        assert rungs[-1] is None and all(_PASS_WIDTH_RATIO * p < width for p in rungs[:-1])
+        assert rungs[:-1] == [_PRECISION << k for k in range(len(rungs) - 1)]
 
 
 class TestOracleCurve:

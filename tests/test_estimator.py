@@ -438,6 +438,12 @@ class TestLipschitzDiagnostic:
         with pytest.raises(ValueError):
             max_discrete_slope([0.0], [1.0])
 
+    def test_grid_must_be_strictly_increasing(self):
+        # a decreasing grid would report a negative slope, a repeated point inf
+        for grid in ([0.3, 0.2, 0.1], [0.1, 0.2, 0.2], [0.1, float("nan"), 0.3]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                max_discrete_slope(grid, [0.0, 1.0, 3.0])
+
 
 class TestBudgetPropagation:
     def test_budget_abort_surfaces(self):

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import circle_oracle, estimator, manifolds
-from .complexes import cech_complex_circle, check_grid, vr_complex, vr_filtration
+from .complexes import cech_complex_circle, check_grid, vr_complex, vr_euler_curve
 from .errors import SimplexBudgetError
 from .homology import InvariantSpec, betti_invariant, euler_invariant
 from .manifolds import ManifoldModel, PointSample
@@ -269,12 +269,15 @@ def _selftest_checks(config: RunConfig):
         yield (name, curve == per_scale and exact in (None, curve),
                f"estimator={curve} per-scale={per_scale} exact={exact}")
 
-    def full_counts():  # the octahedron: the counted build against the per-scale one
-        counts = vr_filtration(octahedron, [math.pi / 2]).counts
-        per_scale = vr_complex(octahedron, math.pi / 2)
-        listed = [[len(per_scale.simplices(d))] for d in range(per_scale.dimension + 1)]
-        yield ("vr-full-counts", counts == listed == [[6], [12], [8]],
-               f"filtration counts={counts} vr_complex={listed} (want [[6], [12], [8]])")
+    def euler_budget():  # 6 + 12 + 8 simplices, past the bound: the exact pass decides
+        got = vr_euler_curve(octahedron, [math.pi / 2], budget=26)
+        try:
+            over = vr_euler_curve(octahedron, [math.pi / 2], budget=25)
+        except SimplexBudgetError as exc:
+            over = str(exc)
+        yield ("vr-euler-budget octahedron",
+               got == [2] and over == "simplex budget of 25 exceeded",
+               f"budget 26: {got} (want [2]); budget 25: {over}")
 
     def oracle_exact():  # the oracle's precision ladder against the exact stopped sum
         n = 300
@@ -318,7 +321,7 @@ def _selftest_checks(config: RunConfig):
         yield ("cech-vr-interleaving", bad == 0, f"{bad}/100 samples violated the inclusions")
 
     checks = [(row[0], route(*row)) for row in rows] + [
-        ("vr-full-counts", full_counts()), ("oracle-exact", oracle_exact()),
+        ("vr-euler-budget octahedron", euler_budget()), ("oracle-exact", oracle_exact()),
         ("oracle-vs-mc", oracle_vs_mc()),
         ("euler-two-points", euler_two_points()), ("cech-vr-interleaving", interleaving())]
     for name, check in checks:  # generators: each runs only as it is drawn, in the guard

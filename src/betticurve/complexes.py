@@ -3,14 +3,18 @@
 A filtration (:func:`vr_filtration`, :func:`cech_filtration_circle`) builds
 the complex once at the largest grid scale and tags every simplex with the
 grid step at which it enters; :func:`vr_core_filtration` builds, for one
-scale, that of the Vietoris-Rips complex's strong-collapse core.  A
-filtration's edges come from a pair search over the sample
-(:func:`_sorted_pairs`), which computes the distances of the pairs that the
-largest scale can join only, bit-equal to those of the n x n matrix
-(``pairwise_distances``).  The per-scale functions (:func:`vr_complex`,
-:func:`cech_complex_circle`) and :func:`vr_core_filtration` take that
-matrix; the per-scale functions are the independent reference the
-filtrations are tested against.
+scale, that of the Vietoris-Rips complex's strong-collapse core.  The
+untruncated Vietoris-Rips complex is read for its Euler characteristic
+alone, by :func:`vr_euler_curve`: one signed clique sum per edge, with its
+simplices counted exactly only when a bound on them passes the budget.  A
+filtration's edges, and the Euler curve's, come from a pair search over the
+sample (:func:`_sorted_pairs`), which computes the distances of the pairs
+that the largest scale can join only, bit-equal to those of the n x n
+matrix (``pairwise_distances``).  The per-scale functions
+(:func:`vr_complex`, :func:`cech_complex_circle`) and
+:func:`vr_core_filtration` take that matrix; the per-scale functions are the
+independent reference the filtrations and the Euler curve are tested
+against.
 
 VR uses the closed condition (pairwise distance <= t, matching "diameter of
 the simplex <= t"); Cech uses open balls (simplex present iff the open balls
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -191,22 +196,25 @@ class Filtration:
     ``counts[d][s]`` is the number of d-simplices entering at step s, for
     every dimension built (up to ``max_dim``; -1 means untruncated).
 
-    A Vietoris-Rips filtration built full or to dimension <= 2 (for b0 or
-    b1) keeps its edges and counts the rest; every other one keeps every
-    simplex through ``max_dim`` (a full circle Cech one, its edges).
-    Counted simplices are never listed (see :func:`_filtration`); the budget
-    counts them all.  Kept simplices are in filtration order (nondecreasing
-    step, so every prefix ending at a step boundary is a per-scale complex):
-    ``edges[p]`` is the p-th edge, ``keys[d][p]`` the vertex bitmask of the
-    p-th d-simplex and ``neighbours[v]`` v's neighbours at max(grid).  No
-    step is stored: for every d, kept or counted, the d-simplices of step s
-    are rows ``sum(counts[d][:s])`` to ``sum(counts[d][:s + 1])``.  A
-    Vietoris-Rips build to a finite dimension >= 2 has ``first`` and
-    ``offsets`` (the block index), one entry per edge: block p is the
-    triangles whose longest edge is the p-th, ``first[p]`` (its ends' common
-    neighbourhood on arrival) has their third vertices, and ``offsets[p]``
-    counts the triangles in earlier blocks.  A triangle's index (stored or
-    not) is its block's offset plus its third vertex's rank in ``first[p]``.
+    A Vietoris-Rips filtration is built to a finite dimension (its Euler
+    characteristic has :func:`vr_euler_curve`).  Built to dimension <= 2
+    (for b0 or b1) it keeps its edges, and for b1 counts its triangles from
+    the block index below; every other filtration keeps every simplex
+    through ``max_dim`` (a full circle Cech one, its edges, and counts the
+    rest).  Counted simplices are never listed (see :func:`_filtration`);
+    the budget counts them all.  Kept simplices are in filtration order
+    (nondecreasing step, so every prefix ending at a step boundary is a
+    per-scale complex): ``edges[p]`` is the p-th edge, ``keys[d][p]`` the
+    vertex bitmask of the p-th d-simplex and ``neighbours[v]`` v's
+    neighbours at max(grid).  No step is stored: for every d, kept or
+    counted, the d-simplices of step s are rows ``sum(counts[d][:s])`` to
+    ``sum(counts[d][:s + 1])``.  A Vietoris-Rips build to dimension >= 2
+    has ``first`` and ``offsets`` (the block index), one entry per edge:
+    block p is the triangles whose longest edge is the p-th, ``first[p]``
+    (its ends' common neighbourhood on arrival) has their third vertices,
+    and ``offsets[p]`` counts the triangles in earlier blocks.  A
+    triangle's index (stored or not) is its block's offset plus its third
+    vertex's rank in ``first[p]``.
     """
 
     grid: tuple[float, ...]
@@ -236,21 +244,19 @@ def check_grid(grid, positive: bool = False) -> tuple[float, ...]:
     return grid
 
 
-def _clique_polynomial(cand: int, nbr: list[int], x: int, limit: int) -> int:
+def _clique_sum(cand: int, nbr: list[int], x: int, limit: float) -> int:
     """The cliques S of the vertex set ``cand`` (a bitmask) in the graph
-    ``nbr``, the empty one included, as the sum of x**len(S), for x = 2**w
-    with w > len(cand).
+    ``nbr``, the empty one included, as the sum of x**len(S), for x = 1 (the
+    cliques' count) or x = -1 (their signed count).
 
-    No coefficient (the cliques of one size, at most C(len(cand), j) <
-    2**len(cand)) reaches x, and neither does one of any partial sum, so
-    sums, shifts and products never carry: the polynomial is packed in one
-    int, w bits per coefficient.  It recurses by P(C) = P(C - v) +
-    x * P(C & N(v)), on the vertex v with the fewest neighbours in C, after
-    factoring out every cone of C (a vertex adjacent to all the rest, which
-    doubles the cliques: a factor 1 + x).  Distinct leaves of the recursion
-    stand for distinct cliques, so it visits at most about twice as many
-    nodes as C has cliques.  It stops once its leaves pass ``limit``, and the
-    part of the sum it returns then counts more than ``limit`` cliques.
+    It recurses by P(C) = P(C - v) + x * P(C & N(v)), on the vertex v with
+    the fewest neighbours in C.  A cone of C (a vertex adjacent to all the
+    rest) is a factor 1 + x: at x = 1 each doubles the cliques and is
+    factored out, and at x = -1 the first one found zeroes its branch, which
+    is dropped.  Distinct leaves of the recursion stand for distinct
+    cliques, so it visits at most about twice as many nodes as C has
+    cliques.  It stops once its leaves pass ``limit``; at x = 1 the part of
+    the sum it returns then counts more than ``limit`` cliques.
     """
     total, leaves = 0, 0
     stack = [(cand, 1)]  # a subset of cand and its weight: the polynomial factored out
@@ -265,10 +271,15 @@ def _clique_polynomial(cand: int, nbr: list[int], x: int, limit: int) -> int:
                 common = c & nbr[low.bit_length() - 1]
                 if common == c ^ low:
                     cones |= low
+                    if x < 0:
+                        break
                 elif (size := common.bit_count()) < fewest:
                     fewest, pivot, pivot_common = size, low, common
             if cones:
-                weight *= pow(1 + x, cones.bit_count())
+                if x < 0:  # a factor 1 + x = 0
+                    weight = 0
+                    break
+                weight <<= cones.bit_count()
                 c ^= cones
             if c:  # its cliques without the pivot stay in c, those with it go on the stack
                 stack.append((pivot_common & c, weight * x))
@@ -337,30 +348,26 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
     are then dropped: ``counts`` places every row.  What is kept is as in
     :class:`Filtration`.
 
-    A Vietoris-Rips build that keeps nothing above its edges (full, or to
-    dimension 2 for b1) lists no simplex of a block: the block's triangles
-    are the vertices of ``cand`` (its popcount), and its d-simplices for
-    d >= 3 the cliques of d - 1 vertices of ``cand``, counted for every d at
-    once by :func:`_clique_polynomial`.  Every other build walks the cliques
-    of ``cand`` depth first and files each kept simplex under its step as it
-    finds it; the lists are joined in step order at the end.  A
-    Vietoris-Rips walk meets the blocks in edge order, and a block's
-    triangles first, by rising third vertex: it keeps the order it finds
-    them in (block p's triangles are rows ``offsets[p]`` on).  A circle Cech
-    simplex may enter after its longest edge, and lands under its own step.
+    A Vietoris-Rips build for b0 stops at its edges, and one for b1 lists
+    no triangle: its block index holds them, and gives ``counts[2]`` at the
+    end.  Every other build walks the cliques of ``cand`` depth first and
+    files each kept simplex under its step as it finds it; the lists are
+    joined in step order at the end.  A Vietoris-Rips walk meets the blocks
+    in edge order, and a block's triangles first, by rising third vertex:
+    it keeps the order it finds them in (block p's triangles are rows
+    ``offsets[p]`` on).  A circle Cech simplex may enter after its longest
+    edge, and lands under its own step.
 
     Raises when the complex at max(grid) has more than ``budget`` simplices,
     which is when some per-scale build on the grid would.  The total is
-    checked after the vertices, after the edges, and then after each counted
-    block or each walked simplex; a block's clique count stops early once
-    the cliques it has found exceed the budget, so the work stays bounded by
-    the budget.
+    checked after the vertices, after the edges, after each walked simplex
+    and, for b1, once after the loop, whose work is O(edges) there.
     """
     num_steps = len(grid)
-    counted = simplex_step is None and max_dim <= 2  # Vietoris-Rips, full or for b0/b1
     indexed = simplex_step is None and max_dim >= 2  # has first/offsets (see Filtration)
     top = max(n - 1, 1) if max_dim == -1 else max_dim
-    kept_dim = 1 if counted or max_dim == -1 else max_dim
+    walked = top > 2 if indexed else top >= 2  # a Vietoris-Rips b1 build indexes its triangles
+    kept_dim = max_dim if walked and max_dim != -1 else 1
 
     counts = [[0] * num_steps for _ in range(top + 1)]
     counts[0][0] = n
@@ -386,28 +393,7 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
             first.append(cand)
             offsets.append(triangles)
             triangles += cand.bit_count()
-        if not cand or top < 2:
-            continue
-        if counted:
-            size = cand.bit_count()
-            total += size
-            counts[2][edge_s] += size
-            if top > 2 and size > 1:
-                w = size + 1
-                mask = (1 << w) - 1
-                # the limit leaves room for the empty clique and the size
-                # single vertices, counted already as the edge and triangles;
-                # the cliques of two or more vertices are dimensions 3 and up
-                poly = _clique_polynomial(cand, nbr, 1 << w, budget - total + size + 1) >> 2 * w
-                dim = 3
-                while poly:
-                    found = poly & mask
-                    total += found
-                    counts[dim][edge_s] += found
-                    poly >>= w
-                    dim += 1
-            if total > budget:
-                raise SimplexBudgetError(budget)
+        if not cand or not walked:
             continue
         # Depth-first over the cliques of cand: an entry (key, cand, dim, s)
         # extends the simplex `key` (entered at step s) by each vertex v of
@@ -436,27 +422,104 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
                     if sub:
                         stack.append((new, sub, dim + 1, s))
 
+    if indexed and not walked:
+        before = offsets + [triangles]  # the triangles in the blocks before the p-th
+        ends = [before[edges_to] for edges_to in accumulate(counts[1])]
+        counts[2] = [b - a for a, b in zip([0] + ends, ends)]
+        if total + triangles > budget:
+            raise SimplexBudgetError(budget)
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
     keys += [[key for found in dim_by_step for key in found] for dim_by_step in by_step]
     return Filtration(grid, max_dim, counts, edges, keys, nbr, first, offsets)
 
 
-def vr_filtration(s: PointSample, grid, max_dim=-1, *,
+def vr_filtration(s: PointSample, grid, max_dim, *,
                   budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
-    """One filtration for the Vietoris-Rips complexes at every grid scale.
+    """One filtration for the Vietoris-Rips complexes at every grid scale,
+    built to the positive dimension ``max_dim``.
 
     Its step-s prefix is ``vr_complex(s, grid[s], max_dim)`` simplex for
     simplex: an edge enters at the first scale t with distance <= t, and a
-    simplex with its longest edge.  Built to a finite ``max_dim`` it keeps
-    the dimensions below it; built full it keeps the edges.  The edges are
-    the pairs within max(grid) that :func:`_sorted_pairs` finds, with the
-    distances of ``pairwise_distances(s)`` but without that matrix.
+    simplex with its longest edge.  It keeps the dimensions below
+    ``max_dim``.  The edges are the pairs within max(grid) that
+    :func:`_sorted_pairs` finds, with the distances of
+    ``pairwise_distances(s)`` but without that matrix.  The untruncated
+    complex is read for its Euler characteristic alone, by
+    :func:`vr_euler_curve`, which lists nothing.
     """
     grid = check_grid(grid)
+    if max_dim == -1:
+        raise ValueError("vr_filtration takes a positive max_dim, got -1 "
+                         "(vr_euler_curve reads the untruncated complex)")
     md = _normalize_max_dim(max_dim)
     return _filtration(len(s), *_sorted_pairs(s, np.asarray(grid), False),
                        grid, md, budget)
+
+
+def _euler_curve(n: int, edges: list[tuple[int, int]], edge_steps: list[int],
+                 num_steps: int, budget: int) -> list[int]:
+    """The Euler characteristic, at each of ``num_steps`` steps, of the flag
+    complex on n vertices whose edges arrive as in :func:`_filtration`.
+
+    Edge ab's block is {a, b} joined with each clique S of C, the common
+    neighbourhood of a and b on arrival (S empty too), of dimension |S| + 1,
+    so the block adds -P_C(-1) to its step's Euler characteristic, for the
+    signed clique sum P_C(-1) of :func:`_clique_sum`.  A cone of C makes it
+    0 at once.
+
+    The budget: a block has at most 2**|C| simplices, so n + sum 2**|C|
+    bounds the total.  That bound is summed as the blocks arrive, each
+    before its signed sum, so the signed work runs only on blocks it has
+    certified.  If it passes the budget at block q, a second pass counts
+    every block exactly, P_C(1), and raises as soon as the total exceeds the
+    budget (each count stops once it alone would); blocks q onward get
+    their signed sums there, after their counts.
+    """
+    if n > budget:
+        raise SimplexBudgetError(budget)
+    increments = [0] * num_steps
+    increments[0] = n
+    bound = n
+    nbr = [0] * n
+    for q, ((i, j), s) in enumerate(zip(edges, edge_steps)):
+        cand = nbr[i] & nbr[j]
+        size = cand.bit_count()
+        bound += 1 << size
+        if bound > budget:
+            break
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        if size > 1:
+            increments[s] -= _clique_sum(cand, nbr, -1, math.inf)
+        elif not size:  # the edge alone; one vertex is a cone
+            increments[s] -= 1
+    else:
+        return list(accumulate(increments))
+    total = n
+    nbr = [0] * n
+    for p, ((i, j), s) in enumerate(zip(edges, edge_steps)):
+        cand = nbr[i] & nbr[j]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        total += _clique_sum(cand, nbr, 1, budget - total)
+        if total > budget:
+            raise SimplexBudgetError(budget)
+        if p >= q:
+            increments[s] -= _clique_sum(cand, nbr, -1, math.inf)
+    return list(accumulate(increments))
+
+
+def vr_euler_curve(s: PointSample, grid, *,
+                   budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[int]:
+    """The Euler characteristic of ``vr_complex(s, t)`` at every scale t of
+    the grid, from one pass over the edges that :func:`_sorted_pairs` finds,
+    as signed clique sums (:func:`_euler_curve`): no simplex above the edges
+    is listed.  Raises as the per-scale builds would, when the complex at
+    max(grid) has more than ``budget`` simplices.
+    """
+    grid = check_grid(grid)
+    return _euler_curve(len(s), *_sorted_pairs(s, np.asarray(grid), False), len(grid), budget)
 
 
 def _bitmask_rows(matrix: np.ndarray) -> list[int]:

@@ -8,10 +8,13 @@ complex is built once, at max(grid), to the depth the invariant needs
 every simplex tagged by the grid step at which it enters, and the simplex
 budget counts exactly those simplices.  The whole curve is read off it (Euler
 characteristic by cumulative signed counts, Betti numbers by one persistent
-cohomology reduction).  A Vietoris-Rips Betti number on a one-scale grid
-(every ``convergence_study`` trial, and an ``estimate_curve`` at one scale)
-has no other scale to share the filtration with: it is read off the
-filtration of the complex's strong-collapse core instead
+cohomology reduction).  A Vietoris-Rips Euler characteristic lists nothing
+above the edges: ``vr_euler_curve`` adds each edge's signed clique sum to its
+step, and counts the simplices exactly, for the budget, only when the bound
+n + sum 2**|C| over the edges passes it.  A Vietoris-Rips Betti number on a
+one-scale grid (every ``convergence_study`` trial, and an ``estimate_curve``
+at one scale) has no other scale to share the filtration with: it is read
+off the filtration of the complex's strong-collapse core instead
 (``vr_core_filtration``), which is homotopy equivalent to the whole complex
 and so has the same Betti numbers, while the budget still counts the whole
 complex.  The per-scale functions ``vr_complex`` and ``cech_complex_circle``
@@ -37,7 +40,7 @@ from itertools import islice
 import numpy as np
 
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, cech_filtration_circle, check_grid,
-                        vr_core_filtration, vr_filtration)
+                        vr_core_filtration, vr_euler_curve, vr_filtration)
 from .errors import SimplexBudgetError
 from .homology import InvariantSpec
 from .manifolds import CIRCLE, ManifoldModel, PointSample, sample
@@ -83,13 +86,17 @@ def _check_complex_kind(complex_kind: str) -> None:
 
 def sample_curve(s: PointSample, complex_kind: str, invariant: InvariantSpec, grid,
                  budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[int]:
-    """The invariant of the sample's complex at every grid scale, read off one
-    filtration: of the strong-collapse core for a Vietoris-Rips Betti number
-    at one scale, of the whole complex otherwise."""
+    """The invariant of the sample's complex at every grid scale: a
+    Vietoris-Rips Euler characteristic from signed clique sums
+    (``vr_euler_curve``), every other one read off one filtration, of the
+    strong-collapse core for a Vietoris-Rips Betti number at one scale, of
+    the whole complex otherwise."""
     _check_complex_kind(complex_kind)
     if complex_kind == CECH:
         f = cech_filtration_circle(s, grid, invariant.max_dim, budget=budget)
-    elif invariant.kind == "betti" and len(grid) == 1:
+    elif invariant.kind == "euler":
+        return vr_euler_curve(s, grid, budget=budget)
+    elif len(grid) == 1:
         f = vr_core_filtration(s, grid, invariant.max_dim, budget=budget)
     else:
         f = vr_filtration(s, grid, invariant.max_dim, budget=budget)

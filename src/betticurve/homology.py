@@ -3,7 +3,8 @@
 Coefficients are fixed to GF(2): boundary matrices become bit matrices and a
 Betti number is ``#i-simplices - rank d_i - rank d_{i+1}``.  The curves over
 a whole scale grid (:func:`betti_curve`, :func:`euler_curve`) are read off one
-:class:`~betticurve.complexes.Filtration`; :func:`betti` and
+:class:`~betticurve.complexes.Filtration` (a Vietoris-Rips Euler curve comes
+from :func:`~betticurve.complexes.vr_euler_curve` instead); :func:`betti` and
 :func:`euler_characteristic` evaluate a single complex.  Homology is
 unreduced (a point has b0 = 1).  GF(2) Betti numbers can differ from rational
 ones on spaces with 2-torsion; the model manifolds used here have none.
@@ -276,7 +277,9 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
 
 def euler_curve(filtration: Filtration) -> list[int]:
     """Euler characteristic of the complex at every grid step: cumulative
-    alternating simplex counts, no linear algebra."""
+    alternating simplex counts, no linear algebra.  A full filtration is a
+    circle Cech one; the Vietoris-Rips curve is
+    :func:`~betticurve.complexes.vr_euler_curve`'s."""
     if filtration.max_dim != -1:
         raise ValueError(
             "Euler characteristic requires a full (untruncated) complex; "

@@ -17,9 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.complexes import cech_filtration_circle, vr_filtration
+from betticurve.complexes import cech_filtration_circle, vr_euler_curve, vr_filtration
 from betticurve.estimator import VR, sample_curve
-from betticurve.homology import betti_curve, betti_invariant, euler_curve
+from betticurve.homology import betti_curve, betti_invariant
 from betticurve.manifolds import circle, sample
 
 SEED = 17
@@ -82,8 +82,7 @@ class TestVietorisRips:
                          (100, 0.12), (200, 0.06)):
             s = sample(circle(), n, SEED, 0)
             grid = [t for t in GRID if t <= t_max]
-            assert euler_curve(vr_filtration(s, grid)) == \
-                [vr_gaps(s, t) for t in grid]
+            assert vr_euler_curve(s, grid) == [vr_gaps(s, t) for t in grid]
 
     def test_one_scale_core(self):
         for n in SIZES:

@@ -432,6 +432,9 @@ class TestSelftest:
         # past pi every pair of the sphere is joined: the octahedron's antipodes too
         assert ("PASS vr-euler octahedron past pi: estimator=[2, 1] per-scale=[2, 1] "
                 "exact=[2, 1]") in out
+        # the octahedron's 26 simplices, at the budget and one below it
+        assert ("PASS vr-euler-budget octahedron: budget 26: [2] (want [2]); "
+                "budget 25: simplex budget of 25 exceeded") in out
         # the oracle's certified pass and the exact stopped sum, float for float
         assert "PASS oracle-exact n=300: oracle=[1.0, " in out
 
@@ -463,11 +466,11 @@ class TestSelftest:
         def broken(*args, **kwargs):
             raise ValueError("broken build")
 
-        monkeypatch.setattr(cli, "vr_filtration", broken)
+        monkeypatch.setattr(cli, "vr_euler_curve", broken)
         code = cli.main(["selftest", "--trials", "500"])
         out = capsys.readouterr().out
         assert code == EXIT_SELFTEST_FAIL
-        assert "FAIL vr-full-counts: ValueError: broken build" in out
+        assert "FAIL vr-euler-budget octahedron: ValueError: broken build" in out
         assert "PASS cech-vr-interleaving" in out
         assert "selftest: 1 check(s) failed" in out
 

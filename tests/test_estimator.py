@@ -543,13 +543,14 @@ class TestBudgetPropagation:
 
     def test_one_scale_betti_reduces_the_core(self, monkeypatch):
         # a Vietoris-Rips Betti number at one scale is read off the
-        # strong-collapse core; on a longer grid, or for the Euler
-        # characteristic, off the whole complex's filtration, and a longer
-        # grid whose reduction leaves one column (circle b1 at n=30 here)
-        # also builds the last step's core, in betti_curve
+        # strong-collapse core; on a longer grid off the whole complex's
+        # filtration, and a longer grid whose reduction leaves one column
+        # (circle b1 at n=30 here) also builds the last step's core, in
+        # betti_curve.  The Euler characteristic, at any grid, comes from
+        # vr_euler_curve's signed clique sums.
         built = []
         for module, name in ((estimator, "vr_filtration"), (estimator, "vr_core_filtration"),
-                             (homology, "_core_filtration")):
+                             (estimator, "vr_euler_curve"), (homology, "_core_filtration")):
             def record(*args, name=name, build=getattr(module, name), **kwargs):
                 built.append(name)
                 return build(*args, **kwargs)
@@ -557,8 +558,9 @@ class TestBudgetPropagation:
         for invariant, grid, n in ((B1, [0.2], 6), (B1, [0.1, 0.2], 6), (EULER, [0.2], 6),
                                    (B2, [0.2], 6), (B1, [0.2, 0.3], 30)):
             estimate_curve(circle(), VR, invariant, n, grid, 2, 0)
-        assert built == ["vr_core_filtration"] * 2 + ["vr_filtration"] * 4 + \
-            ["vr_core_filtration"] * 2 + ["vr_filtration", "_core_filtration"] * 2
+        assert built == ["vr_core_filtration"] * 2 + ["vr_filtration"] * 2 + \
+            ["vr_euler_curve"] * 2 + ["vr_core_filtration"] * 2 + \
+            ["vr_filtration", "_core_filtration"] * 2
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

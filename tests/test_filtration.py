@@ -7,6 +7,7 @@ grid scale, which ``betti`` and ``euler_characteristic`` then evaluate.
 
 import dataclasses
 import math
+from functools import partial
 from itertools import accumulate, combinations, permutations
 
 import numpy as np
@@ -15,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticurve import complexes, homology
-from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_polynomial, _core_filtration,
-                                  _filtration, _iter_bits, _strong_collapse, cech_complex_circle,
-                                  cech_filtration_circle, vr_complex, vr_core_filtration,
-                                  vr_filtration)
+from betticurve.complexes import (DEFAULT_SIMPLEX_BUDGET, _clique_sum, _core_filtration,
+                                  _euler_curve, _iter_bits, _sorted_pairs, _strong_collapse,
+                                  cech_complex_circle, cech_filtration_circle, vr_complex,
+                                  vr_core_filtration, vr_euler_curve, vr_filtration)
 from betticurve.errors import SimplexBudgetError, UnsupportedDomainError
 from betticurve.estimator import CECH, VR, estimate_curve, sample_curve
 from betticurve.homology import (betti_curve, betti_invariant, betti_oracle_bruteforce,
-                                 euler_curve, euler_invariant)
+                                 euler_characteristic, euler_curve, euler_invariant)
 from betticurve.manifolds import (PointSample, circle, flat_torus, pair_distances,
                                   pairwise_distances, sample, sphere2)
 
@@ -41,6 +42,8 @@ def reference_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
 
 
 def filtration_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
+    if kind == "vr" and invariant.kind == "euler":  # signed clique sums, no filtration
+        return vr_euler_curve(s, grid, budget=budget)
     build = vr_filtration if kind == "vr" else cech_filtration_circle
     return invariant.curve(build(s, grid, max_dim, budget=budget))
 
@@ -147,13 +150,14 @@ class TestVietorisRipsEquivalence:
             md = invariant.max_dim
             assert filtration_curve(s, grid, invariant, md) == \
                 reference_curve(s, grid, invariant, md)
-        assert betti_curve(vr_filtration(s, grid), 0) == [2, 1]
+        assert betti_curve(vr_filtration(s, grid, 1), 0) == [2, 1]
 
     def test_four_cycle_curve(self, circle_points):
         s = circle_points([0, 0.25, 0.5, 0.75])
         grid = [0.1, 0.25, 0.5]
         f = vr_filtration(s, grid, 2)
         assert [f.counts[1][k] for k in range(3)] == [0, 4, 2]
+        assert f.counts[2] == [0, 0, 4]
         # a b1 build stores no triangle and indexes them by block: by longest
         # edge, then by bitmask; each diagonal's block is its two triangles
         def longest(t):
@@ -177,7 +181,7 @@ class TestVietorisRipsEquivalence:
         assert betti_curve(f, 0) == [4, 1, 1]
         assert betti_curve(f, 1) == betti_curve(deep, 1) == [0, 1, 0]
         assert betti_curve(deep, 2) == [0, 0, 0]
-        assert euler_curve(vr_filtration(s, grid)) == [4, 0, 1]
+        assert vr_euler_curve(s, grid) == [4, 0, 1]
 
     @settings(max_examples=40, deadline=None)
     @given(cases(max_n=9))
@@ -211,19 +215,20 @@ class TestVietorisRipsEquivalence:
     def test_one_index_at_every_depth(self, case):
         # the Vietoris-Rips builds to depths 2, 3 and 4, and the one-scale
         # cores, have the block index, the same at every depth; a stored build
-        # files the earliest triangle of block p at row offsets[p].  The full
-        # and b0 builds have none.
+        # files the earliest triangle of block p at row offsets[p].  The b0
+        # build has none.
         s, grid = case
         builds = [vr_filtration(s, grid, depth) for depth in (2, 3, 4)]
         for f in builds + [vr_core_filtration(s, grid[-1:], depth) for depth in (2, 3)]:
             assert len(f.first) == len(f.offsets) == len(f.edges)
         for f in builds[1:]:
             assert (f.first, f.offsets) == (builds[0].first, builds[0].offsets)
+            assert f.counts[2] == builds[0].counts[2]  # walked, and read off the index
             for p, third in enumerate(f.first):
                 if third:
                     assert f.keys[2][f.offsets[p]] == f.keys[1][p] | (third & -third)
-        for f in (vr_filtration(s, grid), vr_filtration(s, grid, 1)):
-            assert f.first == f.offsets == []
+        f = vr_filtration(s, grid, 1)
+        assert f.first == f.offsets == []
 
     def test_steps_are_filtration_order(self):
         s = sample(flat_torus(2), 12, 5, 0)
@@ -326,65 +331,145 @@ class TestLipschitz:
 
 
 def cross_polytope(m):
-    """The full filtration, at the one scale 1, of 2m vertices with every pair
-    adjacent except v and v + m: the boundary of the m-dimensional
-    cross-polytope, a sphere S^(m-1).  Its edges are listed in
-    lexicographic order, all at step 0."""
+    """The graph of 2m vertices with every pair adjacent except v and v + m,
+    whose clique complex is the boundary of the m-dimensional cross-polytope,
+    a sphere S^(m-1), with 3^m - 1 simplices: its edges in lexicographic
+    order, and its neighbourhoods."""
     edges = [(a, b) for a, b in combinations(range(2 * m), 2) if b != a + m]
-    return _filtration(2 * m, edges, [0] * len(edges), (1.0,), -1, DEFAULT_SIMPLEX_BUDGET)
+    nbr = [((1 << 2 * m) - 1) ^ (1 << v) ^ (1 << (v + m) % (2 * m)) for v in range(2 * m)]
+    return edges, nbr
+
+
+def euler_bound(n, edges):
+    """n + sum 2^|C| over the blocks, C the common neighbourhood of each
+    edge's ends on arrival: the bound that decides whether an Euler curve
+    counts its simplices exactly."""
+    nbr = [0] * n
+    bound = n
+    for i, j in edges:
+        bound += 1 << (nbr[i] & nbr[j]).bit_count()
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return bound
+
+
+def brute_clique_sum(cand, nbr, x):
+    """The sum of x^|S| over the subsets S of cand that are cliques."""
+    vertices = list(_iter_bits(cand))
+    return sum(x ** size for size in range(len(vertices) + 1)
+               for subset in combinations(vertices, size)
+               if all(nbr[a] >> b & 1 for a, b in combinations(subset, 2)))
+
+
+@st.composite
+def graphs(draw):
+    """Neighbourhoods of a graph on at most 10 vertices and a vertex subset
+    C: a random graph with cones added at random, a cross-polytope (no cone)
+    or a cycle (no cone past 3 vertices)."""
+    kind = draw(st.sampled_from(["random", "cross-polytope", "cycle"]))
+    if kind == "cross-polytope":
+        nbr = cross_polytope(draw(st.integers(1, 5)))[1]
+    elif kind == "cycle":
+        n = draw(st.integers(3, 10))
+        nbr = [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
+    else:
+        n = draw(st.integers(1, 10))
+        nbr = [0] * n
+        cones = draw(st.lists(st.integers(0, n - 1), max_size=3))
+        for a, b in combinations(range(n), 2):
+            if a in cones or b in cones or draw(st.booleans()):
+                nbr[a] |= 1 << b
+                nbr[b] |= 1 << a
+    everything = (1 << len(nbr)) - 1
+    cand = everything if draw(st.booleans()) else draw(st.integers(0, everything))
+    return cand, nbr
 
 
 class TestCliqueCounts:
-    # A full Vietoris-Rips filtration counts its simplices above the edges
-    # without listing them; vr_complex lists them.
+    # A Vietoris-Rips Euler curve sums each block's cliques with signs, and
+    # counts them only when the bound n + sum 2^|C| passes the budget;
+    # vr_complex lists them.
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs())
+    def test_clique_sum_is_brute_force(self, graph):
+        cand, nbr = graph
+        for x in (1, -1):
+            assert _clique_sum(cand, nbr, x, math.inf) == brute_clique_sum(cand, nbr, x)
 
     @settings(max_examples=100, deadline=None)
-    @given(cases(max_n=10))
-    def test_full_counts_equal_per_scale(self, case):
+    @given(cases(max_n=10), st.data())
+    def test_euler_curve_equals_per_scale(self, case, data):
+        # at the default budget, and at one between the exact total and the
+        # bound, where the exact pass runs and must not raise
         s, grid = case
-        f = vr_filtration(s, grid)
         dist = pairwise_distances(s)
-        for step, t in enumerate(grid):
-            c = vr_complex(s, t, dist=dist)
-            assert c.dimension < len(f.counts)
-            assert [sum(counts[:step + 1]) for counts in f.counts] == \
-                [len(c.simplices(d)) for d in range(len(f.counts))]
+        want = [euler_characteristic(vr_complex(s, t, dist=dist)) for t in grid]
+        size = vr_complex(s, grid[-1], dist=dist).simplex_count()
+        bound = euler_bound(len(s), _sorted_pairs(s, np.asarray(grid), False)[0])
+        assert bound >= size
+        assert vr_euler_curve(s, grid) == want
+        assert vr_euler_curve(s, grid, budget=data.draw(st.integers(size, bound))) == want
 
     @pytest.mark.parametrize("m", range(1, 15))
     def test_cross_polytope(self, m):
-        # f_d = 2^(d+1) C(m, d+1).  The edges arrive in lexicographic order,
-        # so the last blocks are cross-polytopes on up to 2m - 4 vertices, with
-        # no cone and coefficients 2^j C(m - 2, j), all packed in one int.
-        f = cross_polytope(m)
-        assert [sum(c) for c in f.counts if any(c)] == \
-            [2 ** (d + 1) * math.comb(m, d + 1) for d in range(m)]
-        assert euler_curve(f) == [1 + (-1) ** (m - 1)]
+        # chi = 1 + (-1)^(m-1) from 3^m - 1 simplices, with the budget at the
+        # total and one below it.  The edges arrive in lexicographic order,
+        # so the last blocks are cross-polytopes on up to 2m - 4 vertices,
+        # with no cone.
+        edges = cross_polytope(m)[0]
+        curve = partial(_euler_curve, 2 * m, edges, [0] * len(edges), 1)
+        size = 3 ** m - 1
+        assert curve(DEFAULT_SIMPLEX_BUDGET) == curve(size) == [1 + (-1) ** (m - 1)]
+        with pytest.raises(SimplexBudgetError):
+            curve(size - 1)
 
     def test_limit(self):
         # the clique polynomial of a cross-polytope on 12 vertices is
-        # (1 + 2x)^6; stopped early, the part returned counts more cliques
-        # than the limit
-        k, n = 6, 12
-        nbr = [((1 << n) - 1) ^ (1 << v) ^ (1 << (v + k) % n) for v in range(n)]
-        w = n + 1
-        exact = (1 + 2 * (1 << w)) ** k
+        # (1 + 2x)^6; stopped early, the count returned is more than the
+        # limit.  Its signed sum is 1.
+        k = 6
+        cand, nbr = (1 << 2 * k) - 1, cross_polytope(k)[1]
         for limit in range(-1, 3 ** k + 1, 7):
-            got = _clique_polynomial((1 << n) - 1, nbr, 1 << w, limit)
-            cliques = sum((got >> (w * j)) & ((1 << w) - 1) for j in range(k + 1))
-            assert got == exact or cliques > limit
-        assert _clique_polynomial((1 << n) - 1, nbr, 1 << w, 3 ** k) == exact
+            got = _clique_sum(cand, nbr, 1, limit)
+            assert got == 3 ** k or got > limit
+        assert _clique_sum(cand, nbr, 1, 3 ** k) == 3 ** k
+        assert _clique_sum(cand, nbr, -1, math.inf) == 1
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_budget_parity_dense_block(self, offset):
         # nearly every pair of 18 circle points is within 0.45
         s = sample(circle(), 18, 0, 0)
-        size = vr_complex(s, 0.45).simplex_count()
+        complex_ = vr_complex(s, 0.45)
+        size = complex_.simplex_count()
         assert size > 30_000  # 142 of the 153 pairs are edges
         if offset < 0:
             with pytest.raises(SimplexBudgetError):
-                vr_filtration(s, [0.45], budget=size + offset)
+                vr_euler_curve(s, [0.45], budget=size + offset)
         else:
-            assert sum(map(sum, vr_filtration(s, [0.45], budget=size).counts)) == size
+            assert vr_euler_curve(s, [0.45], budget=size) == [euler_characteristic(complex_)]
+
+    def test_exact_pass_only_past_the_bound(self, monkeypatch):
+        # the blocks are counted (x = 1) only when the bound passes the
+        # budget, and then every block is, each once
+        counted = []
+
+        def recording(cand, nbr, x, limit):
+            counted.append(x == 1)
+            return _clique_sum(cand, nbr, x, limit)
+
+        monkeypatch.setattr(complexes, "_clique_sum", recording)
+        s = sample(circle(), 18, 0, 0)
+        edges = _sorted_pairs(s, np.asarray([0.45]), False)[0]
+        bound = euler_bound(len(s), edges)
+        size = vr_complex(s, 0.45).simplex_count()
+        assert size < bound - 1
+        want = vr_euler_curve(s, [0.45])
+        assert not any(counted)
+        for budget in (bound, bound - 1, size):
+            counted.clear()
+            assert vr_euler_curve(s, [0.45], budget=budget) == want
+            assert sum(counted) == (0 if budget == bound else len(edges))
 
 
 class TestChainedReductions:
@@ -761,7 +846,9 @@ class TestValidation:
         for grid in ([], [0.2, 0.1], [0.1, 0.1], [-0.1, 0.2], [float("nan")],
                      [0.1, float("nan")], [float("inf")], [0.1, float("inf")]):
             with pytest.raises(ValueError):
-                vr_filtration(s, grid)
+                vr_filtration(s, grid, 2)
+            with pytest.raises(ValueError):
+                vr_euler_curve(s, grid)
             with pytest.raises(ValueError):
                 cech_filtration_circle(s, grid)
 
@@ -780,12 +867,14 @@ class TestValidation:
                 cech_complex_circle(s, 0.1, max_dim)
         with pytest.raises(ValueError):  # a core is built for a Betti number only
             vr_core_filtration(s, [0.1], -1)
+        with pytest.raises(ValueError):  # vr_euler_curve reads the untruncated complex
+            vr_filtration(s, [0.1], -1)
 
     def test_curves_need_enough_kept(self):
         s = sample(circle(), 6, 0, 0)
         with pytest.raises(ValueError):
             betti_curve(vr_filtration(s, [0.1], 1), 1)
         with pytest.raises(ValueError):
-            betti_curve(vr_filtration(s, [0.1]), 1)  # a full one keeps only edges
+            vr_filtration(s, [0.1], -1)  # the untruncated complex is vr_euler_curve's
         with pytest.raises(ValueError):
             euler_curve(vr_filtration(s, [0.1], 2))

@@ -269,15 +269,19 @@ def _selftest_checks(config: RunConfig):
         yield (name, curve == per_scale and exact in (None, curve),
                f"estimator={curve} per-scale={per_scale} exact={exact}")
 
-    def euler_budget():  # 6 + 12 + 8 simplices, past the bound: the exact pass decides
-        got = vr_euler_curve(octahedron, [math.pi / 2], budget=26)
-        try:
-            over = vr_euler_curve(octahedron, [math.pi / 2], budget=25)
-        except SimplexBudgetError as exc:
-            over = str(exc)
-        yield ("vr-euler-budget octahedron",
-               got == [2] and over == "simplex budget of 25 exceeded",
-               f"budget 26: {got} (want [2]); budget 25: {over}")
+    def euler_budget():  # past the bound n + sum 2^|C|, the exact count decides
+        # 6 + 12 + 8 simplices at pi/2; past pi, the 5-simplex's 63, whose bound
+        # passes 58 at the 14th of 15 edges: the count must take in the 15th too
+        for name, grid, want, fits, over in (("", [math.pi / 2], [2], 26, 25),
+                                             (" past pi", [math.pi / 2, 3.5], [2, 1], 63, 58)):
+            got = vr_euler_curve(octahedron, grid, budget=fits)
+            try:
+                raised = vr_euler_curve(octahedron, grid, budget=over)
+            except SimplexBudgetError as exc:
+                raised = str(exc)
+            yield (f"vr-euler-budget octahedron{name}",
+                   got == want and raised == f"simplex budget of {over} exceeded",
+                   f"budget {fits}: {got} (want {want}); budget {over}: {raised}")
 
     def oracle_exact():  # the oracle's precision ladder against the exact stopped sum
         n = 300

@@ -349,14 +349,14 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
     :class:`Filtration`.
 
     A Vietoris-Rips build for b0 stops at its edges, and one for b1 lists
-    no triangle: its block index holds them, and gives ``counts[2]`` at the
-    end.  Every other build walks the cliques of ``cand`` depth first and
-    files each kept simplex under its step as it finds it; the lists are
-    joined in step order at the end.  A Vietoris-Rips walk meets the blocks
-    in edge order, and a block's triangles first, by rising third vertex:
-    it keeps the order it finds them in (block p's triangles are rows
-    ``offsets[p]`` on).  A circle Cech simplex may enter after its longest
-    edge, and lands under its own step.
+    no triangle: its block index holds them, and each block's |cand| adds
+    to ``counts[2]``.  Every other build walks the cliques of ``cand``
+    depth first and files each kept simplex under its step as it finds it;
+    the lists are joined in step order at the end.  A Vietoris-Rips walk
+    meets the blocks in edge order, and a block's triangles first, by
+    rising third vertex: it keeps the order it finds them in (block p's
+    triangles are rows ``offsets[p]`` on).  A circle Cech simplex may enter
+    after its longest edge, and lands under its own step.
 
     Raises when the complex at max(grid) has more than ``budget`` simplices,
     which is when some per-scale build on the grid would.  The total is
@@ -377,8 +377,6 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
     total += len(edges)
     if total > budget:
         raise SimplexBudgetError(budget)
-    for s in edge_steps:
-        counts[1][s] += 1
 
     keys = [[1 << v for v in range(n)], [(1 << i) | (1 << j) for i, j in edges]]
     by_step = [[[] for _ in grid] for _ in range(2, kept_dim + 1)]  # kept keys of each step
@@ -389,10 +387,13 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
         cand = nbr[i] & nbr[j]
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
+        counts[1][edge_s] += 1
         if indexed:
             first.append(cand)
             offsets.append(triangles)
-            triangles += cand.bit_count()
+            triangles += (size := cand.bit_count())
+            if not walked:  # a b1 build counts its triangles, block by block
+                counts[2][edge_s] += size
         if not cand or not walked:
             continue
         # Depth-first over the cliques of cand: an entry (key, cand, dim, s)
@@ -422,12 +423,8 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
                     if sub:
                         stack.append((new, sub, dim + 1, s))
 
-    if indexed and not walked:
-        before = offsets + [triangles]  # the triangles in the blocks before the p-th
-        ends = [before[edges_to] for edges_to in accumulate(counts[1])]
-        counts[2] = [b - a for a, b in zip([0] + ends, ends)]
-        if total + triangles > budget:
-            raise SimplexBudgetError(budget)
+    if indexed and not walked and total + triangles > budget:
+        raise SimplexBudgetError(budget)
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
     keys += [[key for found in dim_by_step for key in found] for dim_by_step in by_step]
@@ -471,10 +468,11 @@ def _euler_curve(n: int, edges: list[tuple[int, int]], edge_steps: list[int],
     The budget: a block has at most 2**|C| simplices, so n + sum 2**|C|
     bounds the total.  That bound is summed as the blocks arrive, each
     before its signed sum, so the signed work runs only on blocks it has
-    certified.  If it passes the budget at block q, a second pass counts
-    every block exactly, P_C(1), and raises as soon as the total exceeds the
-    budget (each count stops once it alone would); blocks q onward get
-    their signed sums there, after their counts.
+    certified.  If it passes the budget at block q, the complex at max(grid)
+    (the graph so far and the edges after q) is counted once, each simplex
+    under its lowest vertex, P_C(1) for C the neighbours above it; that
+    raises as soon as the total exceeds the budget (each count stops once
+    it alone would), or else certifies the signed sums from block q on.
     """
     if n > budget:
         raise SimplexBudgetError(budget)
@@ -486,27 +484,23 @@ def _euler_curve(n: int, edges: list[tuple[int, int]], edge_steps: list[int],
         cand = nbr[i] & nbr[j]
         size = cand.bit_count()
         bound += 1 << size
-        if bound > budget:
-            break
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
+        if bound > budget:
+            full = nbr.copy()
+            for a, b in edges[q + 1:]:
+                full[a] |= 1 << b
+                full[b] |= 1 << a
+            total = 0
+            for v in range(n):
+                total += _clique_sum(full[v] & -(2 << v), full, 1, budget - total)
+                if total > budget:
+                    raise SimplexBudgetError(budget)
+            bound = -math.inf  # the count has certified every block
         if size > 1:
             increments[s] -= _clique_sum(cand, nbr, -1, math.inf)
         elif not size:  # the edge alone; one vertex is a cone
             increments[s] -= 1
-    else:
-        return list(accumulate(increments))
-    total = n
-    nbr = [0] * n
-    for p, ((i, j), s) in enumerate(zip(edges, edge_steps)):
-        cand = nbr[i] & nbr[j]
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-        total += _clique_sum(cand, nbr, 1, budget - total)
-        if total > budget:
-            raise SimplexBudgetError(budget)
-        if p >= q:
-            increments[s] -= _clique_sum(cand, nbr, -1, math.inf)
     return list(accumulate(increments))
 
 
@@ -516,7 +510,8 @@ def vr_euler_curve(s: PointSample, grid, *,
     the grid, from one pass over the edges that :func:`_sorted_pairs` finds,
     as signed clique sums (:func:`_euler_curve`): no simplex above the edges
     is listed.  Raises as the per-scale builds would, when the complex at
-    max(grid) has more than ``budget`` simplices.
+    max(grid) has more than ``budget`` simplices; that complex is counted,
+    once, only if a bound on its size passes the budget.
     """
     grid = check_grid(grid)
     return _euler_curve(len(s), *_sorted_pairs(s, np.asarray(grid), False), len(grid), budget)

@@ -435,6 +435,9 @@ class TestSelftest:
         # the octahedron's 26 simplices, at the budget and one below it
         assert ("PASS vr-euler-budget octahedron: budget 26: [2] (want [2]); "
                 "budget 25: simplex budget of 25 exceeded") in out
+        # past pi, 63 simplices; the bound passes 58 before the last edge
+        assert ("PASS vr-euler-budget octahedron past pi: budget 63: [2, 1] (want [2, 1]); "
+                "budget 58: simplex budget of 58 exceeded") in out
         # the oracle's certified pass and the exact stopped sum, float for float
         assert "PASS oracle-exact n=300: oracle=[1.0, " in out
 

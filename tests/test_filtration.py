@@ -401,7 +401,7 @@ class TestCliqueCounts:
     @given(cases(max_n=10), st.data())
     def test_euler_curve_equals_per_scale(self, case, data):
         # at the default budget, and at one between the exact total and the
-        # bound, where the exact pass runs and must not raise
+        # bound, where the exact count runs and must not raise
         s, grid = case
         dist = pairwise_distances(s)
         want = [euler_characteristic(vr_complex(s, t, dist=dist)) for t in grid]
@@ -450,26 +450,70 @@ class TestCliqueCounts:
             assert vr_euler_curve(s, [0.45], budget=size) == [euler_characteristic(complex_)]
 
     def test_exact_pass_only_past_the_bound(self, monkeypatch):
-        # the blocks are counted (x = 1) only when the bound passes the
-        # budget, and then every block is, each once
-        counted = []
+        # no count (x = 1) while the bound holds; past it, one count of the
+        # complex at max(grid), each vertex's cliques above it (at most n
+        # calls), all at the block where the bound passed, before that
+        # block's signed sum (x = -1), and none after
+        calls = []
 
         def recording(cand, nbr, x, limit):
-            counted.append(x == 1)
+            calls.append((x, cand))
             return _clique_sum(cand, nbr, x, limit)
 
         monkeypatch.setattr(complexes, "_clique_sum", recording)
         s = sample(circle(), 18, 0, 0)
+        n = len(s)
         edges = _sorted_pairs(s, np.asarray([0.45]), False)[0]
-        bound = euler_bound(len(s), edges)
+        bound = euler_bound(n, edges)
         size = vr_complex(s, 0.45).simplex_count()
         assert size < bound - 1
+        full = [0] * n
+        for i, j in edges:
+            full[i] |= 1 << j
+            full[j] |= 1 << i
         want = vr_euler_curve(s, [0.45])
-        assert not any(counted)
-        for budget in (bound, bound - 1, size):
-            counted.clear()
-            assert vr_euler_curve(s, [0.45], budget=budget) == want
-            assert sum(counted) == (0 if budget == bound else len(edges))
+        for budget in (DEFAULT_SIMPLEX_BUDGET, bound, bound - 1, size, size - 1):
+            signed, passed = [], None  # the signed sums in order; those before the bound passed
+            nbr, running = [0] * n, n
+            for i, j in edges:
+                cand = nbr[i] & nbr[j]
+                running += 1 << cand.bit_count()
+                if running > budget and passed is None:
+                    passed = len(signed)
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+                if cand.bit_count() > 1:
+                    signed.append((-1, cand))
+            calls.clear()
+            if budget < size:
+                with pytest.raises(SimplexBudgetError):
+                    vr_euler_curve(s, [0.45], budget=budget)
+            else:
+                assert vr_euler_curve(s, [0.45], budget=budget) == want
+            counts = [call for call in calls if call[0] == 1]
+            if passed is None:
+                assert calls == signed
+                continue
+            assert 0 < len(counts) <= n
+            assert counts == [(1, full[v] & -(2 << v)) for v in range(len(counts))]
+            after = signed[passed:] if budget >= size else []
+            assert calls == signed[:passed] + counts + after
+
+    def test_octahedron_past_pi(self):
+        # past pi the antipodes join too: the 5-simplex, 63 simplices, from
+        # 15 edges.  The bound n + sum 2^|C| passes 58 at the 14th edge
+        # (59), where the graph holds 47 simplices, so the count must take
+        # in the 15th edge's 16 as well
+        octahedron = PointSample(sphere2(), np.vstack([np.eye(3), -np.eye(3)]))
+        grid = [math.pi / 2, 3.5]
+        edges = _sorted_pairs(octahedron, np.asarray(grid), False)[0]
+        assert [euler_bound(6, edges[:k]) for k in (12, 13, 14, 15)] == [27, 43, 59, 75]
+        for budget in range(20, 80):  # raises iff the 63 simplices exceed it
+            if budget < 63:
+                with pytest.raises(SimplexBudgetError):
+                    vr_euler_curve(octahedron, grid, budget=budget)
+            else:
+                assert vr_euler_curve(octahedron, grid, budget=budget) == [2, 1]
 
 
 class TestChainedReductions:

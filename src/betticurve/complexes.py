@@ -32,7 +32,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import SimplexBudgetError, UnsupportedDomainError
-from .manifolds import CIRCLE, SPHERE2, PointSample, pair_distances, pairwise_distances
+from .manifolds import (CIRCLE, SPHERE2, PointSample, _circle_gaps, pair_distances,
+                        pairwise_distances)
 
 DEFAULT_SIMPLEX_BUDGET = 10_000_000
 
@@ -163,10 +164,7 @@ def _circle_arcs_intersect(positions: np.ndarray, simplex: tuple[int, ...], t: f
     # the circle is within < t of all of them; the minimax distance equals
     # (1 - largest circular gap) / 2, attained at the midpoint of the
     # complement of the largest gap.
-    pts = np.sort(positions[list(simplex)])
-    gaps = np.diff(pts)
-    gmax = max(gaps.max(initial=0.0), 1.0 - pts[-1] + pts[0])
-    return (1.0 - gmax) / 2.0 < t
+    return (1.0 - _circle_gaps(positions[list(simplex)]).max()) / 2.0 < t
 
 
 def cech_complex_circle(s: PointSample, t: float, max_dim=-1, *,
@@ -438,11 +436,12 @@ def vr_filtration(s: PointSample, grid, max_dim, *,
 
     Its step-s prefix is ``vr_complex(s, grid[s], max_dim)`` simplex for
     simplex: an edge enters at the first scale t with distance <= t, and a
-    simplex with its longest edge.  It keeps the dimensions below
-    ``max_dim``.  The edges are the pairs within max(grid) that
-    :func:`_sorted_pairs` finds, with the distances of
-    ``pairwise_distances(s)`` but without that matrix.  The untruncated
-    complex is read for its Euler characteristic alone, by
+    simplex with its longest edge.  Built for b0 or b1 (``max_dim`` <= 2) it
+    keeps its edges, and for b1 counts its triangles; built deeper it keeps
+    every simplex through ``max_dim`` (see :class:`Filtration`).  The edges
+    are the pairs within max(grid) that :func:`_sorted_pairs` finds, with
+    the distances of ``pairwise_distances(s)`` but without that matrix.  The
+    untruncated complex is read for its Euler characteristic alone, by
     :func:`vr_euler_curve`, which lists nothing.
     """
     grid = check_grid(grid)
@@ -544,23 +543,24 @@ def _count_cliques(nbr: list[int], depth: int, limit: int) -> int:
     return total
 
 
-def _strong_collapse(closed: list[int]) -> list[int]:
-    """The vertices a strong collapse removes, in order: each is dominated
-    when it goes (some other vertex w left has N[v] & left <= N[w], for the
-    closed neighbourhoods ``closed``), and none of those left is.
+def _strong_collapse(closed: list[int], left: int) -> list[int]:
+    """The vertices a strong collapse removes from the vertex set ``left`` (a
+    bitmask), in order: each is dominated when it goes (some other vertex w
+    left has N[v] & left <= N[w], for the closed neighbourhoods ``closed``),
+    and none of those left is.
 
-    The vertices are checked in rounds, in index order, each against its
-    neighbours left.  Removing x changes N[u] & left only for x's neighbours
-    u (N[w] is fixed), so only they can become dominated: a removal queues
-    those still left for the next round, not this one, where a lower
-    neighbour would be checked again at once while the round may still
-    remove more of its neighbours.  The rounds stop when one queues no vertex
-    still left.  Every vertex u left was then checked after the last removal
-    among its neighbours (the first round checks them all), so N[u] & left,
-    which holds every vertex that could dominate u and decides whether one
-    does, has not changed since: none is dominated.
+    The vertices of ``left`` are checked in rounds, in index order, each
+    against its neighbours left.  Removing x changes N[u] & left only for
+    x's neighbours u (N[w] is fixed), so only they can become dominated: a
+    removal queues those still left for the next round, not this one, where
+    a lower neighbour would be checked again at once while the round may
+    still remove more of its neighbours.  The rounds stop when one queues no
+    vertex still left.  Every vertex u left was then checked after the last
+    removal among its neighbours (the first round checks every vertex of
+    ``left``), so N[u] & left, which holds every vertex that could dominate u
+    and decides whether one does, has not changed since: none is dominated.
     """
-    left = todo = (1 << len(closed)) - 1
+    todo = left
     removed = []
     while todo:
         again = 0
@@ -582,14 +582,16 @@ def _strong_collapse(closed: list[int]) -> list[int]:
     return removed
 
 
-def _core_filtration(closed: list[int], grid: tuple[float, ...], max_dim: int) -> Filtration:
+def _core_filtration(closed: list[int], left: int, grid: tuple[float, ...],
+                     max_dim: int) -> Filtration:
     """The filtration, at the one-scale grid (t,), of the core that a strong
-    collapse (:func:`_strong_collapse`) leaves of the graph with closed
-    neighbourhoods ``closed``: its edges between core vertices, relabelled
-    in vertex order and listed in row order (at one step no order changes a
-    Betti number).  It counts no budget: a core is a subcomplex of a complex
-    that its caller has counted."""
-    left = (1 << len(closed)) - 1 - sum(1 << v for v in _strong_collapse(closed))
+    collapse (:func:`_strong_collapse`) leaves of the graph that the vertex
+    set ``left`` (a bitmask) induces in the graph with closed neighbourhoods
+    ``closed``: its edges between core vertices, relabelled in vertex order
+    and listed in row order (at one step no order changes a Betti number).
+    It counts no budget: a core is a subcomplex of a complex that its caller
+    has counted."""
+    left -= sum(1 << v for v in _strong_collapse(closed, left))
     label = {v: a for a, v in enumerate(_iter_bits(left))}
     edges = [(a, label[w]) for v, a in label.items()
              for w in _iter_bits(closed[v] & left & -(2 << v))]
@@ -621,8 +623,8 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
     with a maximal neighbourhood and the highest index among its twins
     (equal closed neighbourhoods) is never removed, and the sweep removes v
     exactly when v has a strict dominator or a twin with a higher index.
-    The rounds of :func:`_strong_collapse` then run on the graph the
-    survivors induce, relabelled in vertex order.
+    The rounds of :func:`_strong_collapse` then start from the vertices the
+    sweep leaves, ``left``, in the closed neighbourhoods of the whole graph.
     """
     grid = check_grid(grid)
     if len(grid) != 1:
@@ -631,26 +633,26 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
         raise ValueError("vr_core_filtration takes a positive max_dim, got -1")
     md = _normalize_max_dim(max_dim)
     n = len(s)
-    dist = pairwise_distances(s)
-    near = dist <= grid[0]
+    near = pairwise_distances(s) <= grid[0]
     np.fill_diagonal(near, True)  # closed neighbourhoods
+    closed = _bitmask_rows(near)
     adjacency = near.astype(np.float64)  # exact: every sum below is an integer < 2**53
     common = adjacency @ adjacency
+    degree = common.diagonal()  # |N[v]|
     if md in (1, 2):
-        edges = (int(np.count_nonzero(near)) - n) // 2
+        edges = (int(degree.sum()) - n) // 2
         size = n + edges
         if md == 2:  # C[v, w] summed over the ordered edges (v, w): 6 triangles + 4 edges
-            ordered = round(float(np.sum(common * adjacency) - np.trace(common)))
+            ordered = round(float(np.sum(common * adjacency) - degree.sum()))
             size += (ordered - 4 * edges) // 6
     else:
-        nbr = [mask ^ (1 << v) for v, mask in enumerate(_bitmask_rows(near))]
-        size = _count_cliques(nbr, md + 1, budget)
+        size = _count_cliques([mask ^ (1 << v) for v, mask in enumerate(closed)], md + 1, budget)
     if size > budget:
         raise SimplexBudgetError(budget)
-    degree = common.diagonal()  # |N[v]|
     rank = degree * n + np.arange(n)  # by |N[v]|, then by index
-    kept = np.flatnonzero(~((common == degree[:, None]) & (rank > rank[:, None])).any(axis=1))
-    return _core_filtration(_bitmask_rows(near[np.ix_(kept, kept)]), grid, md)
+    swept = ((common == degree[:, None]) & (rank > rank[:, None])).any(axis=1)
+    left = int.from_bytes(np.packbits(~swept, bitorder="little").tobytes(), "little")
+    return _core_filtration(closed, left, grid, md)
 
 
 def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,

@@ -32,6 +32,7 @@ n in trial order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -42,7 +43,7 @@ import numpy as np
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, cech_filtration_circle, check_grid,
                         vr_core_filtration, vr_euler_curve, vr_filtration)
 from .errors import SimplexBudgetError
-from .homology import InvariantSpec
+from .homology import InvariantSpec, betti_curve, euler_curve
 from .manifolds import CIRCLE, ManifoldModel, PointSample, sample
 
 VR = "vr"
@@ -92,15 +93,15 @@ def sample_curve(s: PointSample, complex_kind: str, invariant: InvariantSpec, gr
     strong-collapse core for a Vietoris-Rips Betti number at one scale, of
     the whole complex otherwise."""
     _check_complex_kind(complex_kind)
+    if invariant.kind == "euler":
+        if complex_kind == VR:
+            return vr_euler_curve(s, grid, budget=budget)
+        return euler_curve(cech_filtration_circle(s, grid, budget=budget))
     if complex_kind == CECH:
-        f = cech_filtration_circle(s, grid, invariant.max_dim, budget=budget)
-    elif invariant.kind == "euler":
-        return vr_euler_curve(s, grid, budget=budget)
-    elif len(grid) == 1:
-        f = vr_core_filtration(s, grid, invariant.max_dim, budget=budget)
+        build = cech_filtration_circle
     else:
-        f = vr_filtration(s, grid, invariant.max_dim, budget=budget)
-    return invariant.curve(f)
+        build = vr_core_filtration if len(grid) == 1 else vr_filtration
+    return betti_curve(build(s, grid, invariant.max_dim, budget=budget), invariant.dim)
 
 
 def _trial_values(manifold, complex_kind, invariant, grid, master_seed, budget,
@@ -176,6 +177,7 @@ def estimate_curve(manifold: ManifoldModel, complex_kind: str, invariant: Invari
     A trial that exceeds the simplex budget aborts the whole run: silently
     dropping trials would bias the estimates.
     """
+    n = operator.index(n)
     grid = _check_run(manifold, complex_kind, (n,), grid, trials, workers)
     [(mean, variance, stderr)] = _run_trials(manifold, complex_kind, invariant, (n,), grid,
                                              trials, master_seed, budget, workers)
@@ -199,7 +201,7 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
     """
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
-    n_values = tuple(int(n) for n in n_values)
+    n_values = tuple(map(operator.index, n_values))
     grid = _check_run(manifold, complex_kind, n_values, (t,), trials, workers)
     per_n = _run_trials(manifold, complex_kind, invariant, n_values, grid, trials,
                         master_seed, budget, workers)

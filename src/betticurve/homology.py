@@ -52,12 +52,6 @@ class InvariantSpec:
         the Euler characteristic, which needs every dimension."""
         return self.dim + 1 if self.kind == "betti" else -1
 
-    def curve(self, filtration: Filtration) -> list[int]:
-        """The invariant of the complex at every grid step of the filtration."""
-        if self.kind == "betti":
-            return betti_curve(filtration, self.dim)
-        return euler_curve(filtration)
-
 
 def betti_invariant(dim: int) -> InvariantSpec:
     return InvariantSpec("betti", dim)
@@ -241,7 +235,8 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
                 columns.append(p)
         if dim == i and len(columns) == 1 and filtration.offsets and len(filtration.grid) > 1:
             closed = [nbr | 1 << v for v, nbr in enumerate(filtration.neighbours)]
-            essential = betti_curve(_core_filtration(closed, filtration.grid[-1:], i + 1), i)[0]
+            core = _core_filtration(closed, (1 << len(closed)) - 1, filtration.grid[-1:], i + 1)
+            essential = betti_curve(core, i)[0]
             if essential not in (0, 1):
                 raise RuntimeError(
                     f"b{i} at the last step is {essential!r} with one {i}-simplex "

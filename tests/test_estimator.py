@@ -94,6 +94,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             estimate_curve(circle(), VR, B1, 5, [0.1], 10, 0, workers=0)
 
+    def test_sample_sizes_are_integers(self, monkeypatch):
+        # a float n is refused before any trial runs, where int() would
+        # truncate it to another study; a numpy integer is an int
+        monkeypatch.setattr(estimator, "_run_trials",
+                            lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(TypeError):
+            estimate_curve(circle(), VR, B1, 10.7, [0.1], 3, 0)
+        with pytest.raises(TypeError):
+            convergence_study(circle(), VR, B1, 0.1, [10.7, 20.2], 3, 0, 1.0)
+        monkeypatch.undo()
+        est = estimate_curve(circle(), VR, B1, np.int64(10), [0.1, 0.2], 3, 0)
+        assert type(est.n) is int
+        same = estimate_curve(circle(), VR, B1, 10, [0.1, 0.2], 3, 0)
+        np.testing.assert_array_equal(est.mean, same.mean)
+        np.testing.assert_array_equal(est.variance, same.variance)
+        table = convergence_study(circle(), VR, B1, 0.1, [np.int64(10), 20], 3, 0, 1.0)
+        assert table.n_values == (10, 20) and all(type(n) is int for n in table.n_values)
+        np.testing.assert_array_equal(
+            table.mean, convergence_study(circle(), VR, B1, 0.1, [10, 20], 3, 0, 1.0).mean)
+
 
 class TestKnownCurves:
     def test_two_points_have_no_cycle(self):
@@ -547,20 +567,30 @@ class TestBudgetPropagation:
         # filtration, and a longer grid whose reduction leaves one column
         # (circle b1 at n=30 here) also builds the last step's core, in
         # betti_curve.  The Euler characteristic, at any grid, comes from
-        # vr_euler_curve's signed clique sums.
+        # vr_euler_curve's signed clique sums.  A circle Cech curve is read
+        # off its filtration.  Each filtration is read by the reader that
+        # sample_curve calls itself.
         built = []
         for module, name in ((estimator, "vr_filtration"), (estimator, "vr_core_filtration"),
-                             (estimator, "vr_euler_curve"), (homology, "_core_filtration")):
+                             (estimator, "vr_euler_curve"), (estimator, "cech_filtration_circle"),
+                             (estimator, "betti_curve"), (estimator, "euler_curve"),
+                             (homology, "_core_filtration")):
             def record(*args, name=name, build=getattr(module, name), **kwargs):
                 built.append(name)
                 return build(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
-        for invariant, grid, n in ((B1, [0.2], 6), (B1, [0.1, 0.2], 6), (EULER, [0.2], 6),
-                                   (B2, [0.2], 6), (B1, [0.2, 0.3], 30)):
-            estimate_curve(circle(), VR, invariant, n, grid, 2, 0)
-        assert built == ["vr_core_filtration"] * 2 + ["vr_filtration"] * 2 + \
-            ["vr_euler_curve"] * 2 + ["vr_core_filtration"] * 2 + \
-            ["vr_filtration", "_core_filtration"] * 2
+        for complex_kind, invariant, grid, n in (
+                (VR, B1, [0.2], 6), (VR, B1, [0.1, 0.2], 6), (VR, EULER, [0.2], 6),
+                (VR, B2, [0.2], 6), (VR, B1, [0.2, 0.3], 30), (CECH, B1, [0.1], 6),
+                (CECH, EULER, [0.1, 0.2], 6)):
+            estimate_curve(circle(), complex_kind, invariant, n, grid, 2, 0)
+        # betti_curve is recorded as it is called, before the core it builds
+        assert built == ["vr_core_filtration", "betti_curve"] * 2 + \
+            ["vr_filtration", "betti_curve"] * 2 + ["vr_euler_curve"] * 2 + \
+            ["vr_core_filtration", "betti_curve"] * 2 + \
+            ["vr_filtration", "betti_curve", "_core_filtration"] * 2 + \
+            ["cech_filtration_circle", "betti_curve"] * 2 + \
+            ["cech_filtration_circle", "euler_curve"] * 2
 
     def test_trial_values_match_direct_evaluation(self):
         # one trial recomputed by hand equals the estimator's internals

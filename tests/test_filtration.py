@@ -45,11 +45,12 @@ def filtration_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
     if kind == "vr" and invariant.kind == "euler":  # signed clique sums, no filtration
         return vr_euler_curve(s, grid, budget=budget)
     build = vr_filtration if kind == "vr" else cech_filtration_circle
-    return invariant.curve(build(s, grid, max_dim, budget=budget))
+    f = build(s, grid, max_dim, budget=budget)
+    return euler_curve(f) if invariant.kind == "euler" else betti_curve(f, invariant.dim)
 
 
 def core_curve(s, grid, invariant, max_dim, budget=10_000_000):
-    return invariant.curve(vr_core_filtration(s, grid, max_dim, budget=budget))
+    return betti_curve(vr_core_filtration(s, grid, max_dim, budget=budget), invariant.dim)
 
 
 def arc_scales(s):
@@ -584,25 +585,20 @@ def reference_sweep(closed):
     return removed
 
 
-def induced(closed, kept):
-    """The closed neighbourhoods of the graph that the vertices ``kept``
-    (increasing) induce, relabelled in vertex order."""
-    label = {v: a for a, v in enumerate(kept)}
-    return [sum(1 << label[w] for w in _iter_bits(closed[v]) if w in label) for v in kept]
+def everyone(closed):
+    """Every vertex of the graph, as a bitmask."""
+    return (1 << len(closed)) - 1
 
 
 def survivors(closed):
-    """The vertices that the sweep leaves, in increasing order."""
-    removed = set(reference_sweep(closed))
-    return [v for v in range(len(closed)) if v not in removed]
+    """The vertices that the sweep leaves, as a bitmask."""
+    return everyone(closed) - sum(1 << v for v in reference_sweep(closed))
 
 
 def sweep_then_rounds(closed):
     """The vertices that the one-scale core removes, in order: the sweep's,
-    then those that _strong_collapse's rounds remove from the graph the
-    survivors induce, mapped back to their labels."""
-    kept = survivors(closed)
-    return reference_sweep(closed) + [kept[a] for a in _strong_collapse(induced(closed, kept))]
+    then those that _strong_collapse's rounds remove from the survivors."""
+    return reference_sweep(closed) + _strong_collapse(closed, survivors(closed))
 
 
 def closed_rows(s, t):
@@ -661,7 +657,8 @@ class TestOneScaleCore:
         left = self.check_collapse(nbhd, sweep_then_rounds(closed))
         # a strong-collapse core is unique up to isomorphism (Barmak & Minian,
         # 2012), so the routes may remove other vertices but as many
-        assert len(self.check_collapse(nbhd, _strong_collapse(closed))) == len(left)
+        assert len(self.check_collapse(nbhd, _strong_collapse(closed, everyone(closed)))) == \
+            len(left)
         for k in range(3):
             f = vr_core_filtration(s, [t], k + 1)
             assert len(f.neighbours) == len(left)
@@ -689,7 +686,7 @@ class TestOneScaleCore:
             nbhd[b].add(a)
         assert len(nbhd) < n
         assert not any(nbhd[v] <= nbhd[w] for v, w in permutations(range(len(nbhd)), 2))
-        assert invariant.curve(f) == reference_curve(s, [t], invariant, k + 1)
+        assert betti_curve(f, k) == reference_curve(s, [t], invariant, k + 1)
 
     @pytest.mark.parametrize("sweep", [True, False], ids=["common", "no-common"])
     @pytest.mark.parametrize("manifold, n, t", [
@@ -702,26 +699,26 @@ class TestOneScaleCore:
         # step's core)
         closed = closed_rows(sample(MANIFOLDS[manifold], n, 0, 0), t)
         nbhd = [set(_iter_bits(row)) for row in closed]
-        removed = sweep_then_rounds(closed) if sweep else _strong_collapse(closed)
+        removed = sweep_then_rounds(closed) if sweep else \
+            _strong_collapse(closed, everyone(closed))
         assert len(self.check_collapse(nbhd, removed)) < n
 
     @staticmethod
     def check_core(s, t, max_dim=1):
-        # the rounds get the graph that the sweep's survivors induce (a rule
-        # that keeps other vertices hands them another graph, or one of
-        # another size), the core's vertices are those that the sweep and the
-        # rounds leave, and its edges are vr_complex's between them, in row
-        # order
+        # the rounds get the whole graph and the sweep's survivors (a rule
+        # that keeps other vertices hands them another set), the core's
+        # vertices are those that the sweep and the rounds leave, and its
+        # edges are vr_complex's between them, in row order
         closed = closed_rows(s, t)
         graphs = []
 
-        def build(rows, *args):
-            graphs.append(rows)
-            return _core_filtration(rows, *args)
+        def build(rows, left, *args):
+            graphs.append((rows, left))
+            return _core_filtration(rows, left, *args)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(complexes, "_core_filtration", build)
             f = vr_core_filtration(s, [t], max_dim)
-        assert graphs == [induced(closed, survivors(closed))]
+        assert graphs == [(closed, survivors(closed))]
         removed = set(sweep_then_rounds(closed))
         core = [v for v in range(len(s)) if v not in removed]
         assert len(f.neighbours) == len(core)
@@ -757,7 +754,7 @@ class TestOneScaleCore:
 def last_step_core(f):
     """The core that betti_curve reads b_k at the last step off."""
     closed = [nbr | 1 << v for v, nbr in enumerate(f.neighbours)]
-    return _core_filtration(closed, f.grid[-1:], f.max_dim)
+    return _core_filtration(closed, everyone(closed), f.grid[-1:], f.max_dim)
 
 
 def record_cores(monkeypatch):
@@ -776,7 +773,7 @@ def cycles_core(m):
     whose b1 is m."""
     closed = [1 << v | 1 << (v & ~3 | (v + 1) & 3) | 1 << (v & ~3 | (v - 1) & 3)
               for v in range(4 * m)]
-    return lambda *args, **kwargs: _core_filtration(closed, (1.0,), 2)
+    return lambda *args, **kwargs: _core_filtration(closed, everyone(closed), (1.0,), 2)
 
 
 class TestLastStepCore:

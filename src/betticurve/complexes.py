@@ -308,6 +308,8 @@ def _sorted_pairs(s: PointSample, scales: np.ndarray, strict: bool):
     """The pairs (i, j), i < j, of the sample within max(scales), sorted by
     distance d (ties in row order), and the step of each: the first s with
     d <= scales[s] (d < scales[s] when ``strict``), for increasing ``scales``.
+    They come as three flat lists of ints, the p-th pair's i, j and step at
+    index p of each.
 
     Each pair's d is the float of ``pairwise_distances(s)[i, j]``
     (:func:`~betticurve.manifolds.pair_distances` computes both), but only
@@ -327,14 +329,18 @@ def _sorted_pairs(s: PointSample, scales: np.ndarray, strict: bool):
     near = np.flatnonzero(d < top if strict else d <= top)
     order = near[np.argsort(d[near], kind="stable")]
     steps = np.searchsorted(scales, d[order], side="right" if strict else "left")
-    return list(zip(i[order].tolist(), j[order].tolist())), steps.tolist()
+    return i[order].tolist(), j[order].tolist(), steps.tolist()
 
 
-def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], grid: tuple,
-                max_dim: int, budget: int, simplex_step=None) -> Filtration:
-    """Incremental clique expansion, on n vertices, of the graph whose edges
-    are ``edges``, added in that order, the p-th at step ``edge_steps[p]``
-    (nondecreasing, as :func:`_sorted_pairs` gives them).
+def _filtration(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[int],
+                grid: tuple, max_dim: int, budget: int, simplex_step=None) -> Filtration:
+    """Incremental clique expansion, on n vertices, of the graph whose p-th
+    edge joins ``edge_i[p]`` and ``edge_j[p]`` at step ``edge_steps[p]``,
+    the edges added in that order (steps nondecreasing: the three lists
+    :func:`_sorted_pairs` gives).  They are zipped into pairs only for the
+    ``edges`` the filtration keeps, which homology reads; the loop reads the
+    lists, and sets adjacency bits from one table, ``keys[0]``, whose v-th
+    entry is 1 << v.
 
     The simplices whose longest edge (the last to arrive) is the edge just
     added (its block) are the cliques of ``cand``, the common neighbourhood
@@ -372,19 +378,21 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
     total = n
     if total > budget:
         raise SimplexBudgetError(budget)
-    total += len(edges)
+    total += len(edge_steps)
     if total > budget:
         raise SimplexBudgetError(budget)
 
-    keys = [[1 << v for v in range(n)], [(1 << i) | (1 << j) for i, j in edges]]
+    edges = list(zip(edge_i, edge_j))
+    bit = [1 << v for v in range(n)]
+    keys = [bit, [bit[i] | bit[j] for i, j in edges]]
     by_step = [[[] for _ in grid] for _ in range(2, kept_dim + 1)]  # kept keys of each step
     first, offsets = [], []
     triangles = 0  # in the blocks so far, when indexed
     nbr = [0] * n
-    for (i, j), edge_s in zip(edges, edge_steps):
+    for i, j, edge_s in zip(edge_i, edge_j, edge_steps):
         cand = nbr[i] & nbr[j]
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
+        nbr[i] |= bit[j]
+        nbr[j] |= bit[i]
         counts[1][edge_s] += 1
         if indexed:
             first.append(cand)
@@ -398,7 +406,7 @@ def _filtration(n: int, edges: list[tuple[int, int]], edge_steps: list[int], gri
         # extends the simplex `key` (entered at step s) by each vertex v of
         # cand to a dim-simplex, and the vertices of cand above v that are
         # adjacent to v are the candidates one dimension up.
-        stack = [((1 << i) | (1 << j), cand, 2, edge_s)]
+        stack = [(bit[i] | bit[j], cand, 2, edge_s)]
         while stack:
             key, cand, dim, s0 = stack.pop()
             while cand:
@@ -440,9 +448,10 @@ def vr_filtration(s: PointSample, grid, max_dim, *,
     keeps its edges, and for b1 counts its triangles; built deeper it keeps
     every simplex through ``max_dim`` (see :class:`Filtration`).  The edges
     are the pairs within max(grid) that :func:`_sorted_pairs` finds, with
-    the distances of ``pairwise_distances(s)`` but without that matrix.  The
-    untruncated complex is read for its Euler characteristic alone, by
-    :func:`vr_euler_curve`, which lists nothing.
+    the distances of ``pairwise_distances(s)`` but without that matrix, and
+    come as its three lists of ends and steps.  The untruncated complex is
+    read for its Euler characteristic alone, by :func:`vr_euler_curve`,
+    which lists nothing.
     """
     grid = check_grid(grid)
     if max_dim == -1:
@@ -453,43 +462,47 @@ def vr_filtration(s: PointSample, grid, max_dim, *,
                        grid, md, budget)
 
 
-def _euler_curve(n: int, edges: list[tuple[int, int]], edge_steps: list[int],
+def _euler_curve(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[int],
                  num_steps: int, budget: int) -> list[int]:
     """The Euler characteristic, at each of ``num_steps`` steps, of the flag
-    complex on n vertices whose edges arrive as in :func:`_filtration`.
+    complex on n vertices whose edges arrive as in :func:`_filtration` (the
+    three lists of :func:`_sorted_pairs`).
 
     Edge ab's block is {a, b} joined with each clique S of C, the common
     neighbourhood of a and b on arrival (S empty too), of dimension |S| + 1,
     so the block adds -P_C(-1) to its step's Euler characteristic, for the
-    signed clique sum P_C(-1) of :func:`_clique_sum`.  A cone of C makes it
-    0 at once.
+    signed clique sum P_C(-1) of :func:`_clique_sum`.  A cone of C (a vertex
+    adjacent to all the rest) makes it 0: most blocks have one, so C is
+    scanned, lowest vertex first, up to the first cone before any call, and
+    only a block with no cone calls :func:`_clique_sum`.
 
     The budget: a block has at most 2**|C| simplices, so n + sum 2**|C|
     bounds the total.  That bound is summed as the blocks arrive, each
     before its signed sum, so the signed work runs only on blocks it has
     certified.  If it passes the budget at block q, the complex at max(grid)
-    (the graph so far and the edges after q) is counted once, each simplex
-    under its lowest vertex, P_C(1) for C the neighbours above it; that
-    raises as soon as the total exceeds the budget (each count stops once
-    it alone would), or else certifies the signed sums from block q on.
+    (the graph of every edge) is counted once, each simplex under its
+    lowest vertex, P_C(1) for C the neighbours above it; that raises as
+    soon as the total exceeds the budget (each count stops once it alone
+    would), or else certifies the signed sums from block q on.
     """
     if n > budget:
         raise SimplexBudgetError(budget)
     increments = [0] * num_steps
     increments[0] = n
     bound = n
+    bit = [1 << v for v in range(n)]
     nbr = [0] * n
-    for q, ((i, j), s) in enumerate(zip(edges, edge_steps)):
+    for i, j, s in zip(edge_i, edge_j, edge_steps):
         cand = nbr[i] & nbr[j]
         size = cand.bit_count()
         bound += 1 << size
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
+        nbr[i] |= bit[j]
+        nbr[j] |= bit[i]
         if bound > budget:
-            full = nbr.copy()
-            for a, b in edges[q + 1:]:
-                full[a] |= 1 << b
-                full[b] |= 1 << a
+            full = [0] * n
+            for a, b in zip(edge_i, edge_j):
+                full[a] |= bit[b]
+                full[b] |= bit[a]
             total = 0
             for v in range(n):
                 total += _clique_sum(full[v] & -(2 << v), full, 1, budget - total)
@@ -497,7 +510,14 @@ def _euler_curve(n: int, edges: list[tuple[int, int]], edge_steps: list[int],
                     raise SimplexBudgetError(budget)
             bound = -math.inf  # the count has certified every block
         if size > 1:
-            increments[s] -= _clique_sum(cand, nbr, -1, math.inf)
+            rest = cand
+            while rest:
+                low = rest & -rest
+                if cand & nbr[low.bit_length() - 1] == cand ^ low:
+                    break  # a cone: the block adds 0
+                rest ^= low
+            else:
+                increments[s] -= _clique_sum(cand, nbr, -1, math.inf)
         elif not size:  # the edge alone; one vertex is a cone
             increments[s] -= 1
     return list(accumulate(increments))
@@ -593,9 +613,10 @@ def _core_filtration(closed: list[int], left: int, grid: tuple[float, ...],
     has counted."""
     left -= sum(1 << v for v in _strong_collapse(closed, left))
     label = {v: a for a, v in enumerate(_iter_bits(left))}
-    edges = [(a, label[w]) for v, a in label.items()
-             for w in _iter_bits(closed[v] & left & -(2 << v))]
-    return _filtration(len(label), edges, [0] * len(edges), grid, max_dim, math.inf)
+    rows = [[label[w] for w in _iter_bits(closed[v] & left & -(2 << v))] for v in label]
+    edge_i = [a for a, row in enumerate(rows) for _ in row]
+    edge_j = [b for row in rows for b in row]
+    return _filtration(len(label), edge_i, edge_j, [0] * len(edge_j), grid, max_dim, math.inf)
 
 
 def vr_core_filtration(s: PointSample, grid, max_dim, *,

@@ -257,7 +257,7 @@ def dense_sorted_pairs(dist, scales, strict):
     pair_dist = dist[iu, ju]
     order = np.argsort(pair_dist, kind="stable")
     steps = np.searchsorted(scales, pair_dist[order], side="right" if strict else "left")
-    return list(zip(iu[order].tolist(), ju[order].tolist())), steps.tolist()
+    return iu[order].tolist(), ju[order].tolist(), steps.tolist()
 
 
 PAIR_MANIFOLDS = {"circle": (circle(), 0.5), "torus2": (flat_torus(2), math.sqrt(2) / 2),
@@ -335,19 +335,19 @@ def cross_polytope(m):
     """The graph of 2m vertices with every pair adjacent except v and v + m,
     whose clique complex is the boundary of the m-dimensional cross-polytope,
     a sphere S^(m-1), with 3^m - 1 simplices: its edges in lexicographic
-    order, and its neighbourhoods."""
+    order, as the lists of their ends a < b, and its neighbourhoods."""
     edges = [(a, b) for a, b in combinations(range(2 * m), 2) if b != a + m]
     nbr = [((1 << 2 * m) - 1) ^ (1 << v) ^ (1 << (v + m) % (2 * m)) for v in range(2 * m)]
-    return edges, nbr
+    return [a for a, _ in edges], [b for _, b in edges], nbr
 
 
-def euler_bound(n, edges):
+def euler_bound(n, edge_i, edge_j):
     """n + sum 2^|C| over the blocks, C the common neighbourhood of each
     edge's ends on arrival: the bound that decides whether an Euler curve
     counts its simplices exactly."""
     nbr = [0] * n
     bound = n
-    for i, j in edges:
+    for i, j in zip(edge_i, edge_j):
         bound += 1 << (nbr[i] & nbr[j]).bit_count()
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
@@ -369,7 +369,7 @@ def graphs(draw):
     or a cycle (no cone past 3 vertices)."""
     kind = draw(st.sampled_from(["random", "cross-polytope", "cycle"]))
     if kind == "cross-polytope":
-        nbr = cross_polytope(draw(st.integers(1, 5)))[1]
+        nbr = cross_polytope(draw(st.integers(1, 5)))[2]
     elif kind == "cycle":
         n = draw(st.integers(3, 10))
         nbr = [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
@@ -384,6 +384,63 @@ def graphs(draw):
     everything = (1 << len(nbr)) - 1
     cand = everything if draw(st.booleans()) else draw(st.integers(0, everything))
     return cand, nbr
+
+
+@st.composite
+def edge_streams(draw):
+    """A graph on up to 70 vertices (wider than a machine word), as edges
+    that arrive in a random order at random nondecreasing steps: random
+    edges, with cross-polytopes (whose last blocks have no cone) and cones
+    over random vertex sets planted in it.  Returns n, the edges' ends,
+    their steps and the number of steps."""
+    n = draw(st.integers(1, 70) | st.integers(65, 70))
+    vertex = st.integers(0, n - 1)
+    pairs = set()
+
+    def join(a, b):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+
+    for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=80)):
+        join(a, b)
+    for _ in range(draw(st.integers(0, 2 if n >= 2 else 0))):
+        m = draw(st.integers(1, min(4, n // 2)))
+        poles = draw(st.lists(vertex, min_size=2 * m, max_size=2 * m, unique=True))
+        for a, b in combinations(range(2 * m), 2):
+            if b != a + m:
+                join(poles[a], poles[b])
+    for _ in range(draw(st.integers(0, 3))):
+        apex = draw(vertex)
+        for b in draw(st.lists(vertex, max_size=12)):
+            join(apex, b)
+    edges = draw(st.permutations(sorted(pairs)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
+    num_steps = draw(st.integers(1, 6))
+    steps = draw(st.lists(st.integers(0, num_steps - 1), min_size=len(edges),
+                          max_size=len(edges)))
+    return n, edges, sorted(steps), num_steps
+
+
+def brute_euler_curve(n, edges, steps, num_steps):
+    """The Euler characteristic at each step of the flag complex of the
+    graph, from its cliques listed level by level, each entering at the
+    latest step of its edges, and the number of cliques."""
+    step_of = {frozenset(e): s for e, s in zip(edges, steps)}
+    adjacent = [set() for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    increments = [n] + [0] * (num_steps - 1)
+    total, sign, level = n, 1, [(v,) for v in range(n)]
+    while level:
+        sign = -sign
+        level = [c + (w,) for c in level for w in range(c[-1] + 1, n)
+                 if all(w in adjacent[u] for u in c)]
+        for c in level:
+            increments[max(step_of[frozenset(e)] for e in combinations(c, 2))] += sign
+        total += len(level)
+    return list(accumulate(increments)), total
 
 
 class TestCliqueCounts:
@@ -407,10 +464,23 @@ class TestCliqueCounts:
         dist = pairwise_distances(s)
         want = [euler_characteristic(vr_complex(s, t, dist=dist)) for t in grid]
         size = vr_complex(s, grid[-1], dist=dist).simplex_count()
-        bound = euler_bound(len(s), _sorted_pairs(s, np.asarray(grid), False)[0])
+        bound = euler_bound(len(s), *_sorted_pairs(s, np.asarray(grid), False)[:2])
         assert bound >= size
         assert vr_euler_curve(s, grid) == want
         assert vr_euler_curve(s, grid, budget=data.draw(st.integers(size, bound))) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_streams())
+    def test_euler_curve_on_abstract_graphs(self, stream):
+        # every step's value, and the budget decided at the exact total and
+        # one below it, whether the bound passes it or not
+        n, edges, steps, num_steps = stream
+        want, total = brute_euler_curve(n, edges, steps, num_steps)
+        curve = partial(_euler_curve, n, [a for a, _ in edges], [b for _, b in edges], steps,
+                        num_steps)
+        assert curve(DEFAULT_SIMPLEX_BUDGET) == curve(total) == want
+        with pytest.raises(SimplexBudgetError):
+            curve(total - 1)
 
     @pytest.mark.parametrize("m", range(1, 15))
     def test_cross_polytope(self, m):
@@ -418,8 +488,8 @@ class TestCliqueCounts:
         # total and one below it.  The edges arrive in lexicographic order,
         # so the last blocks are cross-polytopes on up to 2m - 4 vertices,
         # with no cone.
-        edges = cross_polytope(m)[0]
-        curve = partial(_euler_curve, 2 * m, edges, [0] * len(edges), 1)
+        edge_i, edge_j, _ = cross_polytope(m)
+        curve = partial(_euler_curve, 2 * m, edge_i, edge_j, [0] * len(edge_i), 1)
         size = 3 ** m - 1
         assert curve(DEFAULT_SIMPLEX_BUDGET) == curve(size) == [1 + (-1) ** (m - 1)]
         with pytest.raises(SimplexBudgetError):
@@ -430,7 +500,7 @@ class TestCliqueCounts:
         # (1 + 2x)^6; stopped early, the count returned is more than the
         # limit.  Its signed sum is 1.
         k = 6
-        cand, nbr = (1 << 2 * k) - 1, cross_polytope(k)[1]
+        cand, nbr = (1 << 2 * k) - 1, cross_polytope(k)[2]
         for limit in range(-1, 3 ** k + 1, 7):
             got = _clique_sum(cand, nbr, 1, limit)
             assert got == 3 ** k or got > limit
@@ -454,29 +524,36 @@ class TestCliqueCounts:
         # no count (x = 1) while the bound holds; past it, one count of the
         # complex at max(grid), each vertex's cliques above it (at most n
         # calls), all at the block where the bound passed, before that
-        # block's signed sum (x = -1), and none after
+        # block's signed sum (x = -1), and none after.  A signed sum is
+        # called only for a block with |C| > 1 and no cone (a vertex of C
+        # adjacent to the rest of C): a cone zeroes its block with no call
         calls = []
 
         def recording(cand, nbr, x, limit):
             calls.append((x, cand))
             return _clique_sum(cand, nbr, x, limit)
 
+        def has_cone(cand, nbr):
+            members = [v for v in range(len(nbr)) if cand >> v & 1]
+            return any(all(nbr[v] >> w & 1 for w in members if w != v) for v in members)
+
         monkeypatch.setattr(complexes, "_clique_sum", recording)
         s = sample(circle(), 18, 0, 0)
         n = len(s)
-        edges = _sorted_pairs(s, np.asarray([0.45]), False)[0]
-        bound = euler_bound(n, edges)
+        edge_i, edge_j, _ = _sorted_pairs(s, np.asarray([0.45]), False)
+        bound = euler_bound(n, edge_i, edge_j)
         size = vr_complex(s, 0.45).simplex_count()
         assert size < bound - 1
         full = [0] * n
-        for i, j in edges:
+        for i, j in zip(edge_i, edge_j):
             full[i] |= 1 << j
             full[j] |= 1 << i
         want = vr_euler_curve(s, [0.45])
         for budget in (DEFAULT_SIMPLEX_BUDGET, bound, bound - 1, size, size - 1):
             signed, passed = [], None  # the signed sums in order; those before the bound passed
+            coned = 0  # the blocks with |C| > 1 and a cone
             nbr, running = [0] * n, n
-            for i, j in edges:
+            for i, j in zip(edge_i, edge_j):
                 cand = nbr[i] & nbr[j]
                 running += 1 << cand.bit_count()
                 if running > budget and passed is None:
@@ -484,7 +561,11 @@ class TestCliqueCounts:
                 nbr[i] |= 1 << j
                 nbr[j] |= 1 << i
                 if cand.bit_count() > 1:
-                    signed.append((-1, cand))
+                    if has_cone(cand, nbr):
+                        coned += 1
+                    else:
+                        signed.append((-1, cand))
+            assert signed and coned  # both kinds of block occur
             calls.clear()
             if budget < size:
                 with pytest.raises(SimplexBudgetError):
@@ -507,8 +588,9 @@ class TestCliqueCounts:
         # in the 15th edge's 16 as well
         octahedron = PointSample(sphere2(), np.vstack([np.eye(3), -np.eye(3)]))
         grid = [math.pi / 2, 3.5]
-        edges = _sorted_pairs(octahedron, np.asarray(grid), False)[0]
-        assert [euler_bound(6, edges[:k]) for k in (12, 13, 14, 15)] == [27, 43, 59, 75]
+        edge_i, edge_j, _ = _sorted_pairs(octahedron, np.asarray(grid), False)
+        assert [euler_bound(6, edge_i[:k], edge_j[:k]) for k in (12, 13, 14, 15)] == \
+            [27, 43, 59, 75]
         for budget in range(20, 80):  # raises iff the 63 simplices exceed it
             if budget < 63:
                 with pytest.raises(SimplexBudgetError):

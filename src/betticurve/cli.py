@@ -257,6 +257,8 @@ def _selftest_checks(config: RunConfig):
          [2, 1]),
         ("vr-b1 circle n=50", "vr", circle_at(50), b1, bench, None),  # an essential lone column
         ("cech-b1 circle n=20", "cech", circle_at(20), b1, bench, None),
+        # the untruncated circle Cech filtration, read by euler_curve
+        ("cech-euler circle n=12", "cech", circle_at(12), euler_invariant(), bench, None),
         # many columns: the b1 coboundary's triangle index, then b2's stored positions
         ("vr-b1 torus n=30", "vr", torus_at(30), b1, [0.1, 0.2, 0.3], None),
         ("vr-b2 torus n=40", "vr", torus_at(40), b2, [0.2, 0.26, 0.32], None),

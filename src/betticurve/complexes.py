@@ -1,9 +1,12 @@
 """Vietoris-Rips and Cech complexes at one scale, and filtrations for a grid.
 
-A filtration (:func:`vr_filtration`, :func:`cech_filtration_circle`) builds
-the complex once at the largest grid scale and tags every simplex with the
-grid step at which it enters; :func:`vr_core_filtration` builds, for one
-scale, that of the Vietoris-Rips complex's strong-collapse core.  The
+The public builders take scales: a filtration (:func:`vr_filtration`,
+:func:`cech_filtration_circle`) builds the complex once at the largest grid
+scale and tags every simplex with the grid step at which it enters;
+:func:`vr_core_filtration` builds, at one scale, the one-step filtration of
+the Vietoris-Rips complex's strong-collapse core.  Below them everything is
+indexed by step: :func:`_sorted_pairs` and a Cech simplex's arc step turn
+scales into steps, and a :class:`Filtration` stores no scale.  The
 untruncated Vietoris-Rips complex is read for its Euler characteristic
 alone, by :func:`vr_euler_curve`: one signed clique sum per edge, with its
 simplices counted exactly only when a bound on them passes the budget.  A
@@ -185,12 +188,14 @@ def cech_complex_circle(s: PointSample, t: float, max_dim=-1, *,
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """The complex at max(grid), each simplex tagged with the grid step at
+    """The complex at its last step, each simplex tagged with the step at
     which it enters.
 
-    A simplex enters at the first step s whose per-scale complex (the one
-    :func:`vr_complex` or :func:`cech_complex_circle` builds at ``grid[s]``)
-    contains it, so the simplices with step <= s form exactly that complex.
+    The builder that made it took the scales; the filtration keeps the steps
+    only, and its step count is ``len(counts[0])``.  A simplex enters at the
+    first step s whose per-scale complex (the one :func:`vr_complex` or
+    :func:`cech_complex_circle` builds at the builder's s-th scale) contains
+    it, so the simplices with step <= s form exactly that complex.
     ``counts[d][s]`` is the number of d-simplices entering at step s, for
     every dimension built (up to ``max_dim``; -1 means untruncated).
 
@@ -204,18 +209,17 @@ class Filtration:
     (nondecreasing step, so every prefix ending at a step boundary is a
     per-scale complex): ``edges[p]`` is the p-th edge, ``keys[d][p]`` the
     vertex bitmask of the p-th d-simplex and ``neighbours[v]`` v's
-    neighbours at max(grid).  No step is stored: for every d, kept or
-    counted, the d-simplices of step s are rows ``sum(counts[d][:s])`` to
-    ``sum(counts[d][:s + 1])``.  A Vietoris-Rips build to dimension >= 2
-    has ``first`` and ``offsets`` (the block index), one entry per edge:
-    block p is the triangles whose longest edge is the p-th, ``first[p]``
-    (its ends' common neighbourhood on arrival) has their third vertices,
-    and ``offsets[p]`` counts the triangles in earlier blocks.  A
-    triangle's index (stored or not) is its block's offset plus its third
-    vertex's rank in ``first[p]``.
+    neighbours at the last step.  No simplex's step is stored: for every d,
+    kept or counted, the d-simplices of step s are rows
+    ``sum(counts[d][:s])`` to ``sum(counts[d][:s + 1])``.  A Vietoris-Rips
+    build to dimension >= 2 has ``first`` and ``offsets`` (the block index),
+    one entry per edge: block p is the triangles whose longest edge is the
+    p-th, ``first[p]`` (its ends' common neighbourhood on arrival) has their
+    third vertices, and ``offsets[p]`` counts the triangles in earlier
+    blocks.  A triangle's index (stored or not) is its block's offset plus
+    its third vertex's rank in ``first[p]``.
     """
 
-    grid: tuple[float, ...]
     max_dim: int
     counts: list[list[int]]
     edges: list[tuple[int, int]]
@@ -333,14 +337,14 @@ def _sorted_pairs(s: PointSample, scales: np.ndarray, strict: bool):
 
 
 def _filtration(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[int],
-                grid: tuple, max_dim: int, budget: int, simplex_step=None) -> Filtration:
-    """Incremental clique expansion, on n vertices, of the graph whose p-th
-    edge joins ``edge_i[p]`` and ``edge_j[p]`` at step ``edge_steps[p]``,
-    the edges added in that order (steps nondecreasing: the three lists
-    :func:`_sorted_pairs` gives).  They are zipped into pairs only for the
-    ``edges`` the filtration keeps, which homology reads; the loop reads the
-    lists, and sets adjacency bits from one table, ``keys[0]``, whose v-th
-    entry is 1 << v.
+                num_steps: int, max_dim: int, budget: int, simplex_step=None) -> Filtration:
+    """Incremental clique expansion, on n vertices and ``num_steps`` steps,
+    of the graph whose p-th edge joins ``edge_i[p]`` and ``edge_j[p]`` at
+    step ``edge_steps[p]``, the edges added in that order (steps
+    nondecreasing: the three lists :func:`_sorted_pairs` gives).  They are
+    zipped into pairs only for the ``edges`` the filtration keeps, which
+    homology reads; the loop reads the lists, and sets adjacency bits from
+    one table, ``keys[0]``, whose v-th entry is 1 << v.
 
     The simplices whose longest edge (the last to arrive) is the edge just
     added (its block) are the cliques of ``cand``, the common neighbourhood
@@ -362,12 +366,12 @@ def _filtration(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[i
     triangles are rows ``offsets[p]`` on).  A circle Cech simplex may enter
     after its longest edge, and lands under its own step.
 
-    Raises when the complex at max(grid) has more than ``budget`` simplices,
-    which is when some per-scale build on the grid would.  The total is
-    checked after the vertices, after the edges, after each walked simplex
-    and, for b1, once after the loop, whose work is O(edges) there.
+    Raises when the complex at the last step has more than ``budget``
+    simplices, which is when some per-scale build on the builder's grid
+    would.  The total is checked after the vertices, after the edges, after
+    each walked simplex and, for b1, once after the loop, whose work is
+    O(edges) there.
     """
-    num_steps = len(grid)
     indexed = simplex_step is None and max_dim >= 2  # has first/offsets (see Filtration)
     top = max(n - 1, 1) if max_dim == -1 else max_dim
     walked = top > 2 if indexed else top >= 2  # a Vietoris-Rips b1 build indexes its triangles
@@ -385,7 +389,8 @@ def _filtration(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[i
     edges = list(zip(edge_i, edge_j))
     bit = [1 << v for v in range(n)]
     keys = [bit, [bit[i] | bit[j] for i, j in edges]]
-    by_step = [[[] for _ in grid] for _ in range(2, kept_dim + 1)]  # kept keys of each step
+    # the kept keys of each step
+    by_step = [[[] for _ in range(num_steps)] for _ in range(2, kept_dim + 1)]
     first, offsets = [], []
     triangles = 0  # in the blocks so far, when indexed
     nbr = [0] * n
@@ -434,7 +439,7 @@ def _filtration(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[i
     while max_dim == -1 and len(counts) > 2 and not any(counts[-1]):
         counts.pop()  # dimensions the complex does not reach
     keys += [[key for found in dim_by_step for key in found] for dim_by_step in by_step]
-    return Filtration(grid, max_dim, counts, edges, keys, nbr, first, offsets)
+    return Filtration(max_dim, counts, edges, keys, nbr, first, offsets)
 
 
 def vr_filtration(s: PointSample, grid, max_dim, *,
@@ -459,7 +464,7 @@ def vr_filtration(s: PointSample, grid, max_dim, *,
                          "(vr_euler_curve reads the untruncated complex)")
     md = _normalize_max_dim(max_dim)
     return _filtration(len(s), *_sorted_pairs(s, np.asarray(grid), False),
-                       grid, md, budget)
+                       len(grid), md, budget)
 
 
 def _euler_curve(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[int],
@@ -479,8 +484,8 @@ def _euler_curve(n: int, edge_i: list[int], edge_j: list[int], edge_steps: list[
     The budget: a block has at most 2**|C| simplices, so n + sum 2**|C|
     bounds the total.  That bound is summed as the blocks arrive, each
     before its signed sum, so the signed work runs only on blocks it has
-    certified.  If it passes the budget at block q, the complex at max(grid)
-    (the graph of every edge) is counted once, each simplex under its
+    certified.  If it passes the budget at block q, the complex at the last
+    step (the graph of every edge) is counted once, each simplex under its
     lowest vertex, P_C(1) for C the neighbours above it; that raises as
     soon as the total exceeds the budget (each count stops once it alone
     would), or else certifies the signed sums from block q on.
@@ -602,11 +607,10 @@ def _strong_collapse(closed: list[int], left: int) -> list[int]:
     return removed
 
 
-def _core_filtration(closed: list[int], left: int, grid: tuple[float, ...],
-                     max_dim: int) -> Filtration:
-    """The filtration, at the one-scale grid (t,), of the core that a strong
-    collapse (:func:`_strong_collapse`) leaves of the graph that the vertex
-    set ``left`` (a bitmask) induces in the graph with closed neighbourhoods
+def _core_filtration(closed: list[int], left: int, max_dim: int) -> Filtration:
+    """The one-step filtration of the core that a strong collapse
+    (:func:`_strong_collapse`) leaves of the graph that the vertex set
+    ``left`` (a bitmask) induces in the graph with closed neighbourhoods
     ``closed``: its edges between core vertices, relabelled in vertex order
     and listed in row order (at one step no order changes a Betti number).
     It counts no budget: a core is a subcomplex of a complex that its caller
@@ -616,13 +620,14 @@ def _core_filtration(closed: list[int], left: int, grid: tuple[float, ...],
     rows = [[label[w] for w in _iter_bits(closed[v] & left & -(2 << v))] for v in label]
     edge_i = [a for a, row in enumerate(rows) for _ in row]
     edge_j = [b for row in rows for b in row]
-    return _filtration(len(label), edge_i, edge_j, [0] * len(edge_j), grid, max_dim, math.inf)
+    return _filtration(len(label), edge_i, edge_j, [0] * len(edge_j), 1, max_dim, math.inf)
 
 
-def vr_core_filtration(s: PointSample, grid, max_dim, *,
+def vr_core_filtration(s: PointSample, t, max_dim, *,
                        budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
-    """The Vietoris-Rips filtration, at a one-scale grid (t,), of the core
-    that a strong collapse leaves of ``vr_complex(s, t)``.
+    """The one-step Vietoris-Rips filtration of the core that a strong
+    collapse leaves of ``vr_complex(s, t)``, at the one scale t.  The scale
+    is checked as a grid's would be (:func:`check_grid`).
 
     A dominated vertex v (N[v] within N[w] for another vertex w, among the
     vertices left) is removed until none is left.  Each removal is a
@@ -647,14 +652,12 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
     The rounds of :func:`_strong_collapse` then start from the vertices the
     sweep leaves, ``left``, in the closed neighbourhoods of the whole graph.
     """
-    grid = check_grid(grid)
-    if len(grid) != 1:
-        raise ValueError(f"vr_core_filtration takes a one-scale grid, got {len(grid)} scales")
+    [t] = check_grid((t,))
     if max_dim == -1:  # a core is built for a Betti number, to a finite depth
         raise ValueError("vr_core_filtration takes a positive max_dim, got -1")
     md = _normalize_max_dim(max_dim)
     n = len(s)
-    near = pairwise_distances(s) <= grid[0]
+    near = pairwise_distances(s) <= t
     np.fill_diagonal(near, True)  # closed neighbourhoods
     closed = _bitmask_rows(near)
     adjacency = near.astype(np.float64)  # exact: every sum below is an integer < 2**53
@@ -673,20 +676,23 @@ def vr_core_filtration(s: PointSample, grid, max_dim, *,
     rank = degree * n + np.arange(n)  # by |N[v]|, then by index
     swept = ((common == degree[:, None]) & (rank > rank[:, None])).any(axis=1)
     left = int.from_bytes(np.packbits(~swept, bitorder="little").tobytes(), "little")
-    return _core_filtration(closed, left, grid, md)
+    return _core_filtration(closed, left, md)
 
 
-def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
+def cech_filtration_circle(s: PointSample, grid, max_dim, *,
                            budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
-    """One filtration for the circle Cech complexes at every grid scale.
+    """One filtration for the circle Cech complexes at every grid scale,
+    built to the depth ``max_dim`` (-1, untruncated, for the Euler
+    characteristic).
 
     Its step-s prefix is ``cech_complex_circle(s, grid[s], max_dim)``: an edge
     enters at the first scale t with distance < 2t, and a larger simplex at
     the later of its longest edge's step and the first t above the minimax
     distance (1 - largest gap) / 2, computed as :func:`_circle_arcs_intersect`
-    does.  Built to a finite ``max_dim`` it keeps every simplex.  The edges
-    are the pairs at distance < 2 max(grid) that :func:`_sorted_pairs` finds,
-    with the distances of ``pairwise_distances(s)`` but without that matrix.
+    does; ``arc_step`` turns that scale into a step.  Built to a finite
+    ``max_dim`` it keeps every simplex.  The edges are the pairs at distance
+    < 2 max(grid) that :func:`_sorted_pairs` finds, with the distances of
+    ``pairwise_distances(s)`` but without that matrix.
     """
     if s.manifold.kind != CIRCLE:
         raise UnsupportedDomainError("cech_filtration_circle requires a circle sample")
@@ -703,5 +709,5 @@ def cech_filtration_circle(s: PointSample, grid, max_dim=-1, *,
 
     # open: two arcs of radius t meet iff the distance is < 2t
     return _filtration(len(s), *_sorted_pairs(s, 2.0 * np.asarray(grid), True),
-                       grid, md, budget, simplex_step=arc_step)
+                       len(grid), md, budget, simplex_step=arc_step)
 

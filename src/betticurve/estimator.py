@@ -2,25 +2,28 @@
 
 Each trial draws one sample and evaluates the invariant at every grid point on
 that same sample (common random numbers across the grid, which makes curve
-differences low-variance).  It does so from one filtration per trial: the
-complex is built once, at max(grid), to the depth the invariant needs
-(dimension k+1 for b_k, every dimension for the Euler characteristic), with
-every simplex tagged by the grid step at which it enters, and the simplex
-budget counts exactly those simplices.  The whole curve is read off it (Euler
-characteristic by cumulative signed counts, Betti numbers by one persistent
-cohomology reduction).  A Vietoris-Rips Euler characteristic lists nothing
-above the edges: ``vr_euler_curve`` adds each edge's signed clique sum to its
-step, and counts the simplices exactly, for the budget, only when the bound
-n + sum 2**|C| over the edges passes it.  A Vietoris-Rips Betti number on a
+differences low-variance).  It does so with one builder call and one reader
+call per trial (``sample_curve``).  The builder takes the scales: it builds
+the complex once, at max(grid), to the depth the invariant needs (dimension
+k+1 for b_k, every dimension for the Euler characteristic), with every
+simplex tagged by the grid step at which it enters, and the simplex budget
+counts exactly those simplices.  The reader takes the steps and reads the
+whole curve off that filtration (``euler_curve``, the Euler characteristic
+by cumulative signed counts; ``betti_curve``, Betti numbers by one
+persistent cohomology reduction).  A Vietoris-Rips Betti number on a
 one-scale grid (every ``convergence_study`` trial, and an ``estimate_curve``
-at one scale) has no other scale to share the filtration with: it is read
-off the filtration of the complex's strong-collapse core instead
-(``vr_core_filtration``), which is homotopy equivalent to the whole complex
-and so has the same Betti numbers, while the budget still counts the whole
-complex.  The per-scale functions ``vr_complex`` and ``cech_complex_circle``
-with ``betti`` and ``euler_characteristic`` stay as the independent
-reference path both are tested against, value for value.  A trial's sample
-depends only on (master_seed, trial_index) and its size n.
+at one scale) has no other scale to share the filtration with: its builder
+is ``vr_core_filtration``, at that one scale, whose one-step filtration is
+of the complex's strong-collapse core, homotopy equivalent to the whole
+complex and so with the same Betti numbers, while the budget still counts
+the whole complex.  A Vietoris-Rips Euler characteristic has no filtration:
+``vr_euler_curve`` adds each edge's signed clique sum to its step, and
+counts the simplices exactly, for the budget, only when the bound
+n + sum 2**|C| over the edges passes it.  The per-scale functions
+``vr_complex`` and ``cech_complex_circle`` with ``betti`` and
+``euler_characteristic`` stay as the independent reference path every route
+is tested against, value for value.  A trial's sample depends only on
+(master_seed, trial_index) and its size n.
 
 A run is a list of (n, trial_index) jobs: one n for a curve, every n of a
 convergence study.  With one worker they run in this process; with more, one
@@ -87,21 +90,25 @@ def _check_complex_kind(complex_kind: str) -> None:
 
 def sample_curve(s: PointSample, complex_kind: str, invariant: InvariantSpec, grid,
                  budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[int]:
-    """The invariant of the sample's complex at every grid scale: a
-    Vietoris-Rips Euler characteristic from signed clique sums
-    (``vr_euler_curve``), every other one read off one filtration, of the
-    strong-collapse core for a Vietoris-Rips Betti number at one scale, of
-    the whole complex otherwise."""
+    """The invariant of the sample's complex at every grid scale.
+
+    A Vietoris-Rips Euler characteristic comes from signed clique sums
+    (``vr_euler_curve``), with no filtration.  Every other curve is one
+    builder call and one reader call.  The builder is chosen by complex and
+    number of scales: the circle Cech filtration, the Vietoris-Rips
+    strong-collapse core at a one-scale grid's scale, or the Vietoris-Rips
+    filtration on more scales.  The reader is chosen by invariant:
+    ``euler_curve`` or ``betti_curve``, which read grid steps only."""
     _check_complex_kind(complex_kind)
-    if invariant.kind == "euler":
-        if complex_kind == VR:
-            return vr_euler_curve(s, grid, budget=budget)
-        return euler_curve(cech_filtration_circle(s, grid, budget=budget))
     if complex_kind == CECH:
-        build = cech_filtration_circle
+        f = cech_filtration_circle(s, grid, invariant.max_dim, budget=budget)
+    elif invariant.kind == "euler":
+        return vr_euler_curve(s, grid, budget=budget)
+    elif len(grid) == 1:
+        f = vr_core_filtration(s, grid[0], invariant.max_dim, budget=budget)
     else:
-        build = vr_core_filtration if len(grid) == 1 else vr_filtration
-    return betti_curve(build(s, grid, invariant.max_dim, budget=budget), invariant.dim)
+        f = vr_filtration(s, grid, invariant.max_dim, budget=budget)
+    return euler_curve(f) if invariant.kind == "euler" else betti_curve(f, invariant.dim)
 
 
 def _trial_values(manifold, complex_kind, invariant, grid, master_seed, budget,

@@ -1,10 +1,11 @@
 """Betti numbers over GF(2), Euler characteristic, and a brute-force oracle.
 
 Coefficients are fixed to GF(2): boundary matrices become bit matrices and a
-Betti number is ``#i-simplices - rank d_i - rank d_{i+1}``.  The curves over
-a whole scale grid (:func:`betti_curve`, :func:`euler_curve`) are read off one
-:class:`~betticurve.complexes.Filtration` (a Vietoris-Rips Euler curve comes
-from :func:`~betticurve.complexes.vr_euler_curve` instead); :func:`betti` and
+Betti number is ``#i-simplices - rank d_i - rank d_{i+1}``.  The curves at
+every step of one :class:`~betticurve.complexes.Filtration`
+(:func:`betti_curve`, :func:`euler_curve`) read steps only, never a scale (a
+Vietoris-Rips Euler curve comes from
+:func:`~betticurve.complexes.vr_euler_curve` instead); :func:`betti` and
 :func:`euler_characteristic` evaluate a single complex.  Homology is
 unreduced (a point has b0 = 1).  GF(2) Betti numbers can differ from rational
 ones on spaces with 2-torsion; the model manifolds used here have none.
@@ -163,7 +164,7 @@ def _coboundary(f: Filtration):
 
 
 def betti_curve(filtration: Filtration, i: int) -> list[int]:
-    """dim H_i over GF(2) of the complex at every grid step of the filtration.
+    """dim H_i over GF(2) of the complex at every step of the filtration.
 
     b_i(s) = N_i(s) - R_i(s) - R_{i+1}(s), where N_i(s) counts the
     i-simplices with step <= s and R_d(s), the rank of the boundary map on
@@ -233,9 +234,9 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
                 owner[filtration.offsets[p]] = p
             else:
                 columns.append(p)
-        if dim == i and len(columns) == 1 and filtration.offsets and len(filtration.grid) > 1:
+        if dim == i and len(columns) == 1 and filtration.offsets and len(filtration.counts[0]) > 1:
             closed = [nbr | 1 << v for v, nbr in enumerate(filtration.neighbours)]
-            core = _core_filtration(closed, (1 << len(closed)) - 1, filtration.grid[-1:], i + 1)
+            core = _core_filtration(closed, (1 << len(closed)) - 1, i + 1)
             essential = betti_curve(core, i)[0]
             if essential not in (0, 1):
                 raise RuntimeError(
@@ -271,7 +272,7 @@ def betti_curve(filtration: Filtration, i: int) -> list[int]:
 
 
 def euler_curve(filtration: Filtration) -> list[int]:
-    """Euler characteristic of the complex at every grid step: cumulative
+    """Euler characteristic of the complex at every step: cumulative
     alternating simplex counts, no linear algebra.  A full filtration is a
     circle Cech one; the Vietoris-Rips curve is
     :func:`~betticurve.complexes.vr_euler_curve`'s."""
@@ -280,7 +281,7 @@ def euler_curve(filtration: Filtration) -> list[int]:
             "Euler characteristic requires a full (untruncated) complex; "
             f"this filtration was built to dimension {filtration.max_dim}")
     increments = [sum(-c[s] if d % 2 else c[s] for d, c in enumerate(filtration.counts))
-                  for s in range(len(filtration.grid))]
+                  for s in range(len(filtration.counts[0]))]
     return list(accumulate(increments))
 
 

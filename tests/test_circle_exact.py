@@ -49,11 +49,12 @@ def cech_gaps(s, t):
     return int(np.count_nonzero(~(gaps(s) < 2.0 * t)))
 
 
-def check_curves(f, s, count_gaps):
-    """The Betti curves that the filtration f of s was built for (b0 up to
-    b_(max_dim - 1)), against ``count_gaps(s, t)`` at each of its scales."""
+def check_curves(f, s, grid, count_gaps):
+    """The Betti curves that the filtration f of s on the grid was built for
+    (b0 up to b_(max_dim - 1)), against ``count_gaps(s, t)`` at each scale t
+    of the grid."""
     got = list(zip(*(betti_curve(f, k) for k in range(f.max_dim))))
-    assert got == [tuple(bettis(count_gaps(s, t), f.max_dim)) for t in f.grid]
+    assert got == [tuple(bettis(count_gaps(s, t), f.max_dim)) for t in grid]
 
 
 class TestVietorisRips:
@@ -61,10 +62,11 @@ class TestVietorisRips:
         for n in SIZES:
             for trial in range(2):
                 s = sample(circle(), n, SEED, trial)
-                check_curves(vr_filtration(s, GRID, 1), s, vr_gaps)
+                check_curves(vr_filtration(s, GRID, 1), s, GRID, vr_gaps)
                 # the b1 reduction grows much faster than the edges: at n=300
                 # it takes seconds above t=0.2, so keep t n <= 40
-                check_curves(vr_filtration(s, [t for t in GRID if t * n <= 40], 2), s, vr_gaps)
+                grid = [t for t in GRID if t * n <= 40]
+                check_curves(vr_filtration(s, grid, 2), s, grid, vr_gaps)
 
     def test_sample_curve_b1(self):
         # the estimator's route, on the whole grid at every n: where the
@@ -106,10 +108,11 @@ class TestCech:
     def test_whole_filtration_b0_b1_b2(self):
         for n in (1, 2, 3, 20, 40):
             s = sample(circle(), n, SEED, 0)
-            check_curves(cech_filtration_circle(s, CECH_GRID, 3), s, cech_gaps)
+            check_curves(cech_filtration_circle(s, CECH_GRID, 3), s, CECH_GRID, cech_gaps)
         for n in (50, 100):
             s = sample(circle(), n, SEED, 0)
-            check_curves(cech_filtration_circle(s, CECH_GRID[:6], 2), s, cech_gaps)
+            check_curves(cech_filtration_circle(s, CECH_GRID[:6], 2), s, CECH_GRID[:6],
+                         cech_gaps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,11 +125,11 @@ def test_ties_at_a_gap(n, seed, data):
     free = data.draw(st.lists(st.floats(0.0, 0.33), max_size=3))
     grid = sorted({t for t in tied + free if t < 1 / 3})
     if grid:
-        check_curves(vr_filtration(s, grid, 2), s, vr_gaps)
+        check_curves(vr_filtration(s, grid, 2), s, grid, vr_gaps)
         t = grid[-1]
         assert [sample_curve(s, VR, betti_invariant(k), [t])[0] for k in (0, 1)] == \
             bettis(vr_gaps(s, t), 2)
     cech = sorted({t / 2.0 for t in tied} | {t for t in free if t > 0})
     cech = [t for t in cech if 0 < t < 0.25]
     if cech:
-        check_curves(cech_filtration_circle(s, cech, 3), s, cech_gaps)
+        check_curves(cech_filtration_circle(s, cech, 3), s, cech, cech_gaps)

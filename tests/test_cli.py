@@ -229,6 +229,15 @@ class TestConvergeCommand:
         assert run_cli(tmp_path, "converge", "--n-values", "4,8",
                        "--target", "0.5") == EXIT_USAGE
 
+    def test_missing_target_usage_error(self, tmp_path, monkeypatch, capsys):
+        # a scale and sizes but no target: refused before any trial runs
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        code = run_cli(tmp_path, "converge", "--t", "0.1", "--n-values", "4,8",
+                       "--output", str(tmp_path / "v.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: converge needs --target\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_invalid_grid_usage(self, tmp_path, monkeypatch, capsys):
@@ -284,6 +293,16 @@ class TestExitCodes:
                            "--output", str(tmp_path / "x.csv"))
             assert code == EXIT_USAGE
             assert capsys.readouterr().err == f"error: unknown invariant {name!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_torus_dimension_usage(self, tmp_path, monkeypatch, capsys):
+        # refused before any trial runs; nothing is written
+        monkeypatch.setattr(cli.estimator, "_trial_values", None)
+        code = run_cli(tmp_path, "curve", "--manifold", "torus", "--torus-dim", "0",
+                       "--n", "5", "--trials", "2", "--grid", "0.1",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: flat torus dimension must be >= 1\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_output_in_missing_directory_usage(self, tmp_path, monkeypatch, capsys):
@@ -432,6 +451,10 @@ class TestSelftest:
         # past pi every pair of the sphere is joined: the octahedron's antipodes too
         assert ("PASS vr-euler octahedron past pi: estimator=[2, 1] per-scale=[2, 1] "
                 "exact=[2, 1]") in out
+        # the untruncated circle Cech filtration, read by euler_curve
+        assert ("PASS cech-euler circle n=12: estimator=[9, 5, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, "
+                "3, 1, 1] per-scale=[9, 5, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 1] "
+                "exact=None") in out
         # the octahedron's 26 simplices, at the budget and one below it
         assert ("PASS vr-euler-budget octahedron: budget 26: [2] (want [2]); "
                 "budget 25: simplex budget of 25 exceeded") in out

@@ -49,8 +49,8 @@ def filtration_curve(s, grid, invariant, max_dim, kind="vr", budget=10_000_000):
     return euler_curve(f) if invariant.kind == "euler" else betti_curve(f, invariant.dim)
 
 
-def core_curve(s, grid, invariant, max_dim, budget=10_000_000):
-    return betti_curve(vr_core_filtration(s, grid, max_dim, budget=budget), invariant.dim)
+def core_curve(s, t, invariant, max_dim, budget=10_000_000):
+    return betti_curve(vr_core_filtration(s, t, max_dim, budget=budget), invariant.dim)
 
 
 def arc_scales(s):
@@ -127,7 +127,7 @@ class TestVietorisRipsEquivalence:
         # the core's budget counts the whole complex; a core is built for a
         # Betti number only
         if invariant.kind == "betti":
-            assert raises(core_curve, [grid[-1]]) == (size > budget)
+            assert raises(core_curve, grid[-1]) == (size > budget)
 
     @pytest.mark.parametrize("invariant", INVARIANTS, ids=["betti0", "betti1", "betti2", "euler"])
     def test_budget_boundary(self, invariant):
@@ -220,7 +220,7 @@ class TestVietorisRipsEquivalence:
         # build has none.
         s, grid = case
         builds = [vr_filtration(s, grid, depth) for depth in (2, 3, 4)]
-        for f in builds + [vr_core_filtration(s, grid[-1:], depth) for depth in (2, 3)]:
+        for f in builds + [vr_core_filtration(s, grid[-1], depth) for depth in (2, 3)]:
             assert len(f.first) == len(f.offsets) == len(f.edges)
         for f in builds[1:]:
             assert (f.first, f.offsets) == (builds[0].first, builds[0].offsets)
@@ -701,7 +701,7 @@ class TestOneScaleCore:
         s, grid = case
         grid = [data.draw(st.sampled_from(grid))]
         invariant = betti_invariant(k)
-        curve = core_curve(s, grid, invariant, k + 1)
+        curve = core_curve(s, grid[0], invariant, k + 1)
         assert curve == sample_curve(s, VR, invariant, grid)
         assert curve == filtration_curve(s, grid, invariant, k + 1) == \
             reference_curve(s, grid, invariant, k + 1)
@@ -742,7 +742,7 @@ class TestOneScaleCore:
         assert len(self.check_collapse(nbhd, _strong_collapse(closed, everyone(closed)))) == \
             len(left)
         for k in range(3):
-            f = vr_core_filtration(s, [t], k + 1)
+            f = vr_core_filtration(s, t, k + 1)
             assert len(f.neighbours) == len(left)
             assert betti_curve(f, k) == [betti_oracle_bruteforce(vr_complex(s, t, k + 1), k)]
 
@@ -750,7 +750,7 @@ class TestOneScaleCore:
         # coincident points dominate each other; one of them stays
         s = circle_points([0.1, 0.1, 0.1, 0.6])
         for t, b0 in ((0.0, 2), (0.5, 1)):
-            f = vr_core_filtration(s, [t], 1)
+            f = vr_core_filtration(s, t, 1)
             assert len(f.neighbours) == 1 + (t == 0.0) and betti_curve(f, 0) == [b0]
 
     @pytest.mark.parametrize("manifold, n, t, k", [
@@ -761,7 +761,7 @@ class TestOneScaleCore:
         # dominated, which a collapse stopped early would leave
         s = sample(MANIFOLDS[manifold], n, 0, 0)
         invariant = betti_invariant(k)
-        f = vr_core_filtration(s, [t], k + 1)
+        f = vr_core_filtration(s, t, k + 1)
         nbhd = [{v} for v in range(len(f.neighbours))]
         for a, b in f.edges:
             nbhd[a].add(b)
@@ -799,7 +799,7 @@ class TestOneScaleCore:
             return _core_filtration(rows, left, *args)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(complexes, "_core_filtration", build)
-            f = vr_core_filtration(s, [t], max_dim)
+            f = vr_core_filtration(s, t, max_dim)
         assert graphs == [(closed, survivors(closed))]
         removed = set(sweep_then_rounds(closed))
         core = [v for v in range(len(s)) if v not in removed]
@@ -828,15 +828,11 @@ class TestOneScaleCore:
         self.check_core(PointSample(s.manifold, points), data.draw(st.sampled_from(grid)),
                         data.draw(st.integers(1, 4)))
 
-    def test_one_scale_only(self):
-        with pytest.raises(ValueError, match="one-scale"):
-            vr_core_filtration(sample(circle(), 5, 0, 0), [0.1, 0.2], 2)
-
 
 def last_step_core(f):
     """The core that betti_curve reads b_k at the last step off."""
     closed = [nbr | 1 << v for v, nbr in enumerate(f.neighbours)]
-    return _core_filtration(closed, everyone(closed), f.grid[-1:], f.max_dim)
+    return _core_filtration(closed, everyone(closed), f.max_dim)
 
 
 def record_cores(monkeypatch):
@@ -855,7 +851,7 @@ def cycles_core(m):
     whose b1 is m."""
     closed = [1 << v | 1 << (v & ~3 | (v + 1) & 3) | 1 << (v & ~3 | (v - 1) & 3)
               for v in range(4 * m)]
-    return lambda *args, **kwargs: _core_filtration(closed, everyone(closed), (1.0,), 2)
+    return lambda *args, **kwargs: _core_filtration(closed, everyone(closed), 2)
 
 
 class TestLastStepCore:
@@ -954,13 +950,13 @@ class TestCechEquivalence:
     def test_zero_scale_rejected(self):
         s = sample(circle(), 5, 3, 0)
         with pytest.raises(ValueError):
-            cech_filtration_circle(s, [0.0, 0.1])
+            cech_filtration_circle(s, [0.0, 0.1], 2)
         with pytest.raises(ValueError):
             estimate_curve(circle(), CECH, betti_invariant(1), 5, [0.0, 0.1], 4, 3)
 
     def test_wrong_manifold_rejected(self):
         with pytest.raises(UnsupportedDomainError):
-            cech_filtration_circle(sample(sphere2(), 4, 1, 0), [0.3])
+            cech_filtration_circle(sample(sphere2(), 4, 1, 0), [0.3], 2)
 
 
 class TestValidation:
@@ -973,7 +969,12 @@ class TestValidation:
             with pytest.raises(ValueError):
                 vr_euler_curve(s, grid)
             with pytest.raises(ValueError):
-                cech_filtration_circle(s, grid)
+                cech_filtration_circle(s, grid, 2)
+        # the core's one scale is checked as a one-scale grid
+        for t, message in ((-0.1, "nonnegative"), (float("nan"), "nonnegative"),
+                           (float("inf"), "finite")):
+            with pytest.raises(ValueError, match=f"grid scales must be {message}"):
+                vr_core_filtration(s, t, 2)
 
     def test_max_dim_bounds(self):
         s = sample(circle(), 4, 0, 0)
@@ -983,13 +984,13 @@ class TestValidation:
             with pytest.raises(ValueError):
                 cech_filtration_circle(s, [0.1], max_dim)
             with pytest.raises(ValueError):
-                vr_core_filtration(s, [0.1], max_dim)
+                vr_core_filtration(s, 0.1, max_dim)
             with pytest.raises(ValueError):
                 vr_complex(s, 0.1, max_dim)
             with pytest.raises(ValueError):
                 cech_complex_circle(s, 0.1, max_dim)
         with pytest.raises(ValueError):  # a core is built for a Betti number only
-            vr_core_filtration(s, [0.1], -1)
+            vr_core_filtration(s, 0.1, -1)
         with pytest.raises(ValueError):  # vr_euler_curve reads the untruncated complex
             vr_filtration(s, [0.1], -1)
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticurve.complexes import SimplicialComplex, vr_complex
+from betticurve.complexes import SimplicialComplex, vr_complex, vr_filtration
 from betticurve.errors import SimplexBudgetError
-from betticurve.homology import (betti, betti_invariant, betti_oracle_bruteforce,
-                                 connected_components, euler_characteristic,
-                                 euler_invariant)
+from betticurve.homology import (InvariantSpec, betti, betti_curve, betti_invariant,
+                                 betti_oracle_bruteforce, connected_components,
+                                 euler_characteristic, euler_invariant)
 from betticurve.manifolds import circle, sample
 
 QUAD = [0, 0.25, 0.5, 0.75]
@@ -42,6 +42,18 @@ class TestBetti:
         with pytest.raises(ValueError):
             betti(dense, 1)
 
+    def test_negative_dimension_rejected(self, circle_points):
+        # by each of the three Betti routes: one complex, a filtration and
+        # the brute-force oracle
+        s = circle_points(QUAD)
+        message = "Betti dimension must be nonnegative"
+        with pytest.raises(ValueError, match=message):
+            betti(vr_complex(s, 0.3), -1)
+        with pytest.raises(ValueError, match=message):
+            betti_curve(vr_filtration(s, [0.3], 2), -1)
+        with pytest.raises(ValueError, match=message):
+            betti_oracle_bruteforce(vr_complex(s, 0.3), -1)
+
 
 class TestEuler:
     def test_four_cycle(self, circle_points):
@@ -70,6 +82,13 @@ class TestBruteForceOracle:
     def test_single_vertex(self):
         c = SimplicialComplex(1, {0: [(0,)]}, -1)
         assert betti_oracle_bruteforce(c, 0) == 1
+
+    def test_insufficient_depth_rejected(self, circle_points):
+        # b1 needs the triangles, which a build to dimension 1 cuts off
+        c = vr_complex(circle_points([0, 0.01, 0.02, 0.03]), 0.5, 1)
+        assert not c.is_full
+        with pytest.raises(ValueError, match="not built deep enough"):
+            betti_oracle_bruteforce(c, 1)
 
     def test_size_limit(self, circle_points):
         c = vr_complex(circle_points(np.linspace(0, 0.05, 15)), 0.5)
@@ -112,6 +131,8 @@ class TestInvariantSpec:
     def test_kinds(self):
         with pytest.raises(ValueError):
             betti_invariant(-1)
+        with pytest.raises(ValueError, match="unknown invariant kind 'bogus'"):
+            InvariantSpec("bogus")
 
     def test_evaluate_dispatch(self, circle_points):
         c = four_cycle(circle_points)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from betticurve.errors import UnsupportedDomainError
-from betticurve.manifolds import (PointSample, circle, covering_radius,
+from betticurve.manifolds import (ManifoldModel, PointSample, circle, covering_radius,
                                   covering_tail_bound, flat_torus, mix_seed,
                                   pairwise_distances, sample, sphere2)
 
@@ -47,6 +47,10 @@ class TestSampling:
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError):
             sample(circle(), 0, 1, 0)
+
+    def test_unknown_manifold_rejected(self):
+        with pytest.raises(ValueError, match="unknown manifold kind 'klein'"):
+            ManifoldModel("klein")
 
     def test_mix_seed_is_64_bit_and_spreads(self):
         seeds = {mix_seed(0, k) for k in range(1000)}
@@ -127,6 +131,11 @@ class TestCoveringRadius:
             assert depth <= rho + delta
             assert depth > rho - delta
 
+    def test_empty_sample_rejected(self):
+        empty = PointSample(circle(), np.empty(0))
+        with pytest.raises(ValueError, match="empty sample is undefined"):
+            covering_radius(empty)
+
     def test_grid_resolution_required_off_circle(self):
         # only the circle has an exact covering radius; the others are refused
         for m in (sphere2(), flat_torus(2)):
@@ -143,6 +152,14 @@ class TestCoveringTailBound:
     def test_non_circle_unsupported(self):
         with pytest.raises(UnsupportedDomainError):
             covering_tail_bound(sphere2(), 0.2, 10)
+
+    def test_bad_arguments_rejected(self):
+        for epsilon in (0.0, -0.1):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                covering_tail_bound(circle(), epsilon, 10)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                covering_tail_bound(circle(), 0.2, n)
 
     def test_empirical_tail_respects_bound(self):
         trials = 2000

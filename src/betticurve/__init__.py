@@ -5,7 +5,7 @@ from .circle_oracle import circle_homotopy_prob
 from .complexes import (Filtration, SimplicialComplex, cech_complex_circle,
                         cech_filtration_circle, vr_complex, vr_core_filtration,
                         vr_euler_curve, vr_filtration)
-from .errors import SimplexBudgetError, UnsupportedDomainError
+from .errors import SimplexBudgetError, UnsupportedDomainError, WorkerError
 from .estimator import (ConvergenceTable, CurveEstimate, convergence_study,
                         estimate_curve, max_discrete_slope)
 from .homology import (InvariantSpec, betti, betti_curve, betti_invariant,

@@ -4,7 +4,8 @@ Subcommands: ``curve`` (Monte Carlo invariant curve), ``oracle`` (exact circle
 values), ``converge`` (fixed-scale convergence table) and ``selftest``.
 Outputs are CSV or JSON with the full run configuration embedded, plus a
 gnuplot script next to every curve CSV.  Exit codes: 0 ok, 1 selftest
-failure, 2 usage/domain error, 3 resource limit.
+failure, 2 usage/domain error, 3 resource limit (a simplex budget overrun,
+or a worker process lost, as to the out-of-memory killer).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import locale  # noqa: F401  loaded with the CLI, or argparse's gettext loads it in main's parse
 import math
 import os
 import re
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import circle_oracle, estimator, manifolds
 from .complexes import cech_complex_circle, check_grid, vr_complex, vr_euler_curve
-from .errors import SimplexBudgetError
+from .errors import SimplexBudgetError, WorkerError
 from .homology import InvariantSpec, betti_invariant, euler_invariant
 from .manifolds import ManifoldModel, PointSample
 
@@ -431,6 +433,9 @@ def main(argv=None) -> int:
         if exc.trial_index is not None:
             print(f"error: in trial {exc.trial_index} of seed {exc.master_seed} at n={exc.n}",
                   file=sys.stderr)
+        return EXIT_RESOURCE
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:  # OSError: an --output that cannot be written
         print(f"error: {exc}", file=sys.stderr)

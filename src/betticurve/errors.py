@@ -20,3 +20,8 @@ class SimplexBudgetError(RuntimeError):
     def __reduce__(self):
         # rebuilt from its fields, not from args == (message,), to cross processes intact
         return type(self), (self.budget, str(self), self.master_seed, self.trial_index, self.n)
+
+
+class WorkerError(RuntimeError):
+    """A worker process of a pooled run ended before it sent back its values
+    (killed by a signal, say, as the out-of-memory killer does)."""

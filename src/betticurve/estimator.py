@@ -26,17 +26,21 @@ is tested against, value for value.  A trial's sample depends only on
 (master_seed, trial_index) and its size n.
 
 A run is a list of (n, trial_index) jobs: one n for a curve, every n of a
-convergence study.  With one worker they run in this process; with more, one
-process pool runs the whole list (one per run, never with more processes than
-jobs).  Either way the values come back in job order and are aggregated per
-n in trial order, so results are bit-identical for any worker count.
+convergence study.  With one worker they run in this process.  With more,
+w = min(workers, jobs) processes share them in static strides: this process
+runs jobs[0::w] itself, and w - 1 child processes run jobs[r::w] (1 <= r < w)
+and send their values back over a pipe.  A failure ends its stride, and
+before each job every process checks the lowest failing job index known so
+far: no job after it starts, every job before it runs, and the first failing
+job in job order raises.  Either way the values are aggregated per n in
+trial order, so results are bit-identical for any worker count.  Only a run
+that forks imports the process machinery.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -45,7 +49,7 @@ import numpy as np
 
 from .complexes import (DEFAULT_SIMPLEX_BUDGET, cech_filtration_circle, check_grid,
                         vr_core_filtration, vr_euler_curve, vr_filtration)
-from .errors import SimplexBudgetError
+from .errors import SimplexBudgetError, WorkerError
 from .homology import InvariantSpec, betti_curve, euler_curve
 from .manifolds import CIRCLE, ManifoldModel, PointSample, sample
 
@@ -150,30 +154,137 @@ def _moments(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arr.mean(axis=0), variance, np.sqrt(variance / len(values))
 
 
+def _stride(trial, jobs, first, step, lowest_failure) -> tuple[list, tuple | None]:
+    """The values of jobs[first::step] run in order, and the first failure
+    (its job index and exception) or None.  Before each job it asks
+    ``lowest_failure()`` for the lowest failing job index known so far, and
+    stops at the first job past it."""
+    values = []
+    for i in range(first, len(jobs), step):
+        if i > lowest_failure():
+            break
+        try:
+            values.append(trial(jobs[i]))
+        except Exception as exc:  # a failure ends its stride
+            return values, (i, exc)
+    return values, None
+
+
+def _child_stride(trial, jobs, first, step, stop, out) -> None:
+    """A child process's stride: the lowest failing index arrives on
+    ``stop``; the values and the failure leave on ``out``."""
+    lowest = len(jobs)
+
+    def lowest_failure():
+        nonlocal lowest
+        while stop.poll():  # the parent sends only ever lower indices
+            lowest = stop.recv()
+        return lowest
+
+    out.send(_stride(trial, jobs, first, step, lowest_failure))
+
+
+def _fan_out(trial, jobs, w) -> list:
+    """The values of ``jobs`` in job order, from w > 1 processes: this one
+    runs jobs[0::w], and child r runs jobs[r::w].
+
+    Between its own jobs this process takes in each child's one message (its
+    values and its failure), and pushes the lowest failing index known to
+    the children still running.  The first failing job in job order raises
+    here once every process has stopped; a child that ends without its
+    message raises :class:`WorkerError`.  The children are daemonic, and
+    terminated and joined if this process raises.
+    """
+    from multiprocessing import Pipe, Process
+    from multiprocessing.connection import wait
+
+    strides = [None] * w
+    first_failure = None
+    running = {}  # a child's result connection -> (r, process, stop connection)
+    processes = []
+
+    def note(failure):  # keep the lowest failure, and tell the running children
+        nonlocal first_failure
+        if failure is None or (first_failure and first_failure[0] < failure[0]):
+            return
+        first_failure = failure
+        for _, _, stop in running.values():
+            try:
+                stop.send(failure[0])
+            except OSError:  # that child is gone; its result connection will say so
+                pass
+
+    def settle(conn):
+        r, process, stop = running.pop(conn)
+        stop.close()
+        try:
+            strides[r], failure = conn.recv()
+        except EOFError:
+            process.join()
+            raise WorkerError(f"worker process {r} of {w} exited with code "
+                              f"{process.exitcode} before it sent its values") from None
+        finally:
+            conn.close()
+        note(failure)
+
+    def lowest_failure():
+        for conn in wait(list(running), timeout=0):
+            settle(conn)
+        return len(jobs) if first_failure is None else first_failure[0]
+
+    try:
+        for r in range(1, w):
+            stop_in, stop = Pipe(duplex=False)
+            result, out = Pipe(duplex=False)
+            process = Process(target=_child_stride, args=(trial, jobs, r, w, stop_in, out),
+                              daemon=True)
+            processes.append(process)
+            process.start()
+            # a child's end closed here, so that its result connection reads EOF
+            # once the child is gone
+            stop_in.close()
+            out.close()
+            running[result] = (r, process, stop)
+        strides[0], failure = _stride(trial, jobs, 0, w, lowest_failure)
+        note(failure)
+        while running:
+            for conn in wait(list(running)):
+                settle(conn)
+    finally:
+        for conn, (_, process, stop) in running.items():
+            process.terminate()
+            conn.close()
+            stop.close()
+        for process in processes:
+            process.join()
+    if first_failure is not None:
+        raise first_failure[1]
+    values = [None] * len(jobs)
+    for r, stride in enumerate(strides):
+        values[r::w] = stride
+    return values
+
+
 def _run_trials(manifold, complex_kind, invariant, n_values, grid, trials, master_seed,
                 budget, workers) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """:func:`_moments` of each n's trials: the (n, trial_index) jobs of every
     n, run in that order.
 
-    One worker runs them in this process; more share one process pool, never
-    larger than the number of jobs.  Either way the values arrive in job
-    order and each n's are aggregated as soon as they are all in.  The first
-    job to raise (in job order) raises here, and the jobs not yet handed to a
-    worker are cancelled.
+    One worker runs them in this process, and each n's values are aggregated
+    as soon as they are all in.  More share them in strides through
+    :func:`_fan_out`, w = min(workers, jobs) processes with this one among
+    them.  The first job to raise (in job order) raises here: in a fan-out,
+    every job before it runs and no job after it starts once its failure is
+    known.
     """
     trial = partial(_trial_values, manifold, complex_kind, invariant, grid, master_seed,
                     budget)
     jobs = [(n, j) for n in n_values for j in range(trials)]
     if workers == 1:
         values = map(trial, jobs)
-        return [_moments(list(islice(values, trials))) for _ in n_values]
-    workers = min(workers, len(jobs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # after a failure the running and queued chunks (2 * workers + 1) still
-        # run: 16 chunks per worker keeps that small, where one job per chunk
-        # would make the pool's overhead the bulk of short jobs' time
-        values = pool.map(trial, jobs, chunksize=math.ceil(len(jobs) / (16 * workers)))
-        return [_moments(list(islice(values, trials))) for _ in n_values]
+    else:
+        values = iter(_fan_out(trial, jobs, min(workers, len(jobs))))
+    return [_moments(list(islice(values, trials))) for _ in n_values]
 
 
 def estimate_curve(manifold: ManifoldModel, complex_kind: str, invariant: InvariantSpec,
@@ -201,10 +312,11 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
 
     Every n runs with the same master seed, and each n's trials aggregate
     exactly as :func:`estimate_curve` aggregates them.  All (n, trial) jobs
-    of the study go through one run, so ``workers > 1`` opens one process
-    pool for the whole study; the values come back in (n, trial) order, and
-    a budget overrun names the first failing (master_seed, trial_index, n)
-    in that order.
+    of the study go through one run, so ``workers > 1`` forks once for the
+    whole study, into strides of the (n, trial) order; the values come back
+    in that order, and a budget overrun names the first failing
+    (master_seed, trial_index, n) in it, with no job after it started once
+    it is known.
     """
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")

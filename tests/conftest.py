@@ -1,7 +1,14 @@
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from betticurve.estimator import _trial_values
 from betticurve.manifolds import PointSample, circle
+
+PARENT_PID = "BETTICURVE_TEST_PARENT_PID"
 
 
 @pytest.fixture
@@ -43,3 +50,28 @@ def check_downward_closure(complex_) -> None:
                     assert facet in simplex_set, f"missing facet {facet} of {simplex}"
     assert complex_.simplices_by_dim.get(0, []) == \
         [(v,) for v in range(complex_.num_vertices)]
+
+
+def killing_trial(*args):
+    """``estimator._trial_values`` that kills its own process with SIGKILL at
+    (n=10, trial 1), unless that process is $BETTICURVE_TEST_PARENT_PID."""
+    if args[-1] == (10, 1) and os.getpid() != int(os.environ[PARENT_PID]):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _trial_values(*args)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer than
+    ``seconds``, so that a fan-out waiting on a dead worker fails instead of
+    hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

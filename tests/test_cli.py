@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from betticurve.cli import EXIT_OK, EXIT_RESOURCE, EXIT_SELFTEST_FAIL, EXIT_USAG
 from betticurve.estimator import convergence_study
 from betticurve.homology import betti_invariant
 from betticurve.manifolds import circle
+from conftest import PARENT_PID, deadline, killing_trial
 
 
 def read_csv(path):
@@ -525,3 +529,50 @@ class TestWorkers:
             _, header, body = read_csv(out)
             outs.append(body)
         assert outs[0] == outs[1]
+
+    def test_killed_worker_is_one_error_line(self, tmp_path, monkeypatch, capfd):
+        # a worker killed by SIGKILL: one error line naming it, exit 3, no
+        # traceback (capfd also catches what the child process writes)
+        monkeypatch.setenv(PARENT_PID, str(os.getpid()))
+        monkeypatch.setattr(cli.estimator, "_trial_values", killing_trial)
+        out = tmp_path / "x.csv"
+        with deadline(10):
+            code = run_cli(tmp_path, "converge", "--t", "0.1", "--n-values", "10,20",
+                           "--trials", "8", "--target", "1", "--workers", "2",
+                           "--output", str(out))
+        assert code == EXIT_RESOURCE
+        captured = capfd.readouterr()
+        assert captured.err == ("error: worker process 1 of 2 exited with code -9 "
+                                "before it sent its values\n")
+        assert captured.out == "" and not out.exists()
+
+
+class TestProcessMachinery:
+    """Only a run that forks loads the modules of process fan-out."""
+
+    MACHINERY = ("multiprocessing", "concurrent.futures", "socket", "subprocess")
+
+    def loaded(self, tmp_path, *commands):
+        """The modules of MACHINERY loaded in a fresh interpreter that imports
+        betticurve and betticurve.cli and runs each command."""
+        script = (f"import sys\nimport betticurve, betticurve.cli\n"
+                  f"for argv in {commands!r}:\n"
+                  f"    assert betticurve.cli.main(argv) == 0\n"
+                  f"print(*[m for m in {self.MACHINERY!r} if m in sys.modules])\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_serial_commands_load_none(self, tmp_path):
+        assert self.loaded(tmp_path,
+                           ["curve", "--n", "8", "--trials", "4", "--grid", "0.1,0.2"],
+                           ["oracle", "--n", "8", "--grid", "0.1,0.2"]) == []
+
+    def test_pooled_run_loads_multiprocessing(self, tmp_path):
+        assert "multiprocessing" in self.loaded(
+            tmp_path, ["converge", "--t", "0.1", "--n-values", "4,8", "--trials", "4",
+                       "--target", "1", "--workers", "2"])

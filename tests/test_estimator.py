@@ -14,6 +14,8 @@ from betticurve.estimator import (CECH, VR, convergence_study, estimate_curve,
 from betticurve.homology import betti, betti_invariant, euler_invariant
 from betticurve.manifolds import circle, flat_torus, sample, sphere2
 from betticurve.complexes import vr_complex, vr_filtration
+from betticurve.errors import SimplexBudgetError, WorkerError
+from conftest import PARENT_PID, deadline, killing_trial
 
 B0 = betti_invariant(0)
 B1 = betti_invariant(1)
@@ -21,31 +23,24 @@ B2 = betti_invariant(2)
 EULER = euler_invariant()
 
 
-class InlinePool:
-    """Stand-in for ``estimator.ProcessPoolExecutor`` that runs the jobs in
-    this process and records each pool's ``max_workers``."""
-
-    made: list[int] = []
-
-    def __init__(self, max_workers):
-        InlinePool.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        assert chunksize >= 1
-        return map(fn, iterable)
-
-
 @pytest.fixture
-def inline_pool(monkeypatch):
-    monkeypatch.setattr(InlinePool, "made", [])
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", InlinePool)
-    return InlinePool
+def fan_outs(monkeypatch):
+    """Records each ``estimator._fan_out`` as [w, the child processes it starts]."""
+    import multiprocessing
+    made = []
+
+    class CountedProcess(multiprocessing.Process):
+        def start(self):
+            made[-1][1] += 1
+            super().start()
+
+    def fan_out(trial, jobs, w, fan_out=estimator._fan_out):
+        made.append([w, 0])
+        return fan_out(trial, jobs, w)
+
+    monkeypatch.setattr(estimator, "_fan_out", fan_out)
+    monkeypatch.setattr(multiprocessing, "Process", CountedProcess)
+    return made
 
 
 RAN_DIR = "BETTICURVE_TEST_RAN_DIR"
@@ -54,7 +49,7 @@ _real_trial_values = estimator._trial_values
 
 def recording_trial(*args):
     """``_trial_values`` that leaves a file per job it starts, in the
-    directory named by $BETTICURVE_TEST_RAN_DIR (pool workers inherit it);
+    directory named by $BETTICURVE_TEST_RAN_DIR (child processes inherit it);
     jobs with n > 30 only sleep, so that a study is still running them when
     an earlier job fails."""
     n, trial_index = args[-1]
@@ -63,6 +58,20 @@ def recording_trial(*args):
         time.sleep(0.05)
         return [0.0]
     return _real_trial_values(*args)
+
+
+def one_failure_trial(*args):
+    """``_trial_values`` of a study with 4 trials per n, from n = 1: it leaves
+    a file per job it starts, named by job index, as ``recording_trial``
+    does; job 3 (n = 1, trial 3) overruns at once, and every other job only
+    sleeps 0.1 s."""
+    n, trial_index = args[-1]
+    job = 4 * (n - 1) + trial_index
+    Path(os.environ[RAN_DIR], str(job)).touch()
+    if job == 3:
+        raise SimplexBudgetError(1, None, args[4], trial_index, n)
+    time.sleep(0.1)
+    return [0.0]
 
 
 class TestValidation:
@@ -398,20 +407,36 @@ class TestConvergenceStudy:
             for name in ("mean", "variance", "stderr", "abs_error"):
                 np.testing.assert_array_equal(getattr(table, name), getattr(tables[0], name))
 
-    def test_one_pool_per_study(self, inline_pool):
+    def test_one_fan_out_per_study(self, fan_outs):
         serial = convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0)
-        assert inline_pool.made == []
+        assert fan_outs == []
         pooled = convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0,
                                    workers=2)
-        assert inline_pool.made == [2]
+        assert fan_outs == [[2, 1]]  # this process and one child
         np.testing.assert_array_equal(pooled.mean, serial.mean)
         np.testing.assert_array_equal(pooled.variance, serial.variance)
+        np.testing.assert_array_equal(pooled.stderr, serial.stderr)
 
-    def test_never_more_workers_than_jobs(self, inline_pool):
+    def test_never_more_workers_than_jobs(self, fan_outs):
+        # w = min(workers, jobs) processes: this one and w - 1 children
         estimate_curve(circle(), VR, B1, 5, [0.1], 4, 0, workers=8)
         estimate_curve(circle(), VR, B1, 5, [0.1], 4, 0, workers=3)
         convergence_study(circle(), VR, B1, 0.1, [4, 8], 2, 0, target=1.0, workers=8)
-        assert inline_pool.made == [4, 3, 4]
+        assert fan_outs == [[4, 3], [3, 2], [4, 3]]
+
+    def test_killed_worker_raises_at_once(self, monkeypatch):
+        # a child killed by SIGKILL (as by the out-of-memory killer) sends
+        # nothing; its pipe reads EOF, and the study raises, naming the worker
+        # and its exit code, instead of waiting for it, and leaves no child
+        import multiprocessing
+        monkeypatch.setenv(PARENT_PID, str(os.getpid()))
+        monkeypatch.setattr(estimator, "_trial_values", killing_trial)
+        start = time.monotonic()
+        with deadline(10), pytest.raises(WorkerError,
+                                         match=r"^worker process 1 of 2 exited with code -9 "):
+            convergence_study(circle(), VR, B1, 0.1, [10, 20], 8, 0, 1.0, workers=2)
+        assert time.monotonic() - start < 3.0
+        assert multiprocessing.active_children() == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -467,14 +492,12 @@ class TestLipschitzDiagnostic:
 
 class TestBudgetPropagation:
     def test_budget_abort_surfaces(self):
-        from betticurve.errors import SimplexBudgetError
         with pytest.raises(SimplexBudgetError):
             estimate_curve(circle(), VR, EULER, 18, [0.45], 5, 3, budget=200)
 
     def test_budget_error_pickle_round_trip(self):
         import pickle
 
-        from betticurve.errors import SimplexBudgetError
         exc = pickle.loads(pickle.dumps(SimplexBudgetError(100)))
         assert isinstance(exc, SimplexBudgetError)
         assert exc.budget == 100
@@ -488,7 +511,6 @@ class TestBudgetPropagation:
             (7, "simplex budget of 7 exceeded", 5, 3, 11)
 
     def test_budget_error_crosses_workers_intact(self):
-        from betticurve.errors import SimplexBudgetError
         with pytest.raises(SimplexBudgetError) as info:
             estimate_curve(circle(), VR, EULER, 18, [0.45], 4, 3, workers=2, budget=100)
         assert info.value.budget == 100
@@ -505,7 +527,6 @@ class TestBudgetPropagation:
         # that has more.  At one scale a Betti number reduces the
         # strong-collapse core, but its budget still counts the whole
         # complex, dimension k+1 without listing it.
-        from betticurve.errors import SimplexBudgetError
         samples = [sample(flat_torus(2), 9, 17, j) for j in range(2)]
         assert vr_complex(samples[0], grid[-1]).dimension >= 4  # so the counts differ
         sizes = [vr_complex(s, grid[-1], invariant.max_dim).simplex_count() for s in samples]
@@ -519,7 +540,6 @@ class TestBudgetPropagation:
     def test_overrun_names_the_same_trial_for_any_worker_count(self):
         # several trials exceed the budget; the error names the first of them
         # in trial order, whichever process ran it
-        from betticurve.errors import SimplexBudgetError
         grid, budget = [0.1, 0.3, 0.45], 48
         sizes = [vr_complex(sample(flat_torus(2), 9, 17, j), grid[-1], 2).simplex_count()
                  for j in range(6)]
@@ -535,7 +555,6 @@ class TestBudgetPropagation:
     def test_convergence_overrun_names_its_n(self):
         # every n runs with the same master seed, so the trial alone does not
         # say where to replay: n=5 stays within the budget, n=30 does not
-        from betticurve.errors import SimplexBudgetError
         for workers in (1, 2):
             with pytest.raises(SimplexBudgetError) as info:
                 convergence_study(circle(), VR, B1, 0.3, (5, 30), 4, 0, 1.0, workers=workers,
@@ -544,12 +563,11 @@ class TestBudgetPropagation:
         estimate_curve(circle(), VR, B1, 5, [0.3], 4, 0, budget=200)
 
     def test_convergence_overrun_cancels_the_larger_n(self, tmp_path, monkeypatch):
-        # one pool runs the whole study, 60 jobs in 30 chunks of 2 (16 per
-        # worker); the third and fourth (n=30) overrun, and the chunks not yet
-        # handed to a worker are cancelled: the two the workers take next and
-        # the three in the pool's call queue (max_workers + 1) still run, and
-        # jobs with n > 30 sleep, so no chunk after the ninth (n = 33) starts
-        from betticurve.errors import SimplexBudgetError
+        # one fan-out runs the whole study, 60 jobs in two strides: this
+        # process's even jobs and one child's odd ones.  Every n=30 job
+        # overruns, so each stride ends at its first n=30 job, or before it
+        # once the other's failure is known; jobs with n > 30 sleep, and none
+        # past n = 33 may start
         monkeypatch.setenv(RAN_DIR, str(tmp_path))
         monkeypatch.setattr(estimator, "_trial_values", recording_trial)
         n_values = (5, 30) + tuple(range(31, 44))
@@ -560,6 +578,19 @@ class TestBudgetPropagation:
         ran = {int(name.split("-")[0]) for name in os.listdir(tmp_path)}
         assert {5, 30} <= ran
         assert max(ran) <= 33
+
+    def test_one_stride_overrun_stops_the_other(self, tmp_path, monkeypatch):
+        # only the child's stride overruns, at job 3 (n=1, trial 3): this
+        # process learns of it between its own jobs, so it starts at most one
+        # job past job 3, every job before job 3 runs, and the error names it
+        monkeypatch.setenv(RAN_DIR, str(tmp_path))
+        monkeypatch.setattr(estimator, "_trial_values", one_failure_trial)
+        with pytest.raises(SimplexBudgetError) as info:
+            convergence_study(circle(), VR, B1, 0.3, range(1, 7), 4, 5, 1.0, workers=2)
+        assert (info.value.master_seed, info.value.trial_index, info.value.n) == (5, 3, 1)
+        ran = sorted(int(name) for name in os.listdir(tmp_path))
+        assert ran[:4] == [0, 1, 2, 3]
+        assert len(ran) <= 5 and all(job % 2 == 0 for job in ran[4:])
 
     def test_one_scale_betti_reduces_the_core(self, monkeypatch):
         # a Vietoris-Rips Betti number at one scale is read off the

@@ -24,4 +24,6 @@ class SimplexBudgetError(RuntimeError):
 
 class WorkerError(RuntimeError):
     """A worker process of a pooled run ended before it sent back its values
-    (killed by a signal, say, as the out-of-memory killer does)."""
+    (killed by a signal, say, as the out-of-memory killer does), or raised an
+    exception that cannot cross processes by pickling; the message then
+    carries that exception's type name and message."""

@@ -27,14 +27,16 @@ is tested against, value for value.  A trial's sample depends only on
 
 A run is a list of (n, trial_index) jobs: one n for a curve, every n of a
 convergence study.  With one worker they run in this process.  With more,
-w = min(workers, jobs) processes share them in static strides: this process
-runs jobs[0::w] itself, and w - 1 child processes run jobs[r::w] (1 <= r < w)
-and send their values back over a pipe.  A failure ends its stride, and
-before each job every process checks the lowest failing job index known so
-far: no job after it starts, every job before it runs, and the first failing
-job in job order raises.  Either way the values are aggregated per n in
-trial order, so results are bit-identical for any worker count.  Only a run
-that forks imports the process machinery.
+w = min(workers, jobs) processes share them: this process and w - 1 children
+forked by ``os.fork`` (so pooled runs need POSIX) claim chunks of
+consecutive jobs, in increasing order, from one queue written before the
+first fork (at most 1024 chunks), and each child sends its values back over
+its own pipe.  A failure ends its process's claims, and before each job every
+process checks the lowest failing job index known so far: no job after it
+starts, every job before it runs, and the first failing job in job order
+raises.  Either way the values are aggregated per n in trial order, so
+results are bit-identical for any worker count.  Only a run that forks
+imports the modules it forks with (``mmap``, ``select``).
 """
 
 from __future__ import annotations
@@ -154,114 +156,129 @@ def _moments(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arr.mean(axis=0), variance, np.sqrt(variance / len(values))
 
 
-def _stride(trial, jobs, first, step, lowest_failure) -> tuple[list, tuple | None]:
-    """The values of jobs[first::step] run in order, and the first failure
-    (its job index and exception) or None.  Before each job it asks
-    ``lowest_failure()`` for the lowest failing job index known so far, and
-    stops at the first job past it."""
-    values = []
-    for i in range(first, len(jobs), step):
-        if i > lowest_failure():
-            break
-        try:
-            values.append(trial(jobs[i]))
-        except Exception as exc:  # a failure ends its stride
-            return values, (i, exc)
-    return values, None
-
-
-def _child_stride(trial, jobs, first, step, stop, out) -> None:
-    """A child process's stride: the lowest failing index arrives on
-    ``stop``; the values and the failure leave on ``out``."""
-    lowest = len(jobs)
-
-    def lowest_failure():
-        nonlocal lowest
-        while stop.poll():  # the parent sends only ever lower indices
-            lowest = stop.recv()
-        return lowest
-
-    out.send(_stride(trial, jobs, first, step, lowest_failure))
+_QUEUE_TOKENS = 1024  # 4-byte chunk tokens: 4096 bytes, one write that fits any pipe
 
 
 def _fan_out(trial, jobs, w) -> list:
     """The values of ``jobs`` in job order, from w > 1 processes: this one
-    runs jobs[0::w], and child r runs jobs[r::w].
+    and w - 1 forked children, which claim chunks of consecutive jobs from
+    one queue.
 
-    Between its own jobs this process takes in each child's one message (its
-    values and its failure), and pushes the lowest failing index known to
-    the children still running.  The first failing job in job order raises
-    here once every process has stopped; a child that ends without its
-    message raises :class:`WorkerError`.  The children are daemonic, and
-    terminated and joined if this process raises.
+    The queue is a pipe written whole before the first fork, one 4-byte
+    token per chunk in chunk order, so each process claims chunks in
+    increasing order and runs each one's jobs in order.  Each process writes
+    the lowest failing job index it met into its own slot of a shared map,
+    and before each job stops if the job's index is above the lowest slot.
+    A child pickles its values and its failure to its own result pipe (an
+    exception that does not survive pickling as a :class:`WorkerError` with
+    its type name and message) and leaves by ``os._exit``, so that it runs
+    no exit handler and flushes no buffer it inherited.  Between its own
+    jobs this process reads the result pipes that are ready; one that ends
+    before its child sent everything raises :class:`WorkerError` at once.
+    The first failing job in job order raises here once every process has
+    stopped.  Children still running when this process raises are killed
+    and reaped.
     """
-    from multiprocessing import Pipe, Process
-    from multiprocessing.connection import wait
+    import mmap
+    import os
+    import pickle
+    import select
 
-    strides = [None] * w
-    first_failure = None
-    running = {}  # a child's result connection -> (r, process, stop connection)
-    processes = []
+    size = -(-len(jobs) // _QUEUE_TOKENS)  # jobs per chunk
+    shared = mmap.mmap(-1, 8 * w)  # anonymous and shared: every fork sees one map
+    slots = memoryview(shared).cast("q")  # each process's lowest failing job index
+    for r in range(w):
+        slots[r] = len(jobs)
+    queue, tokens = os.pipe()
+    os.write(tokens, np.arange(-(-len(jobs) // size), dtype="<i4").tobytes())
+    os.close(tokens)  # the queue reads EOF once it is empty
 
-    def note(failure):  # keep the lowest failure, and tell the running children
-        nonlocal first_failure
-        if failure is None or (first_failure and first_failure[0] < failure[0]):
+    def claim(me, lowest_failure):
+        """This process's values {job index: value}, and its failure (job
+        index, exception) or None."""
+        values = {}
+        while token := os.read(queue, 4):
+            first = int.from_bytes(token, "little") * size
+            for i in range(first, min(first + size, len(jobs))):
+                if i > lowest_failure():
+                    return values, None
+                try:
+                    values[i] = trial(jobs[i])
+                except Exception as exc:  # a failure ends this process's claims
+                    slots[me] = i
+                    return values, (i, exc)
+        return values, None
+
+    def child(r, out):
+        values, failure = claim(r, lambda: min(slots))
+        if failure is not None:
+            exc = failure[1]
+            try:  # an exception the parent could not rebuild goes as a stand-in
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                failure = failure[0], WorkerError(
+                    f"worker process {r} of {w} raised {type(exc).__qualname__}: {exc}")
+        with open(out, "wb") as f:
+            pickle.dump((values, failure), f)
+
+    poller = select.poll()
+    children = {}  # a child's result pipe -> (r, pid, the bytes read from it)
+    results = []
+
+    def read(fd):
+        r, pid, message = children[fd]
+        data = os.read(fd, 1 << 16)
+        if data:
+            message += data
             return
-        first_failure = failure
-        for _, _, stop in running.values():
-            try:
-                stop.send(failure[0])
-            except OSError:  # that child is gone; its result connection will say so
-                pass
-
-    def settle(conn):
-        r, process, stop = running.pop(conn)
-        stop.close()
-        try:
-            strides[r], failure = conn.recv()
-        except EOFError:
-            process.join()
-            raise WorkerError(f"worker process {r} of {w} exited with code "
-                              f"{process.exitcode} before it sent its values") from None
-        finally:
-            conn.close()
-        note(failure)
+        del children[fd]
+        poller.unregister(fd)
+        os.close(fd)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:  # a child exits with 0 only once its whole message is written
+            raise WorkerError(f"worker process {r} of {w} exited with code {code} "
+                              f"before it sent its values")
+        results.append(pickle.loads(message))
 
     def lowest_failure():
-        for conn in wait(list(running), timeout=0):
-            settle(conn)
-        return len(jobs) if first_failure is None else first_failure[0]
+        for fd, _ in poller.poll(0):
+            read(fd)
+        return min(slots)
 
     try:
         for r in range(1, w):
-            stop_in, stop = Pipe(duplex=False)
-            result, out = Pipe(duplex=False)
-            process = Process(target=_child_stride, args=(trial, jobs, r, w, stop_in, out),
-                              daemon=True)
-            processes.append(process)
-            process.start()
-            # a child's end closed here, so that its result connection reads EOF
-            # once the child is gone
-            stop_in.close()
-            out.close()
-            running[result] = (r, process, stop)
-        strides[0], failure = _stride(trial, jobs, 0, w, lowest_failure)
-        note(failure)
-        while running:
-            for conn in wait(list(running)):
-                settle(conn)
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    child(r, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out)  # so that the pipe reads EOF once the child is gone
+            children[fd] = r, pid, bytearray()
+            poller.register(fd, select.POLLIN)
+        results.append(claim(0, lowest_failure))
+        while children:
+            for fd, _ in poller.poll():
+                read(fd)
     finally:
-        for conn, (_, process, stop) in running.items():
-            process.terminate()
-            conn.close()
-            stop.close()
-        for process in processes:
-            process.join()
-    if first_failure is not None:
-        raise first_failure[1]
+        os.close(queue)
+        for fd, (_, pid, _) in children.items():  # left only when this process raises
+            from signal import SIGKILL
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        slots.release()
+        shared.close()
     values = [None] * len(jobs)
-    for r, stride in enumerate(strides):
-        values[r::w] = stride
+    for done, _ in results:
+        for i, value in done.items():
+            values[i] = value
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
     return values
 
 
@@ -271,11 +288,11 @@ def _run_trials(manifold, complex_kind, invariant, n_values, grid, trials, maste
     n, run in that order.
 
     One worker runs them in this process, and each n's values are aggregated
-    as soon as they are all in.  More share them in strides through
-    :func:`_fan_out`, w = min(workers, jobs) processes with this one among
-    them.  The first job to raise (in job order) raises here: in a fan-out,
-    every job before it runs and no job after it starts once its failure is
-    known.
+    as soon as they are all in.  More claim chunks of them from one queue
+    through :func:`_fan_out`, w = min(workers, jobs) processes with this one
+    among them.  The first job to raise (in job order) raises here: in a
+    fan-out, every job before it runs and no job after it starts once its
+    failure is known.
     """
     trial = partial(_trial_values, manifold, complex_kind, invariant, grid, master_seed,
                     budget)
@@ -313,10 +330,10 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
     Every n runs with the same master seed, and each n's trials aggregate
     exactly as :func:`estimate_curve` aggregates them.  All (n, trial) jobs
     of the study go through one run, so ``workers > 1`` forks once for the
-    whole study, into strides of the (n, trial) order; the values come back
-    in that order, and a budget overrun names the first failing
-    (master_seed, trial_index, n) in it, with no job after it started once
-    it is known.
+    whole study, and its processes claim chunks of the (n, trial) order; the
+    values come back in that order, and a budget overrun names the first
+    failing (master_seed, trial_index, n) in it, with no job after it
+    started once it is known.
     """
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")

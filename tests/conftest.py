@@ -1,6 +1,7 @@
 import contextlib
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -54,9 +55,12 @@ def check_downward_closure(complex_) -> None:
 
 def killing_trial(*args):
     """``estimator._trial_values`` that kills its own process with SIGKILL at
-    (n=10, trial 1), unless that process is $BETTICURVE_TEST_PARENT_PID."""
-    if args[-1] == (10, 1) and os.getpid() != int(os.environ[PARENT_PID]):
+    the first job it runs, unless that process is $BETTICURVE_TEST_PARENT_PID,
+    where every job first sleeps 0.05 s, so that a child claims a job before
+    the parent has run them all."""
+    if os.getpid() != int(os.environ[PARENT_PID]):
         os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.05)
     return _trial_values(*args)
 
 

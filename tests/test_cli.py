@@ -29,6 +29,18 @@ def run_cli(tmp_path, *argv):
     return cli.main(list(argv))
 
 
+def run_python(tmp_path, *args):
+    """A fresh interpreter run with ``args``, with this package importable,
+    its stdout and stderr captured (stdout into a pipe block-buffered, even
+    where the environment sets PYTHONUNBUFFERED)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestCurveCommand:
     def test_basic_csv(self, tmp_path):
         out = str(tmp_path / "c.csv")
@@ -546,9 +558,21 @@ class TestWorkers:
                                 "before it sent its values\n")
         assert captured.out == "" and not out.exists()
 
+    def test_pooled_selftest_prints_each_line_once(self, tmp_path):
+        # the lines printed before a fork are still in the stdout buffer that
+        # each child inherits, and no child may flush it
+        outs = [run_python(tmp_path, "-m", "betticurve.cli", "selftest", "--trials", "500",
+                           "--workers", workers)
+                for workers in ("1", "2")]
+        for proc in outs:
+            assert proc.returncode == EXIT_OK, proc.stderr
+        assert outs[1].stdout == outs[0].stdout
+        assert outs[0].stdout.endswith("\nselftest: all checks passed\n")
+
 
 class TestProcessMachinery:
-    """Only a run that forks loads the modules of process fan-out."""
+    """No run loads the modules of a process pool: a pooled run forks with
+    ``os`` alone."""
 
     MACHINERY = ("multiprocessing", "concurrent.futures", "socket", "subprocess")
 
@@ -559,11 +583,7 @@ class TestProcessMachinery:
                   f"for argv in {commands!r}:\n"
                   f"    assert betticurve.cli.main(argv) == 0\n"
                   f"print(*[m for m in {self.MACHINERY!r} if m in sys.modules])\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python(tmp_path, "-c", script)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1].split()
 
@@ -572,7 +592,7 @@ class TestProcessMachinery:
                            ["curve", "--n", "8", "--trials", "4", "--grid", "0.1,0.2"],
                            ["oracle", "--n", "8", "--grid", "0.1,0.2"]) == []
 
-    def test_pooled_run_loads_multiprocessing(self, tmp_path):
-        assert "multiprocessing" in self.loaded(
+    def test_pooled_run_loads_none(self, tmp_path):
+        assert self.loaded(
             tmp_path, ["converge", "--t", "0.1", "--n-values", "4,8", "--trials", "4",
-                       "--target", "1", "--workers", "2"])
+                       "--target", "1", "--workers", "2"]) == []

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import time
 from pathlib import Path
 
@@ -25,22 +26,29 @@ EULER = euler_invariant()
 
 @pytest.fixture
 def fan_outs(monkeypatch):
-    """Records each ``estimator._fan_out`` as [w, the child processes it starts]."""
-    import multiprocessing
+    """Records each ``estimator._fan_out`` as [w, the child processes it forks]."""
     made = []
 
-    class CountedProcess(multiprocessing.Process):
-        def start(self):
-            made[-1][1] += 1
-            super().start()
+    def fork(fork=os.fork):
+        made[-1][1] += 1
+        return fork()
 
     def fan_out(trial, jobs, w, fan_out=estimator._fan_out):
         made.append([w, 0])
         return fan_out(trial, jobs, w)
 
     monkeypatch.setattr(estimator, "_fan_out", fan_out)
-    monkeypatch.setattr(multiprocessing, "Process", CountedProcess)
+    monkeypatch.setattr(os, "fork", fork)
     return made
+
+
+def no_child_processes():
+    """True if this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 RAN_DIR = "BETTICURVE_TEST_RAN_DIR"
@@ -57,6 +65,22 @@ def recording_trial(*args):
     if n > 30:
         time.sleep(0.05)
         return [0.0]
+    return _real_trial_values(*args)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
+def unpicklable_trial(*args):
+    """``_trial_values`` that raises :class:`Unpicklable` at every job of a
+    child process; in $BETTICURVE_TEST_PARENT_PID every job first sleeps
+    0.05 s, so that a child claims a job before the parent has run them all."""
+    n, trial_index = args[-1]
+    if os.getpid() != int(os.environ[PARENT_PID]):
+        raise Unpicklable(f"no values at n={n}, trial {trial_index}")
+    time.sleep(0.05)
     return _real_trial_values(*args)
 
 
@@ -399,20 +423,32 @@ class TestConvergenceStudy:
         assert table.abs_error[-1] < 0.1
 
     def test_worker_count_does_not_change_bits(self):
-        # n values of unequal cost share one pool's chunks
-        tables = [convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0,
-                                    workers=workers)
-                  for workers in (1, 2, 3)]
-        for table in tables[1:]:
-            for name in ("mean", "variance", "stderr", "abs_error"):
-                np.testing.assert_array_equal(getattr(table, name), getattr(tables[0], name))
+        # n values of unequal cost share one fan-out's claims; 1200 jobs make
+        # 600 chunks of two
+        for t, n_values, trials in ((0.12, [5, 20, 60], 30), (0.35, [3, 4, 5], 400)):
+            tables = [convergence_study(circle(), VR, B1, t, n_values, trials, 8, target=1.0,
+                                        workers=workers)
+                      for workers in (1, 2, 3)]
+            for table in tables[1:]:
+                for name in ("mean", "variance", "stderr", "abs_error"):
+                    np.testing.assert_array_equal(getattr(table, name),
+                                                  getattr(tables[0], name))
+
+    def test_fan_out_keeps_job_order(self):
+        # 2500 jobs: 834 chunks of three, the last of one job; more processes
+        # than cores
+        jobs = list(range(2500))
+        for w in (2, 3, 5):
+            with deadline(30):
+                assert estimator._fan_out(lambda job: -job, jobs, w) == [-j for j in jobs]
+        assert no_child_processes()
 
     def test_one_fan_out_per_study(self, fan_outs):
         serial = convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0)
         assert fan_outs == []
         pooled = convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0,
                                    workers=2)
-        assert fan_outs == [[2, 1]]  # this process and one child
+        assert fan_outs == [[2, 1]]  # this process and one forked child
         np.testing.assert_array_equal(pooled.mean, serial.mean)
         np.testing.assert_array_equal(pooled.variance, serial.variance)
         np.testing.assert_array_equal(pooled.stderr, serial.stderr)
@@ -428,7 +464,6 @@ class TestConvergenceStudy:
         # a child killed by SIGKILL (as by the out-of-memory killer) sends
         # nothing; its pipe reads EOF, and the study raises, naming the worker
         # and its exit code, instead of waiting for it, and leaves no child
-        import multiprocessing
         monkeypatch.setenv(PARENT_PID, str(os.getpid()))
         monkeypatch.setattr(estimator, "_trial_values", killing_trial)
         start = time.monotonic()
@@ -436,7 +471,21 @@ class TestConvergenceStudy:
                                          match=r"^worker process 1 of 2 exited with code -9 "):
             convergence_study(circle(), VR, B1, 0.1, [10, 20], 8, 0, 1.0, workers=2)
         assert time.monotonic() - start < 3.0
-        assert multiprocessing.active_children() == []
+        assert no_child_processes()
+
+    def test_unpicklable_child_error_arrives_as_text(self, monkeypatch, capfd):
+        # a child's exception that cannot be pickled comes back as a
+        # WorkerError with its type name and message, the first failure in
+        # job order here (this process's jobs do not fail), and the child
+        # writes no traceback
+        monkeypatch.setenv(PARENT_PID, str(os.getpid()))
+        monkeypatch.setattr(estimator, "_trial_values", unpicklable_trial)
+        with deadline(10), pytest.raises(WorkerError) as info:
+            convergence_study(circle(), VR, B1, 0.1, [10, 20], 8, 0, 1.0, workers=2)
+        assert re.fullmatch(r"worker process 1 of 2 raised Unpicklable: "
+                            r"no values at n=(10|20), trial [0-7]", str(info.value))
+        assert capfd.readouterr().err == ""
+        assert no_child_processes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -562,12 +611,23 @@ class TestBudgetPropagation:
             assert (info.value.master_seed, info.value.trial_index, info.value.n) == (0, 0, 30)
         estimate_curve(circle(), VR, B1, 5, [0.3], 4, 0, budget=200)
 
+    def test_overrun_inside_a_chunk_names_the_serial_trial(self):
+        # 1200 jobs in chunks of two: the first overrun, job 405 (n=4, trial
+        # 5), is the second job of its chunk, and later jobs overrun too
+        errors = []
+        for workers in (1, 2, 3):
+            with pytest.raises(SimplexBudgetError) as info:
+                convergence_study(circle(), VR, B1, 0.35, [3, 4, 5], 400, 0, 1.0,
+                                  workers=workers, budget=12)
+            errors.append((info.value.master_seed, info.value.trial_index, info.value.n))
+        assert errors == [(0, 5, 4)] * 3
+
     def test_convergence_overrun_cancels_the_larger_n(self, tmp_path, monkeypatch):
-        # one fan-out runs the whole study, 60 jobs in two strides: this
-        # process's even jobs and one child's odd ones.  Every n=30 job
-        # overruns, so each stride ends at its first n=30 job, or before it
-        # once the other's failure is known; jobs with n > 30 sleep, and none
-        # past n = 33 may start
+        # one fan-out runs the whole study, 60 jobs claimed one at a time by
+        # this process and one child.  Every n=30 job overruns, so each
+        # process stops at its first n=30 job, or before it once the other's
+        # failure is known; jobs with n > 30 sleep, and none past n = 33 may
+        # start
         monkeypatch.setenv(RAN_DIR, str(tmp_path))
         monkeypatch.setattr(estimator, "_trial_values", recording_trial)
         n_values = (5, 30) + tuple(range(31, 44))
@@ -580,9 +640,10 @@ class TestBudgetPropagation:
         assert max(ran) <= 33
 
     def test_one_stride_overrun_stops_the_other(self, tmp_path, monkeypatch):
-        # only the child's stride overruns, at job 3 (n=1, trial 3): this
-        # process learns of it between its own jobs, so it starts at most one
-        # job past job 3, every job before job 3 runs, and the error names it
+        # only job 3 (n=1, trial 3) overruns, in whichever process claims it:
+        # the other process learns of it before its next job, so it starts at
+        # most one job past job 3, every job before job 3 runs, and the error
+        # names it
         monkeypatch.setenv(RAN_DIR, str(tmp_path))
         monkeypatch.setattr(estimator, "_trial_values", one_failure_trial)
         with pytest.raises(SimplexBudgetError) as info:
@@ -590,7 +651,7 @@ class TestBudgetPropagation:
         assert (info.value.master_seed, info.value.trial_index, info.value.n) == (5, 3, 1)
         ran = sorted(int(name) for name in os.listdir(tmp_path))
         assert ran[:4] == [0, 1, 2, 3]
-        assert len(ran) <= 5 and all(job % 2 == 0 for job in ran[4:])
+        assert len(ran) <= 5
 
     def test_one_scale_betti_reduces_the_core(self, monkeypatch):
         # a Vietoris-Rips Betti number at one scale is read off the

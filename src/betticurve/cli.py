@@ -5,7 +5,7 @@ values), ``converge`` (fixed-scale convergence table) and ``selftest``.
 Outputs are CSV or JSON with the full run configuration embedded, plus a
 gnuplot script next to every curve CSV.  Exit codes: 0 ok, 1 selftest
 failure, 2 usage/domain error, 3 resource limit (a simplex budget overrun,
-or a worker process lost, as to the out-of-memory killer).
+or a worker process lost, as to the out-of-memory killer, or not forked).
 """
 
 from __future__ import annotations

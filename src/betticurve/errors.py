@@ -23,7 +23,8 @@ class SimplexBudgetError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A worker process of a pooled run ended before it sent back its values
-    (killed by a signal, say, as the out-of-memory killer does), or raised an
-    exception that cannot cross processes by pickling; the message then
-    carries that exception's type name and message."""
+    """A worker process of a pooled run could not be forked, ended before it
+    sent back its values (killed by a signal, say, as the out-of-memory
+    killer does), or raised an exception that cannot cross processes by
+    pickling; the message then carries that exception's type name and
+    message."""

@@ -31,12 +31,12 @@ w = min(workers, jobs) processes share them: this process and w - 1 children
 forked by ``os.fork`` (so pooled runs need POSIX) claim chunks of
 consecutive jobs, in increasing order, from one queue written before the
 first fork (at most 1024 chunks), and each child sends its values back over
-its own pipe.  A failure ends its process's claims, and before each job every
-process checks the lowest failing job index known so far: no job after it
-starts, every job before it runs, and the first failing job in job order
-raises.  Either way the values are aggregated per n in trial order, so
-results are bit-identical for any worker count.  Only a run that forks
-imports the modules it forks with (``mmap``, ``select``).
+its own pipe.  A process whose job fails empties the queue, so no chunk
+after the failing one's is claimed: every job before it runs, and the first
+failing job in job order raises.  Either way the values are aggregated per n
+in trial order, so results are bit-identical for any worker count.  Pooled
+processes share no writable memory, and only a run that forks imports the
+module it waits with (``select``).
 """
 
 from __future__ import annotations
@@ -166,51 +166,47 @@ def _fan_out(trial, jobs, w) -> list:
 
     The queue is a pipe written whole before the first fork, one 4-byte
     token per chunk in chunk order, so each process claims chunks in
-    increasing order and runs each one's jobs in order.  Each process writes
-    the lowest failing job index it met into its own slot of a shared map,
-    and before each job stops if the job's index is above the lowest slot.
-    A child pickles its values and its failure to its own result pipe (an
-    exception that does not survive pickling as a :class:`WorkerError` with
-    its type name and message) and leaves by ``os._exit``, so that it runs
-    no exit handler and flushes no buffer it inherited.  Between its own
-    jobs this process reads the result pipes that are ready; one that ends
-    before its child sent everything raises :class:`WorkerError` at once.
-    The first failing job in job order raises here once every process has
-    stopped.  Children still running when this process raises are killed
-    and reaped.
+    increasing order and runs each one's jobs in order.  A process whose job
+    raises reads the queue to its end, so that no process claims a chunk
+    after the failing one's: every other process finishes only the chunk it
+    holds, and every job before the failing one runs.  A child pickles its
+    values and its failure to its own result pipe (an exception that does
+    not survive pickling as a :class:`WorkerError` with its type name and
+    message) and leaves by ``os._exit``, so that it runs no exit handler and
+    flushes no buffer it inherited.  Between its own jobs this process reads
+    the result pipes that are ready; one that ends before its child sent
+    everything raises :class:`WorkerError` at once, as does a fork that
+    fails.  The first failing job in job order raises here once every
+    process has stopped.  Children still running when this process raises
+    are killed and reaped.
     """
-    import mmap
     import os
     import pickle
     import select
 
     size = -(-len(jobs) // _QUEUE_TOKENS)  # jobs per chunk
-    shared = mmap.mmap(-1, 8 * w)  # anonymous and shared: every fork sees one map
-    slots = memoryview(shared).cast("q")  # each process's lowest failing job index
-    for r in range(w):
-        slots[r] = len(jobs)
     queue, tokens = os.pipe()
     os.write(tokens, np.arange(-(-len(jobs) // size), dtype="<i4").tobytes())
     os.close(tokens)  # the queue reads EOF once it is empty
 
-    def claim(me, lowest_failure):
+    def claim(before_job):
         """This process's values {job index: value}, and its failure (job
-        index, exception) or None."""
+        index, exception) or None; ``before_job()`` runs before each job."""
         values = {}
         while token := os.read(queue, 4):
             first = int.from_bytes(token, "little") * size
             for i in range(first, min(first + size, len(jobs))):
-                if i > lowest_failure():
-                    return values, None
+                before_job()
                 try:
                     values[i] = trial(jobs[i])
-                except Exception as exc:  # a failure ends this process's claims
-                    slots[me] = i
+                except Exception as exc:  # a failure empties the queue: no later chunk is claimed
+                    while os.read(queue, 4 * _QUEUE_TOKENS):
+                        pass
                     return values, (i, exc)
         return values, None
 
     def child(r, out):
-        values, failure = claim(r, lambda: min(slots))
+        values, failure = claim(lambda: None)
         if failure is not None:
             exc = failure[1]
             try:  # an exception the parent could not rebuild goes as a stand-in
@@ -240,15 +236,20 @@ def _fan_out(trial, jobs, w) -> list:
                               f"before it sent its values")
         results.append(pickle.loads(message))
 
-    def lowest_failure():
+    def read_ready():
         for fd, _ in poller.poll(0):
             read(fd)
-        return min(slots)
 
     try:
         for r in range(1, w):
             fd, out = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(fd)
+                os.close(out)
+                raise WorkerError(f"worker process {r} of {w} could not be forked: "
+                                  f"{exc}") from exc
             if pid == 0:
                 code = 1
                 try:
@@ -259,7 +260,7 @@ def _fan_out(trial, jobs, w) -> list:
             os.close(out)  # so that the pipe reads EOF once the child is gone
             children[fd] = r, pid, bytearray()
             poller.register(fd, select.POLLIN)
-        results.append(claim(0, lowest_failure))
+        results.append(claim(read_ready))
         while children:
             for fd, _ in poller.poll():
                 read(fd)
@@ -270,8 +271,6 @@ def _fan_out(trial, jobs, w) -> list:
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
-        slots.release()
-        shared.close()
     values = [None] * len(jobs)
     for done, _ in results:
         for i, value in done.items():
@@ -291,8 +290,8 @@ def _run_trials(manifold, complex_kind, invariant, n_values, grid, trials, maste
     as soon as they are all in.  More claim chunks of them from one queue
     through :func:`_fan_out`, w = min(workers, jobs) processes with this one
     among them.  The first job to raise (in job order) raises here: in a
-    fan-out, every job before it runs and no job after it starts once its
-    failure is known.
+    fan-out, every job before it runs, and once it has failed no process
+    claims a chunk after its chunk.
     """
     trial = partial(_trial_values, manifold, complex_kind, invariant, grid, master_seed,
                     budget)
@@ -332,8 +331,8 @@ def convergence_study(manifold: ManifoldModel, complex_kind: str, invariant: Inv
     of the study go through one run, so ``workers > 1`` forks once for the
     whole study, and its processes claim chunks of the (n, trial) order; the
     values come back in that order, and a budget overrun names the first
-    failing (master_seed, trial_index, n) in it, with no job after it
-    started once it is known.
+    failing (master_seed, trial_index, n) in it; once it has failed, no
+    process claims a later chunk of jobs.
     """
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")

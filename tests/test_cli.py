@@ -574,7 +574,7 @@ class TestProcessMachinery:
     """No run loads the modules of a process pool: a pooled run forks with
     ``os`` alone."""
 
-    MACHINERY = ("multiprocessing", "concurrent.futures", "socket", "subprocess")
+    MACHINERY = ("multiprocessing", "concurrent.futures", "socket", "subprocess", "mmap")
 
     def loaded(self, tmp_path, *commands):
         """The modules of MACHINERY loaded in a fresh interpreter that imports

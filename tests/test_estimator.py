@@ -1,3 +1,4 @@
+import errno
 import functools
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betticurve import estimator, homology
+from betticurve import cli, estimator, homology
 from betticurve.circle_oracle import circle_homotopy_prob
 from betticurve.estimator import (CECH, VR, convergence_study, estimate_curve,
                                   max_discrete_slope, sample_curve)
@@ -443,6 +444,29 @@ class TestConvergenceStudy:
                 assert estimator._fan_out(lambda job: -job, jobs, w) == [-j for j in jobs]
         assert no_child_processes()
 
+    def test_failure_ends_the_claims_of_multi_job_chunks(self, tmp_path):
+        # 3000 jobs: 1000 chunks of three.  Job 1501, the second of chunk 500,
+        # raises at once; the jobs before it return at once, and later ones
+        # sleep.  Every job before it runs, and once it has failed the queue
+        # is empty: each other process finishes only the chunk it holds, so no
+        # job starts at or past chunk 500 + w + 1
+        failing, w = 1501, 3
+
+        def trial(job):
+            Path(tmp_path, str(job)).touch()
+            if job == failing:
+                raise ValueError(f"job {job} failed")
+            if job > failing:
+                time.sleep(0.05)
+            return job
+
+        with deadline(30), pytest.raises(ValueError, match=f"^job {failing} failed$"):
+            estimator._fan_out(trial, list(range(3000)), w)
+        assert no_child_processes()
+        ran = sorted(int(name) for name in os.listdir(tmp_path))
+        assert ran[:failing + 1] == list(range(failing + 1))
+        assert max(ran) < (failing // 3 + w + 1) * 3
+
     def test_one_fan_out_per_study(self, fan_outs):
         serial = convergence_study(circle(), VR, B1, 0.12, [5, 20, 60], 30, 8, target=1.0)
         assert fan_outs == []
@@ -472,6 +496,33 @@ class TestConvergenceStudy:
             convergence_study(circle(), VR, B1, 0.1, [10, 20], 8, 0, 1.0, workers=2)
         assert time.monotonic() - start < 3.0
         assert no_child_processes()
+
+    def test_failed_fork_is_a_worker_error(self, tmp_path, monkeypatch, capfd):
+        # the second fork of a 3-worker run fails, as when the process table
+        # is full: one error line naming the worker and exit 3, the resource
+        # code; the child already forked is killed and reaped, and both ends
+        # of the failed fork's result pipe are closed
+        forks = []
+
+        def fork(fork=os.fork):
+            forks.append(fork)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / "x.csv"
+        open_fds = len(os.listdir("/dev/fd"))
+        with deadline(10):
+            code = cli.main(["converge", "--t", "0.1", "--n-values", "10,20", "--trials", "8",
+                             "--target", "1", "--workers", "3", "--output", str(out)])
+        assert code == cli.EXIT_RESOURCE
+        reason = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        assert capfd.readouterr().err == \
+            f"error: worker process 2 of 3 could not be forked: {reason}\n"
+        assert not out.exists()
+        assert no_child_processes()
+        assert len(os.listdir("/dev/fd")) == open_fds
 
     def test_unpicklable_child_error_arrives_as_text(self, monkeypatch, capfd):
         # a child's exception that cannot be pickled comes back as a
@@ -625,9 +676,9 @@ class TestBudgetPropagation:
     def test_convergence_overrun_cancels_the_larger_n(self, tmp_path, monkeypatch):
         # one fan-out runs the whole study, 60 jobs claimed one at a time by
         # this process and one child.  Every n=30 job overruns, so each
-        # process stops at its first n=30 job, or before it once the other's
-        # failure is known; jobs with n > 30 sleep, and none past n = 33 may
-        # start
+        # process stops at its first n=30 job, or finds the queue empty once
+        # the other has failed; jobs with n > 30 sleep, and none past n = 33
+        # may start
         monkeypatch.setenv(RAN_DIR, str(tmp_path))
         monkeypatch.setattr(estimator, "_trial_values", recording_trial)
         n_values = (5, 30) + tuple(range(31, 44))
@@ -640,10 +691,10 @@ class TestBudgetPropagation:
         assert max(ran) <= 33
 
     def test_one_stride_overrun_stops_the_other(self, tmp_path, monkeypatch):
-        # only job 3 (n=1, trial 3) overruns, in whichever process claims it:
-        # the other process learns of it before its next job, so it starts at
-        # most one job past job 3, every job before job 3 runs, and the error
-        # names it
+        # only job 3 (n=1, trial 3) overruns, in whichever process claims it,
+        # which then empties the queue: the other process finds it empty at
+        # its next claim, so it starts at most one job past job 3, every job
+        # before job 3 runs, and the error names it
         monkeypatch.setenv(RAN_DIR, str(tmp_path))
         monkeypatch.setattr(estimator, "_trial_values", one_failure_trial)
         with pytest.raises(SimplexBudgetError) as info:

@@ -2,10 +2,15 @@
 
 Subcommands: ``curve`` (Monte Carlo invariant curve), ``oracle`` (exact circle
 values), ``converge`` (fixed-scale convergence table) and ``selftest``.
-Outputs are CSV or JSON with the full run configuration embedded, plus a
-gnuplot script next to every curve CSV.  Exit codes: 0 ok, 1 selftest
-failure, 2 usage/domain error, 3 resource limit (a simplex budget overrun,
-or a worker process lost, as to the out-of-memory killer, or not forked).
+Outputs are CSV or JSON with the run's configuration embedded, plus a
+gnuplot script next to every curve CSV.  The configuration is the parsed
+command line: its command's options, defaults included, each default
+declared once, in ``build_parser``.  ``run(argparse.Namespace(**config))``
+re-runs a recorded configuration; a line from an older version, which holds
+more keys, re-runs the same way, its extra keys ignored.  Exit codes: 0 ok,
+1 selftest failure, 2 usage/domain error, 3 resource limit (a simplex budget
+overrun, or a worker process lost, as to the out-of-memory killer, or not
+forked).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,70 +41,40 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunConfig:
-    """Complete, serializable description of one CLI run.
+def manifold_model(config: argparse.Namespace) -> ManifoldModel:
+    if config.manifold == "circle":
+        return manifolds.circle()
+    if config.manifold == "torus":
+        return manifolds.flat_torus(config.torus_dim)
+    if config.manifold == "sphere":
+        return manifolds.sphere2()
+    raise ValueError(f"unknown manifold {config.manifold!r}")
 
-    The field defaults are the CLI's defaults: the parsers set only the
-    options given on the command line, except ``selftest --trials``, which
-    defaults to 2000.
-    """
 
-    subcommand: str
-    manifold: str = "circle"
-    torus_dim: int = 2
-    complex_kind: str = "vr"
-    invariant: str = "betti1"
-    n: int = 20
-    trials: int = 1000
-    master_seed: int = 0
-    t_min: float | None = None
-    t_max: float | None = None
-    steps: int | None = None
-    grid: list[float] = field(default_factory=list)
-    workers: int = 1
-    t: float | None = None
-    n_values: list[int] = field(default_factory=list)
-    target: float | None = None
-    target_source: str = "reference value"  # no option sets it; the config line keeps it
-    output: str | None = None
-    fmt: str = "csv"
+def invariant_spec(config: argparse.Namespace) -> InvariantSpec:
+    """``euler``, or ``betti<k>`` with k in decimal, unsigned and without a
+    leading zero."""
+    if config.invariant == "euler":
+        return euler_invariant()
+    if match := re.fullmatch(r"betti(0|[1-9][0-9]*)", config.invariant):
+        return betti_invariant(int(match[1]))
+    raise ValueError(f"unknown invariant {config.invariant!r}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
-    def manifold_model(self) -> ManifoldModel:
-        if self.manifold == "circle":
-            return manifolds.circle()
-        if self.manifold == "torus":
-            return manifolds.flat_torus(self.torus_dim)
-        if self.manifold == "sphere":
-            return manifolds.sphere2()
-        raise ValueError(f"unknown manifold {self.manifold!r}")
-
-    def invariant_spec(self) -> InvariantSpec:
-        """``euler``, or ``betti<k>`` with k in decimal, unsigned and without
-        a leading zero."""
-        if self.invariant == "euler":
-            return euler_invariant()
-        if match := re.fullmatch(r"betti(0|[1-9][0-9]*)", self.invariant):
-            return betti_invariant(int(match[1]))
-        raise ValueError(f"unknown invariant {self.invariant!r}")
-
-    def resolved_grid(self) -> tuple[float, ...]:
-        if self.grid and (self.t_min, self.t_max, self.steps) != (None, None, None):
-            raise ValueError("provide either --grid or --t-min/--t-max/--steps, not both")
-        if self.grid:
-            grid = self.grid
-        elif self.t_min is None or self.t_max is None or self.steps is None:
-            raise ValueError("provide either --grid or --t-min/--t-max/--steps")
-        elif self.steps < 1:
-            raise ValueError(f"--steps must be >= 1, got {self.steps}")
-        elif self.steps == 1 and self.t_min != self.t_max:
-            raise ValueError("--steps 1 needs --t-min equal to --t-max")
-        else:
-            grid = np.linspace(self.t_min, self.t_max, self.steps)
-        return check_grid(grid)
+def resolved_grid(config: argparse.Namespace) -> tuple[float, ...]:
+    if config.grid and (config.t_min, config.t_max, config.steps) != (None, None, None):
+        raise ValueError("provide either --grid or --t-min/--t-max/--steps, not both")
+    if config.grid:
+        grid = config.grid
+    elif config.t_min is None or config.t_max is None or config.steps is None:
+        raise ValueError("provide either --grid or --t-min/--t-max/--steps")
+    elif config.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {config.steps}")
+    elif config.steps == 1 and config.t_min != config.t_max:
+        raise ValueError("--steps 1 needs --t-min equal to --t-max")
+    else:
+        grid = np.linspace(config.t_min, config.t_max, config.steps)
+    return check_grid(grid)
 
 
 def _fmt(x) -> str:
@@ -110,17 +84,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_table(config: RunConfig, header: list[str], rows: list[list], path: str) -> None:
+def _write_table(config: argparse.Namespace, header: list[str], rows: list[list],
+                 path: str) -> None:
+    settings = dict(sorted(vars(config).items()))
     if config.fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write(f"# format_version: {FORMAT_VERSION}\n")
-            fh.write(f"# config: {config.to_json()}\n")
+            fh.write(f"# config: {json.dumps(settings)}\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
     else:
         columns = {name: [row[k] for row in rows] for k, name in enumerate(header)}
-        doc = {"format_version": FORMAT_VERSION, "config": asdict(config), "columns": columns}
+        doc = {"format_version": FORMAT_VERSION, "config": settings, "columns": columns}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -162,7 +138,7 @@ def _write_plot_script(csv_path: str, with_oracle: bool) -> str:
     return gp_path
 
 
-def _oracle_value(config: RunConfig, t: float) -> float | None:
+def _oracle_value(config: argparse.Namespace, t: float) -> float | None:
     """Exact P(b1 = 1) where the oracle covers the run; empty elsewhere."""
     if (config.manifold == "circle" and config.complex_kind == "vr"
             and config.invariant == "betti1" and config.n <= circle_oracle.MAX_ORACLE_N
@@ -171,8 +147,8 @@ def _oracle_value(config: RunConfig, t: float) -> float | None:
     return None
 
 
-def run_curve(config: RunConfig) -> int:
-    grid = config.resolved_grid()
+def run_curve(config: argparse.Namespace) -> int:
+    grid = resolved_grid(config)
     out = _output_path(config.output or "curve." + config.fmt)
     if config.fmt == "csv":
         gp_path = _plot_script_path(out)
@@ -181,7 +157,7 @@ def run_curve(config: RunConfig) -> int:
                              "give the CSV another extension")
         _output_path(gp_path)
     est = estimator.estimate_curve(
-        config.manifold_model(), config.complex_kind, config.invariant_spec(),
+        manifold_model(config), config.complex_kind, invariant_spec(config),
         config.n, grid, config.trials, config.master_seed, workers=config.workers)
     rows = []
     for k, t in enumerate(grid):
@@ -196,8 +172,8 @@ def run_curve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_oracle(config: RunConfig) -> int:
-    grid = config.resolved_grid()
+def run_oracle(config: argparse.Namespace) -> int:
+    grid = resolved_grid(config)
     out = _output_path(config.output or "oracle." + config.fmt)
     for r in grid:  # the whole grid, before any point is evaluated
         if not circle_oracle.in_oracle_domain(r):
@@ -211,14 +187,14 @@ def run_oracle(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_converge(config: RunConfig) -> int:
+def run_converge(config: argparse.Namespace) -> int:
     if config.t is None or not config.n_values:
         raise ValueError("converge needs --t and --n-values")
     if config.target is None:
         raise ValueError("converge needs --target")
     out = _output_path(config.output or "converge." + config.fmt)
     table = estimator.convergence_study(
-        config.manifold_model(), config.complex_kind, config.invariant_spec(),
+        manifold_model(config), config.complex_kind, invariant_spec(config),
         config.t, config.n_values, config.trials, config.master_seed,
         config.target, workers=config.workers)
     rows = []
@@ -232,7 +208,7 @@ def run_converge(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _selftest_checks(config: RunConfig):
+def _selftest_checks(config: argparse.Namespace):
     trials = config.trials
     seed = config.master_seed
     circ = manifolds.circle()
@@ -339,7 +315,7 @@ def _selftest_checks(config: RunConfig):
             yield (name, False, f"{type(exc).__name__}: {exc}")
 
 
-def run_selftest(config: RunConfig) -> int:
+def run_selftest(config: argparse.Namespace) -> int:
     if config.trials < SELFTEST_MIN_TRIALS:
         raise ValueError(f"selftest needs at least {SELFTEST_MIN_TRIALS} trials for its "
                          f"statistical bands, got {config.trials}")
@@ -371,54 +347,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "of random geometric complexes on model manifolds.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_subparser(name, summary):
-        # options not given stay out of the namespace, so RunConfig's
-        # defaults apply
-        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-
     def add_common(p, estimation=True):
-        p.add_argument("--seed", type=int, dest="master_seed")
+        p.add_argument("--seed", type=int, default=0, dest="master_seed")
         p.add_argument("--output", type=str)
-        p.add_argument("--fmt", choices=("csv", "json"))
+        p.add_argument("--fmt", choices=("csv", "json"), default="csv")
         if estimation:
-            p.add_argument("--manifold", choices=("circle", "torus", "sphere"))
-            p.add_argument("--torus-dim", type=int, dest="torus_dim")
-            p.add_argument("--complex", choices=("vr", "cech"), dest="complex_kind")
-            p.add_argument("--invariant")
-            p.add_argument("--trials", type=int)
-            p.add_argument("--workers", type=int)
+            p.add_argument("--manifold", choices=("circle", "torus", "sphere"), default="circle")
+            p.add_argument("--torus-dim", type=int, default=2)
+            p.add_argument("--complex", choices=("vr", "cech"), default="vr", dest="complex_kind")
+            p.add_argument("--invariant", default="betti1")
+            p.add_argument("--trials", type=int, default=1000)
+            p.add_argument("--workers", type=int, default=1)
 
     def add_grid(p):
-        p.add_argument("--t-min", type=float, dest="t_min")
-        p.add_argument("--t-max", type=float, dest="t_max")
+        p.add_argument("--t-min", type=float)
+        p.add_argument("--t-max", type=float)
         p.add_argument("--steps", type=int)
-        p.add_argument("--grid", type=_float_list)
+        p.add_argument("--grid", type=_float_list, default=[])
 
-    p_curve = add_subparser("curve", "Monte Carlo invariant curve over a scale grid")
+    p_curve = sub.add_parser("curve", help="Monte Carlo invariant curve over a scale grid")
     add_common(p_curve)
     add_grid(p_curve)
-    p_curve.add_argument("--n", type=int)
+    p_curve.add_argument("--n", type=int, default=20)
 
-    p_oracle = add_subparser("oracle", "exact circle first-Betti-number values")
+    p_oracle = sub.add_parser("oracle", help="exact circle first-Betti-number values")
     add_common(p_oracle, estimation=False)
     add_grid(p_oracle)
-    p_oracle.add_argument("--n", type=int)
+    p_oracle.add_argument("--n", type=int, default=20)
 
-    p_conv = add_subparser("converge", "fixed-scale convergence table in n")
+    p_conv = sub.add_parser("converge", help="fixed-scale convergence table in n")
     add_common(p_conv)
     p_conv.add_argument("--t", type=float)
-    p_conv.add_argument("--n-values", type=_int_list, dest="n_values")
+    p_conv.add_argument("--n-values", type=_int_list, default=[])
     p_conv.add_argument("--target", type=float)
 
-    p_self = add_subparser("selftest", "fast statistical and structural self-checks")
-    p_self.add_argument("--seed", type=int, dest="master_seed")
+    p_self = sub.add_parser("selftest", help="fast statistical and structural self-checks")
+    p_self.add_argument("--seed", type=int, default=0, dest="master_seed")
     p_self.add_argument("--trials", type=int, default=2000)
-    p_self.add_argument("--workers", type=int)
+    p_self.add_argument("--workers", type=int, default=1)
 
     return parser
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     handlers = {"curve": run_curve, "oracle": run_oracle,
                 "converge": run_converge, "selftest": run_selftest}
     return handlers[config.subcommand](config)
@@ -427,7 +398,7 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(RunConfig(**vars(args)))
+        return run(args)
     except SimplexBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.trial_index is not None:

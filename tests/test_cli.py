@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -27,6 +28,20 @@ def read_csv(path):
 
 def run_cli(tmp_path, *argv):
     return cli.main(list(argv))
+
+
+def config_of(path):
+    """The configuration recorded on the ``# config:`` line of a CSV."""
+    comments, _, _ = read_csv(path)
+    return json.loads(comments[1].split("# config: ", 1)[1])
+
+
+def rerun(config, path):
+    """The CSV body that ``config`` gives when re-run through ``cli.run``
+    into ``path``."""
+    args = argparse.Namespace(**dict(config, output=str(path)))
+    assert cli.run(args) == EXIT_OK
+    return read_csv(path)[2]
 
 
 def run_python(tmp_path, *args):
@@ -111,22 +126,37 @@ class TestCurveCommand:
             doc = json.load(fh)
         assert doc["format_version"] == cli.FORMAT_VERSION
         assert doc["config"]["n"] == 6
+        # the keys of the CSV's config line, in the same sorted order
+        assert list(doc["config"]) == [
+            "complex_kind", "fmt", "grid", "invariant", "manifold", "master_seed", "n",
+            "output", "steps", "subcommand", "t_max", "t_min", "torus_dim", "trials",
+            "workers"]
         assert len(doc["columns"]["mean"]) == 2
 
     def test_config_round_trip_reproduces_bytes(self, tmp_path):
-        out1 = str(tmp_path / "a.csv")
+        out = str(tmp_path / "a.csv")
         run_cli(tmp_path, "curve", "--n", "7", "--trials", "40", "--seed", "9",
-                "--grid", "0.05,0.15,0.25", "--output", out1)
-        comments, _, _ = read_csv(out1)
-        config = cli.RunConfig(**json.loads(comments[1].split("# config: ", 1)[1]))
-        config.output = str(tmp_path / "b.csv")
-        assert cli.run(config) == EXIT_OK
-        _, _, body1 = read_csv(out1)
-        _, _, body2 = read_csv(config.output)
-        assert body1 == body2
+                "--grid", "0.05,0.15,0.25", "--output", out)
+        assert rerun(config_of(out), tmp_path / "b.csv") == read_csv(out)[2]
+
+    def test_older_config_line_reproduces_bytes(self, tmp_path):
+        # the line that earlier versions wrote for this command, with the other
+        # commands' options and target_source: the extra keys are ignored
+        out = str(tmp_path / "a.csv")
+        run_cli(tmp_path, "curve", "--n", "7", "--trials", "40", "--seed", "9",
+                "--grid", "0.05,0.15,0.25", "--output", out)
+        older = json.loads(
+            '{"complex_kind": "vr", "fmt": "csv", "grid": [0.05, 0.15, 0.25], '
+            '"invariant": "betti1", "manifold": "circle", "master_seed": 9, '
+            '"n": 7, "n_values": [], "output": "a.csv", '
+            '"steps": null, "subcommand": "curve", "t": null, "t_max": null, '
+            '"t_min": null, "target": null, "target_source": "reference value", '
+            '"torus_dim": 2, "trials": 40, "workers": 1}')
+        assert len(older) == 19
+        assert rerun(older, tmp_path / "b.csv") == read_csv(out)[2]
 
     def test_config_line_is_pinned(self, tmp_path):
-        # every RunConfig field appears, defaults included, in sorted key order
+        # the curve parser's options, defaults included, in sorted key order
         out = str(tmp_path / "a.csv")
         run_cli(tmp_path, "curve", "--n", "7", "--trials", "40", "--seed", "9",
                 "--grid", "0.05,0.15,0.25", "--output", out)
@@ -134,9 +164,8 @@ class TestCurveCommand:
         assert comments[1] == (
             '# config: {"complex_kind": "vr", "fmt": "csv", "grid": [0.05, 0.15, 0.25], '
             '"invariant": "betti1", "manifold": "circle", "master_seed": 9, '
-            '"n": 7, "n_values": [], "output": ' + json.dumps(out) + ', '
-            '"steps": null, "subcommand": "curve", "t": null, "t_max": null, '
-            '"t_min": null, "target": null, "target_source": "reference value", '
+            '"n": 7, "output": ' + json.dumps(out) + ', "steps": null, '
+            '"subcommand": "curve", "t_max": null, "t_min": null, '
             '"torus_dim": 2, "trials": 40, "workers": 1}')
 
     def test_sphere_euler_smoke(self, tmp_path):
@@ -164,18 +193,21 @@ class TestOracleCommand:
             assert float(row[4]) == p * (1 - p)
 
     def test_config_line_is_pinned(self, tmp_path):
-        # the oracle parser sets no estimation option: RunConfig's defaults fill them
+        # the oracle parser has no estimation option, so its line records none
         out = str(tmp_path / "o.csv")
         run_cli(tmp_path, "oracle", "--n", "12", "--t-min", "0.05", "--t-max", "0.3",
                 "--steps", "6", "--output", out)
         comments, _, _ = read_csv(out)
         assert comments[1] == (
-            '# config: {"complex_kind": "vr", "fmt": "csv", "grid": [], '
-            '"invariant": "betti1", "manifold": "circle", "master_seed": 0, '
-            '"n": 12, "n_values": [], "output": ' + json.dumps(out) + ', '
-            '"steps": 6, "subcommand": "oracle", "t": null, "t_max": 0.3, '
-            '"t_min": 0.05, "target": null, "target_source": "reference value", '
-            '"torus_dim": 2, "trials": 1000, "workers": 1}')
+            '# config: {"fmt": "csv", "grid": [], "master_seed": 0, "n": 12, '
+            '"output": ' + json.dumps(out) + ', "steps": 6, "subcommand": "oracle", '
+            '"t_max": 0.3, "t_min": 0.05}')
+
+    def test_config_round_trip_reproduces_bytes(self, tmp_path):
+        out = str(tmp_path / "a.csv")
+        run_cli(tmp_path, "oracle", "--n", "30", "--t-min", "0.05", "--t-max", "0.3",
+                "--steps", "6", "--output", out)
+        assert rerun(config_of(out), tmp_path / "b.csv") == read_csv(out)[2]
 
     def test_two_points_all_zero(self, tmp_path):
         out = str(tmp_path / "o.csv")
@@ -239,6 +271,12 @@ class TestConvergeCommand:
             [[n, 0.36, 3, m, v, e, abs(m - 1), 1]
              for n, m, v, e in zip(table.n_values, table.mean, table.variance, table.stderr)]
         assert table.mean[-1] > 0
+
+    def test_config_round_trip_reproduces_bytes(self, tmp_path):
+        out = str(tmp_path / "a.csv")
+        run_cli(tmp_path, "converge", "--t", "0.2", "--n-values", "4,8,16", "--trials", "30",
+                "--seed", "5", "--target", "1", "--output", out)
+        assert rerun(config_of(out), tmp_path / "b.csv") == read_csv(out)[2]
 
     def test_missing_args_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "converge", "--t", "0.1") == EXIT_USAGE
@@ -525,7 +563,7 @@ class TestWorkers:
             if value is not None:
                 monkeypatch.setenv("BETTI_WORKERS", value)
             out = str(tmp_path / "x.csv")
-            assert run_cli(tmp_path, "oracle", "--n", "5", "--grid", "0.1",
+            assert run_cli(tmp_path, "curve", "--n", "5", "--trials", "2", "--grid", "0.1",
                            "--output", out) == EXIT_OK
             lines.append(read_csv(out)[0][1])
         assert lines[0] == lines[1] == lines[2]
